@@ -1,18 +1,11 @@
-"""Microbenchmark: SoA leaf-block kernels and float32 precision tiers.
+"""Microbenchmark: the SoA leaf-scan kernel and the batched query over it.
 
-Measures the two hot kernels the hardware-limit refactor rebuilt:
-
-1. **Leaf scan layout/precision sweep** — squared-distance scans over the
-   same leaf-ordered points in three shapes: the old AoS row layout
-   (``(n, dims)`` float64, einsum reduction), the SoA float64 column
-   block, and the SoA float32 column block.  Reported as streamed GB/s
-   (a memory-bandwidth proxy) and scanned Mpoints/s; the acceptance
-   ratio is float32-SoA time vs float64-AoS time on identical points.
-2. **Query wall time per precision tier** — full :func:`batch_knn` at
-   ``precision="float64"``, the uncertified float32 scouting traversal
-   alone (phase 1 of the tiered path), and the certified
-   ``precision="float32"`` two-phase query whose answers are asserted
-   byte-identical (ids and distances) to the float64 tier.
+1. **Leaf scan layout sweep** — squared-distance scans over the same
+   leaf-ordered float64 points in two shapes: the AoS row layout
+   (``(n, dims)``, einsum reduction) and the SoA column layout the query
+   engines stream (:attr:`repro.kdtree.tree.KDTree.columns`).  Reported as
+   streamed GB/s (a memory-bandwidth proxy) and scanned Mpoints/s.
+2. **Query wall time** — full :func:`batch_knn`, in us/query.
 
 Writes ``BENCH_kernels.json`` via the canonical artifact helper.  Run
 directly::
@@ -28,8 +21,8 @@ import time
 import numpy as np
 
 from repro.kdtree.build import build_kdtree
-from repro.kdtree.leafblocks import LeafBlocks, scan_columns_sq
-from repro.kdtree.query import QueryStats, _traverse_batch, batch_knn
+from repro.kdtree.leafblocks import scan_columns_sq
+from repro.kdtree.query import batch_knn
 from repro.perf import BENCH_SCHEMA_VERSION, run_metadata, write_bench_artifact
 
 #: Acceptance-scale problem (paper-style single-node query workload).
@@ -53,12 +46,11 @@ def _time_best(fn, repeats: int) -> float:
 
 
 def bench_leaf_scan(points: np.ndarray, query: np.ndarray, repeats: int) -> dict:
-    """Scan every leaf-sized slice of ``points`` under each layout/tier."""
-    n, dims = points.shape
-    blocks = LeafBlocks.from_points(points)
-    aos = np.ascontiguousarray(points)  # (n, dims) float64 rows
+    """Scan every leaf-sized slice of ``points`` under each layout."""
+    n = points.shape[0]
+    aos = np.ascontiguousarray(points, dtype=np.float64)  # (n, dims) rows
+    soa = np.ascontiguousarray(aos.T)  # (dims, n) columns
     q64 = np.asarray(query, dtype=np.float64)
-    q32 = q64.astype(np.float32)
     starts = range(0, n, SCAN_LEAF)
 
     def scan_aos():
@@ -67,61 +59,32 @@ def bench_leaf_scan(points: np.ndarray, query: np.ndarray, repeats: int) -> dict
             diff = block - q64[None, :]
             np.einsum("pd,pd->p", diff, diff)
 
-    def scan_soa(coords, q):
-        def run():
-            for s in starts:
-                scan_columns_sq(coords, s, min(SCAN_LEAF, n - s), q)
+    def scan_soa():
+        for s in starts:
+            scan_columns_sq(soa, s, min(SCAN_LEAF, n - s), q64)
 
-        return run
-
-    variants = {
-        "float64_aos": (scan_aos, aos.nbytes),
-        "float64_soa": (scan_soa(blocks.coords, q64), blocks.coords.nbytes),
-        "float32_soa": (scan_soa(blocks.coords32, q32), blocks.coords32.nbytes),
-    }
     out: dict = {}
-    for name, (fn, nbytes) in variants.items():
+    for name, fn, nbytes in (
+        ("float64_aos", scan_aos, aos.nbytes),
+        ("float64_soa", scan_soa, soa.nbytes),
+    ):
         seconds = _time_best(fn, repeats)
         out[name] = {
             "seconds": seconds,
             "gbps": nbytes / seconds / 1e9,
             "mpts_per_s": n / seconds / 1e6,
         }
-    out["float32_soa_vs_float64_aos_speedup"] = (
-        out["float64_aos"]["seconds"] / out["float32_soa"]["seconds"]
-    )
     return out
 
 
-def bench_query_tiers(tree, queries: np.ndarray, k: int) -> dict:
-    """Wall time for float64, float32-scout-only, and certified float32."""
-    n_queries = queries.shape[0]
-
+def bench_query(tree, queries: np.ndarray, k: int) -> dict:
+    """Wall time of one :func:`batch_knn` over ``queries``."""
     t0 = time.perf_counter()
-    d64, i64, _ = batch_knn(tree, queries, k, precision="float64")
+    batch_knn(tree, queries, k)
     float64_s = time.perf_counter() - t0
-
-    radius_sq = np.full(n_queries, np.inf)
-    t0 = time.perf_counter()
-    _traverse_batch(tree, queries, k, radius_sq, np.float32, QueryStats())
-    scout_s = time.perf_counter() - t0
-
-    stats = QueryStats()
-    t0 = time.perf_counter()
-    d32, i32, _ = batch_knn(tree, queries, k, precision="float32", stats=stats)
-    certified_s = time.perf_counter() - t0
-
-    byte_identical = np.array_equal(d64, d32) and np.array_equal(i64, i32)
-    assert byte_identical, "certified float32 answers diverge from float64"
     return {
         "float64_s": float64_s,
-        "float32_scout_s": scout_s,
-        "float32_certified_s": certified_s,
-        "float64_us_per_query": float64_s * 1e6 / n_queries,
-        "float32_scout_us_per_query": scout_s * 1e6 / n_queries,
-        "float32_certified_us_per_query": certified_s * 1e6 / n_queries,
-        "rechecked_candidates": int(stats.rechecked_candidates),
-        "byte_identical": byte_identical,
+        "float64_us_per_query": float64_s * 1e6 / queries.shape[0],
     }
 
 
@@ -132,7 +95,7 @@ def run_bench(n_points: int, n_queries: int, k: int, scan_repeats: int, seed: in
 
     scan = bench_leaf_scan(points, queries[0], scan_repeats)
     tree = build_kdtree(points)
-    query = bench_query_tiers(tree, queries, k)
+    query = bench_query(tree, queries, k)
 
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -157,22 +120,14 @@ def format_report(result: dict) -> str:
     lines = [
         f"leaf scan: {cfg['n_points']} points x {cfg['dims']} dims, leaf={cfg['scan_leaf']}",
     ]
-    for name in ("float64_aos", "float64_soa", "float32_soa"):
+    for name in ("float64_aos", "float64_soa"):
         row = scan[name]
         lines.append(
             f"  {name:12s}: {row['seconds'] * 1e3:8.3f} ms"
             f"   {row['gbps']:6.2f} GB/s   {row['mpts_per_s']:7.1f} Mpts/s"
         )
-    lines.append(
-        f"  float32 SoA vs float64 AoS speedup: {scan['float32_soa_vs_float64_aos_speedup']:.2f}x"
-    )
-    lines.append(f"query tiers: {cfg['n_queries']} queries, k={cfg['k']}")
-    lines.append(f"  float64           : {query['float64_us_per_query']:8.2f} us/query")
-    lines.append(f"  float32 scout only: {query['float32_scout_us_per_query']:8.2f} us/query")
-    lines.append(
-        f"  float32 certified : {query['float32_certified_us_per_query']:8.2f} us/query"
-        f"   ({query['rechecked_candidates']} rechecked candidates; byte-identical to float64)"
-    )
+    lines.append(f"query: {cfg['n_queries']} queries, k={cfg['k']}")
+    lines.append(f"  float64: {query['float64_us_per_query']:8.2f} us/query")
     return "\n".join(lines)
 
 
@@ -187,11 +142,6 @@ def main() -> None:
     size = dict(SMOKE_SIZE if args.smoke else FULL_SIZE)
     result = run_bench(seed=args.seed, **size)
     print(format_report(result))
-
-    speedup = result["leaf_scan"]["float32_soa_vs_float64_aos_speedup"]
-    assert speedup > 1.0, (
-        f"float32 SoA leaf scan ({speedup:.2f}x) failed to beat the float64 AoS baseline"
-    )
 
     path = write_bench_artifact("BENCH_kernels.json", result)
     print(f"[saved to {path}]")

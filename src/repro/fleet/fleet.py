@@ -63,7 +63,6 @@ from repro.service.service import (
     RecordRing,
     RequestRecord,
     _Pending,
-    _check_precision,
 )
 
 
@@ -218,7 +217,6 @@ class KNNFleet:
         clock: Clock | None = None,
         tracer: Tracer | None = None,
         events: EventLog | None = None,
-        precision: str | None = None,
         slos: "List[SLO] | None" = None,
         slo_windows: "Tuple[Tuple[float, float], ...] | None" = None,
     ) -> "KNNFleet":
@@ -233,12 +231,6 @@ class KNNFleet:
         seconds deadline or a ``"p95"``-style latency percentile) on every
         group — it needs a concurrent dispatcher to have any effect.
 
-        ``precision`` sets every shard index's distance-kernel tier
-        (``"float64"`` / ``"float32"``; ``None`` keeps the config's tier,
-        itself defaulting via ``REPRO_PRECISION``).  Per-request overrides
-        through :meth:`submit` / :meth:`query` fall back to this index
-        tier; answers are certified byte-identical either way.
-
         ``clock`` / ``tracer`` / ``events`` inject the observability
         plane (see :mod:`repro.obs`): one monotonic clock threaded through
         every wall-time read, a sampled per-batch tracer (``REPRO_OBS``),
@@ -247,8 +239,6 @@ class KNNFleet:
         """
         if n_replicas <= 0:
             raise ValueError(f"n_replicas must be positive, got {n_replicas}")
-        if precision is not None:
-            config = dataclasses.replace(config or KDTreeConfig(), precision=precision)
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         n = points.shape[0]
         ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
@@ -464,7 +454,6 @@ class KNNFleet:
         query: np.ndarray,
         k: int | None = None,
         at: float | None = None,
-        precision: str | None = None,
     ) -> int:
         """Enqueue one query through admission control; returns its id.
 
@@ -474,15 +463,10 @@ class KNNFleet:
         rejection ledger is bounded by the retention capacity: ids of
         rejections older than the most recent ``retention`` are evicted and
         resolve to a plain ``KeyError``.
-
-        ``precision`` overrides the shard indices' distance-kernel tier
-        for this request (``None`` serves at the index tier); certified
-        identity makes the answer the same bytes either way.
         """
         k = self.k if k is None else k
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        _check_precision(precision)
         query = np.asarray(query, dtype=np.float64).ravel()
         if query.shape[0] != self._dims:
             raise ValueError(f"query has {query.shape[0]} dims, fleet has {self._dims}")
@@ -507,7 +491,7 @@ class KNNFleet:
                 shed_for=request_id,
                 queue_depth=len(self._pending),
             )
-        self._pending.append(_Pending(request_id, arrival, k, query, precision))
+        self._pending.append(_Pending(request_id, arrival, k, query))
         if len(self._pending) >= self.target_batch_size():
             # Quiet on a dead shard: the request was admitted and stays
             # queued (the failed dispatch requeued its batch and latched
@@ -521,7 +505,6 @@ class KNNFleet:
         query: np.ndarray,
         k: int | None = None,
         at: float | None = None,
-        precision: str | None = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Interactive single query: submit, flush, return ``(distances, ids)``.
 
@@ -530,7 +513,7 @@ class KNNFleet:
         :class:`~repro.fleet.replica.ShardUnavailableError`, never a
         misleading still-pending ``KeyError``.
         """
-        request_id = self.submit(query, k=k, at=at, precision=precision)
+        request_id = self.submit(query, k=k, at=at)
         if request_id not in self._results and request_id not in self._rejected:
             self._dispatch(self._now, retry_stalled=True)
         return self.result(request_id)
@@ -746,15 +729,12 @@ class KNNFleet:
         }
         try:
             with phase("fleet.batch"):
-                for k, prec_key in sorted({(r.k, r.precision or "") for r in batch}):
-                    precision = prec_key or None
-                    group = [r for r in batch if r.k == k and (r.precision or "") == prec_key]
+                for k in sorted({r.k for r in batch}):
+                    group = [r for r in batch if r.k == k]
                     queries = np.stack([r.query for r in group])
                     k_mark = trace.mark() if trace is not None else 0
                     k_start = self._clock.monotonic()
-                    d, i = self.router.answer(
-                        queries, k, at=flush_time, trace=trace, precision=precision
-                    )
+                    d, i = self.router.answer(queries, k, at=flush_time, trace=trace)
                     if trace is not None:
                         trace.fold(
                             k_mark,

@@ -102,7 +102,6 @@ class Replica:
         queries: np.ndarray,
         k: int,
         at: float | None,
-        precision: str | None = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Answer a batch, or die (armed failure / already dead).
 
@@ -127,7 +126,7 @@ class Replica:
             # that saw alive=True always serves on the matching service.
             service = self.service
         with phase("replica.serve"):
-            out = service.answer_batch(queries, k=k, at=at, precision=precision)
+            out = service.answer_batch(queries, k=k, at=at)
         with self._lock:
             self.queries_served += int(np.atleast_2d(queries).shape[0])
         return out
@@ -241,7 +240,6 @@ class ReplicaGroup:
         at: float | None = None,
         dispatcher: Dispatcher | None = None,
         sink: SpanSink | None = None,
-        precision: str | None = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Exact batch answer from the least-loaded live replica.
 
@@ -250,10 +248,7 @@ class ReplicaGroup:
         answer is the same bytes whichever one survives).  With a
         concurrent ``dispatcher`` and an armed ``hedge_after`` deadline the
         retry path generalises to hedged reads: a late attempt races a
-        second replica and the first answer wins.  ``precision`` is the
-        per-request distance-kernel tier override; tiers are certified
-        byte-identical, so retries and hedges stay answer-invariant
-        whatever tier each attempt serves at.
+        second replica and the first answer wins.
 
         ``sink`` (the enclosing shard call's span sink when the batch is
         traced) collects one ``replica_attempt`` span per attempt, hedges
@@ -262,8 +257,8 @@ class ReplicaGroup:
         with self._serve_lock:
             deadline = self._hedge_deadline()
             if deadline is None or dispatcher is None or not dispatcher.concurrent:
-                return self._answer_serial(queries, k, at, sink, precision)
-            return self._answer_hedged(queries, k, at, deadline, dispatcher, sink, precision)
+                return self._answer_serial(queries, k, at, sink)
+            return self._answer_hedged(queries, k, at, deadline, dispatcher, sink)
 
     @exactness_path
     @requires_lock("_serve_lock")
@@ -273,13 +268,12 @@ class ReplicaGroup:
         k: int,
         at: float | None,
         sink: SpanSink | None = None,
-        precision: str | None = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         while True:
             replica = self.primary()  # raises ShardUnavailableError when none left
             started = self._clock.monotonic()
             try:
-                out = replica.answer(queries, k, at, precision)
+                out = replica.answer(queries, k, at)
                 ended = self._clock.monotonic()
                 self._note_latency(ended - started)
                 if sink is not None:
@@ -329,7 +323,6 @@ class ReplicaGroup:
         deadline: float,
         dispatcher: Dispatcher,
         sink: SpanSink | None = None,
-        precision: str | None = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One hedged read: primary attempt, then race a peer past the deadline.
 
@@ -351,7 +344,7 @@ class ReplicaGroup:
         while True:
             replica = self._reserve()  # raises ShardUnavailableError when none left
             primary_fut, primary_sink = self._submit_attempt(
-                dispatcher, replica, queries, k, at, sink, precision
+                dispatcher, replica, queries, k, at, sink
             )
             try:
                 out = primary_fut.result(timeout=deadline)
@@ -383,7 +376,7 @@ class ReplicaGroup:
                 deadline_s=deadline,
             )
             hedge_fut, hedge_sink = self._submit_attempt(
-                dispatcher, hedge_replica, queries, k, at, sink, precision
+                dispatcher, hedge_replica, queries, k, at, sink
             )
             attempts = [
                 (primary_fut, replica, primary_sink),
@@ -427,7 +420,6 @@ class ReplicaGroup:
         k: int,
         at: float | None,
         sink: SpanSink | None = None,
-        precision: str | None = None,
     ):
         """Submit one replica-lane attempt: ``(future, attempt sink)``."""
         attempt_sink = SpanSink(self._clock) if sink is not None else None
@@ -435,7 +427,7 @@ class ReplicaGroup:
             ShardCall(
                 self.shard_id,
                 self._run_attempt,
-                (replica, queries, k, at, precision),
+                (replica, queries, k, at),
                 sink=attempt_sink,
                 label=f"replica_attempt r{replica.replica_id}",
                 cat="replica_attempt",
@@ -460,13 +452,12 @@ class ReplicaGroup:
         queries: np.ndarray,
         k: int,
         at: float | None,
-        precision: str | None = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Replica-lane body of one hedged attempt (always releases the
         reservation taken by :meth:`_reserve`)."""
         try:
             started = self._clock.monotonic()
-            out = replica.answer(queries, k, at, precision)
+            out = replica.answer(queries, k, at)
             self._note_latency(self._clock.monotonic() - started)
             return out
         finally:

@@ -118,15 +118,12 @@ class Router:
         k: int,
         at: float | None = None,
         trace: SpanSink | None = None,
-        precision: str | None = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Exact fleet-wide ``(distances, ids)`` for a query batch.
 
         ``trace`` (a sampled batch's span sink) collects the phase spans,
         per-shard call spans and merge spans of this batch; ``None`` —
-        the untraced common case — records nothing.  ``precision`` rides
-        into every shard call of the batch (owner and scatter alike); the
-        certified tiers make the merged answer byte-invariant to it.
+        the untraced common case — records nothing.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         n = queries.shape[0]
@@ -137,8 +134,8 @@ class Router:
             )
         self.stats.queries += n
         if not self.plan.supports_pruning:
-            return self._broadcast(queries, k, at, trace, precision)
-        return self._scatter_gather(queries, k, at, trace, precision)
+            return self._broadcast(queries, k, at, trace)
+        return self._scatter_gather(queries, k, at, trace)
 
     def _submit(
         self,
@@ -148,7 +145,6 @@ class Router:
         at: float | None,
         trace: SpanSink | None = None,
         label: str = "",
-        precision: str | None = None,
     ):
         """One shard call on the dispatch plane: ``(future, call sink)``.
 
@@ -163,7 +159,7 @@ class Router:
             ShardCall(
                 shard,
                 self.groups[shard].answer,
-                (queries, k, at, self.dispatcher, sink, precision),
+                (queries, k, at, self.dispatcher, sink),
                 sink=sink,
                 label=label or f"shard_call shard{shard}",
             )
@@ -193,7 +189,6 @@ class Router:
         k: int,
         at: float | None,
         trace: SpanSink | None,
-        precision: str | None = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         n = queries.shape[0]
         self.stats.shard_visits += n * len(self.groups)
@@ -206,7 +201,7 @@ class Router:
         try:
             with phase("router.broadcast"):
                 for shard in range(len(self.groups)):
-                    calls.append(self._submit(shard, queries, k, at, trace, precision=precision))
+                    calls.append(self._submit(shard, queries, k, at, trace))
                 # Harvest in submission (= ascending shard) order: the fold
                 # order fixes which exactly-tied id survives, so it must match
                 # the serial sequence bit for bit.
@@ -254,7 +249,6 @@ class Router:
         k: int,
         at: float | None,
         trace: SpanSink | None,
-        precision: str | None = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         n = queries.shape[0]
         owners = self.plan.owner_of(queries)
@@ -282,7 +276,6 @@ class Router:
                     fut, sink = self._submit(
                         int(shard), queries[rows], k, at, trace,
                         label=f"owner_call shard{int(shard)}",
-                        precision=precision,
                     )
                     pending[fut] = (rows, sink)
                 self.stats.shard_visits += n
@@ -301,7 +294,7 @@ class Router:
                         t_scatter = self._clock.monotonic()
                         seq = self._submit_scatter(
                             queries, k, at, rows, owners[rows], acc_d[rows, k - 1],
-                            scatter_calls, seq, trace, precision,
+                            scatter_calls, seq, trace,
                         )
                         scatter_elapsed += self._clock.monotonic() - t_scatter
             owner_ended = self._clock.monotonic()
@@ -373,7 +366,6 @@ class Router:
         scatter_calls: List[Tuple[int, int, np.ndarray, object, object]],
         seq: int,
         trace: SpanSink | None = None,
-        precision: str | None = None,
     ) -> int:
         """Group one owner's rows by scatter shard and submit the calls.
 
@@ -394,7 +386,6 @@ class Router:
             fut, sink = self._submit(
                 int(shard), queries[group_rows], k, at, trace,
                 label=f"scatter_call shard{int(shard)}",
-                precision=precision,
             )
             scatter_calls.append((int(shard), seq, group_rows, fut, sink))
             seq += 1

@@ -16,9 +16,8 @@ This package implements the single-node building blocks of PANDA:
 * :mod:`~repro.kdtree.query` — Algorithm 1: bounded-radius k-nearest
   neighbour search with distance-based pruning, as a scalar single-query
   traversal and as a vectorised lockstep traversal of whole query batches;
-* :mod:`~repro.kdtree.leafblocks` — structure-of-arrays leaf columns both
-  query engines stream, plus the float32 precision tier's certified error
-  bound and shared distance kernels;
+* :mod:`~repro.kdtree.leafblocks` — the distance kernels both query
+  engines share, over structure-of-arrays leaf columns;
 * :mod:`~repro.kdtree.tree` — the flat array representation shared by all
   of the above;
 * :mod:`~repro.kdtree.validate` — structural invariants used by tests.
@@ -43,13 +42,7 @@ from repro.kdtree.splitters import (
     SPLIT_DIM_STRATEGIES,
     SPLIT_VALUE_STRATEGIES,
 )
-from repro.kdtree.leafblocks import (
-    LeafBlocks,
-    PRECISIONS,
-    float32_error_bound,
-    gather_columns_sq,
-    scan_columns_sq,
-)
+from repro.kdtree.leafblocks import gather_columns_sq, scan_columns_sq
 from repro.kdtree.tree import KDTree, KDTreeConfig, TreeBuildStats
 from repro.kdtree.build import build_kdtree, build_kdtree_scalar
 from repro.kdtree.query import (
@@ -59,7 +52,6 @@ from repro.kdtree.query import (
     batch_knn_scalar,
     brute_force_knn,
     knn_search,
-    resolve_precision,
 )
 from repro.kdtree.serialize import load_kdtree, save_kdtree
 from repro.kdtree.validate import check_snapshot_roundtrip, check_tree_invariants
@@ -82,12 +74,8 @@ __all__ = [
     "choose_split_value",
     "SPLIT_DIM_STRATEGIES",
     "SPLIT_VALUE_STRATEGIES",
-    "LeafBlocks",
-    "PRECISIONS",
-    "float32_error_bound",
     "gather_columns_sq",
     "scan_columns_sq",
-    "resolve_precision",
     "KDTree",
     "KDTreeConfig",
     "TreeBuildStats",

@@ -34,13 +34,11 @@ Two implementations share the same semantics:
 
 from __future__ import annotations
 
-import dataclasses
 from typing import List, Tuple
 
 import numpy as np
 
 from repro.cluster.metrics import PhaseCounters
-from repro.kdtree.leafblocks import LeafBlocks
 from repro.kdtree.splitters import (
     SplitContext,
     batched_choose_split_dimensions,
@@ -191,13 +189,9 @@ def _coerce_inputs(
     config: KDTreeConfig | None,
     threads: int,
     rng: np.random.Generator | None,
-    precision: str | None = None,
 ) -> Tuple[np.ndarray, np.ndarray, KDTreeConfig, np.random.Generator, int]:
     """Validate and normalise the shared ``build_kdtree*`` arguments."""
     config = config or KDTreeConfig()
-    if precision is not None and precision != config.precision:
-        # dataclasses.replace re-runs __post_init__, validating the value.
-        config = dataclasses.replace(config, precision=precision)
     points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if points.ndim != 2:
         raise ValueError(f"points must be 2-D, got shape {points.shape}")
@@ -242,7 +236,6 @@ def build_kdtree(
     config: KDTreeConfig | None = None,
     threads: int = 1,
     rng: np.random.Generator | None = None,
-    precision: str | None = None,
 ) -> KDTree:
     """Build a kd-tree over ``points`` (level-synchronous vectorised build).
 
@@ -270,10 +263,6 @@ def build_kdtree(
     rng:
         Random generator for the sampling rules; a seeded default is derived
         from ``config.seed`` so builds are reproducible.
-    precision:
-        Optional distance-kernel tier override (``"float64"``/``"float32"``)
-        baked into the tree's config; the tree structure itself is
-        precision-independent (splits are always chosen in float64).
 
     Returns
     -------
@@ -281,7 +270,7 @@ def build_kdtree(
         The packed tree, with per-phase counters available in
         ``tree.stats.phase_counters``.
     """
-    points, ids, config, rng, n = _coerce_inputs(points, ids, config, threads, rng, precision)
+    points, ids, config, rng, n = _coerce_inputs(points, ids, config, threads, rng)
     stats = TreeBuildStats(n_points=n)
     perm = np.arange(n, dtype=np.int64)
     dp_ctx, tp_ctx = _split_contexts(config, rng, stats)
@@ -581,14 +570,13 @@ def build_kdtree_scalar(
     config: KDTreeConfig | None = None,
     threads: int = 1,
     rng: np.random.Generator | None = None,
-    precision: str | None = None,
 ) -> KDTree:
     """Reference per-node builder (one Python iteration per tree node).
 
     Semantically identical to :func:`build_kdtree`; kept as the slow but
     simple A/B baseline, mirroring ``batch_knn_scalar`` on the query side.
     """
-    points, ids, config, rng, n = _coerce_inputs(points, ids, config, threads, rng, precision)
+    points, ids, config, rng, n = _coerce_inputs(points, ids, config, threads, rng)
     stats = TreeBuildStats(n_points=n)
     acc = _TreeAccumulator()
     perm = np.arange(n, dtype=np.int64)
@@ -685,17 +673,12 @@ def _finalise(
     # Reading and writing every coordinate once each.
     pack_counters.bytes_streamed += int(packed_points.nbytes) * 2 + int(packed_ids.nbytes) * 2
     pack_counters.elements_moved += int(perm.size)
-    # SoA leaf blocks are packed here too — the transpose re-reads every
-    # coordinate once and writes the float64 + float32 columns.
-    blocks = LeafBlocks.from_points(packed_points)
-    pack_counters.bytes_streamed += int(packed_points.nbytes) + int(blocks.nbytes)
     split_dim = np.asarray(split_dim, dtype=np.int32)
     stats.n_nodes = int(split_dim.shape[0])
     stats.n_leaves = int(np.count_nonzero(split_dim == LEAF))
     return KDTree(
         points=packed_points,
         ids=packed_ids,
-        blocks=blocks,
         split_dim=split_dim,
         split_val=np.asarray(split_val, dtype=np.float64),
         left=np.asarray(left, dtype=np.int32),

@@ -94,9 +94,7 @@ class BoundedMaxHeap:
         """Offer a batch of candidates; returns how many were kept.
 
         Input dtype is handled explicitly: one vectorised conversion up
-        front (float32 distance blocks from the tiered leaf kernels
-        included) instead of a per-element ``float()``/``int()`` cast per
-        push.
+        front instead of a per-element ``float()``/``int()`` cast per push.
         """
         dist_list = np.asarray(dists, dtype=np.float64).tolist()
         id_list = np.asarray(ids, dtype=np.int64).tolist()
@@ -168,17 +166,14 @@ class BatchTopK:
     accepted candidates it reports equals the scalar ``heap_updates`` count.
     """
 
-    def __init__(self, n_queries: int, k: int, dtype: np.dtype = np.float64) -> None:
+    def __init__(self, n_queries: int, k: int) -> None:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         if n_queries < 0:
             raise ValueError(f"n_queries must be non-negative, got {n_queries}")
-        dt = np.dtype(dtype)
-        if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(f"dtype must be float64 or float32, got {dt}")
         self.n_queries = n_queries
         self.k = k
-        self.dists = np.full((n_queries, k), np.inf, dtype=dt)
+        self.dists = np.full((n_queries, k), np.inf, dtype=np.float64)
         self.ids = np.full((n_queries, k), -1, dtype=np.int64)
 
     def bounds(self) -> np.ndarray:
@@ -204,11 +199,6 @@ class BatchTopK:
             would have accepted.
         """
         k = self.k
-        # Candidates are converted to the row dtype explicitly (lossless
-        # for the float32 tier feeding a float64 accumulator; a no-op when
-        # dtypes already agree) so concatenate never silently upcasts the
-        # whole block.
-        cand_dists = np.asarray(cand_dists, dtype=self.dists.dtype)
         # Old entries go first so the stable sort resolves distance ties in
         # their favour — a candidate equal to the current k-th distance is
         # rejected, exactly like the scalar heap's strict-< push.

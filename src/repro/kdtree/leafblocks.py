@@ -1,15 +1,12 @@
-"""Structure-of-arrays leaf blocks for the hot leaf-scan kernels.
+"""Structure-of-arrays leaf-scan kernels.
 
 The kd-tree finaliser permutes points into leaf order, so every leaf owns a
-contiguous ``[start, start+count)`` slice of the point array.  The query
-kernels, however, used to stream that data row-major (array-of-structs):
-each distance accumulation touched ``dims`` consecutive float64 values per
-point and the batched engine gathered whole ``(count, dims)`` row blocks.
-:class:`LeafBlocks` stores the *transposed* layout instead — one contiguous
-float64 column per dimension, plus a float32 copy — so a leaf scan streams
-``count`` consecutive values per dimension (cache-line-aligned runs, half
-the bytes on the float32 tier) and the batched engine gathers flat 1-D
-columns.
+contiguous ``[start, start+count)`` slice of the point array.
+:attr:`repro.kdtree.tree.KDTree.columns` holds the *transposed* layout —
+one contiguous float64 column per dimension — so a leaf scan streams
+``count`` consecutive values per dimension (cache-line-aligned runs) and
+the batched engine gathers flat 1-D columns instead of ``(count, dims)``
+row blocks.
 
 Two scan kernels live here, one for each query engine:
 
@@ -17,19 +14,10 @@ Two scan kernels live here, one for each query engine:
 - :func:`gather_columns_sq` — batched engine: fancy-indexed column gathers.
 
 Both accumulate ``sum_d (x_d - q_d)**2`` with *identical* per-dimension
-ordering (dim 0, then 1, ...), so for the same dtype they are IEEE
-bit-identical per element.  That shared ordering is what keeps the
-vectorized-vs-scalar byte-equality tests exact: the two engines no longer
-merely agree mathematically, they execute the same floating-point op
-sequence per candidate.
-
-The float32 tier is certified by :func:`float32_error_bound`: an absolute
-bound ``B`` such that for any tree/query points with coordinates bounded by
-``max_abs``, the float32-computed squared distance differs from the true
-float64 value by at most ``B``.  The bound covers both the float32
-rounding of the coordinates themselves and the per-dimension accumulation
-error, with a 2x safety factor — it is deliberately generous, because an
-oversized bound only costs recheck work, never correctness.
+ordering (dim 0, then 1, ...), so they are IEEE bit-identical per element.
+That shared ordering is what keeps the vectorized-vs-scalar byte-equality
+tests exact: the two engines no longer merely agree mathematically, they
+execute the same floating-point op sequence per candidate.
 """
 
 from __future__ import annotations
@@ -38,123 +26,7 @@ import numpy as np
 
 from repro.analysis.annotations import exactness_path
 
-__all__ = [
-    "LeafBlocks",
-    "PRECISIONS",
-    "float32_error_bound",
-    "gather_columns_sq",
-    "scan_columns_sq",
-]
-
-#: Supported precision tiers for the distance kernels.
-PRECISIONS = ("float64", "float32")
-
-_EPS32 = float(np.finfo(np.float32).eps)
-
-#: Largest absolute rounding error of a float64 -> float32 conversion (or
-#: float32 operation) whose result lands in the subnormal range or flushes
-#: to zero: half the smallest subnormal spacing, 2**-150 (rounded up to
-#: 2**-149 for a whole-operation bound).
-_SUBNORMAL_ERR = 2.0**-149
-
-
-def float32_error_bound(dims: int, max_abs: float) -> float:
-    """Absolute error bound for float32 squared euclidean distances.
-
-    For points ``x, q`` with ``|x_i|, |q_i| <= max_abs`` the float32
-    pipeline (round coordinates to float32, subtract, square, accumulate
-    per dimension) returns ``d32`` with ``|d32 - d64| <= bound`` where
-    ``d64`` is the exact float64 squared distance.
-
-    Derivation sketch, normalized regime: each squared term is at most
-    ``4 * max_abs**2``; rounding both coordinates perturbs a term by at
-    most ``~8 * eps32 * max_abs**2``; the subtract/square/accumulate chain
-    over ``dims`` terms contributes a standard ``gamma_{dims+3}`` relative
-    error on the ``4 * dims * max_abs**2`` total.  ``8 * (dims + 4) * dims
-    * eps32 * max_abs**2`` dominates the sum of both with a >=2x margin
-    for every ``dims >= 1``.
-
-    Subnormal/underflow regime: the relative-error model fails once a
-    coordinate, difference, square or partial sum falls below the float32
-    normal range — a coordinate like ``2.5e-133`` flushes to ``0.0``, so
-    the scout can report a zero distance whose true value is far beyond
-    any relative band.  Every such event is still an *absolute* error of
-    at most ``2**-149`` per operation: two coordinate roundings shift a
-    difference by ``<= 2**-148``, perturbing its square by
-    ``<= 4 * max_abs * 2**-148`` (plus a negligible ``2**-296`` term), and
-    the ~3 kernel ops per dimension flush at most ``2**-149`` each.  The
-    additive guard ``dims * (16 * max_abs + 8) * 2**-149`` dominates all
-    of it with a >=2x margin; for any data of ordinary magnitude it is
-    invisible next to the relative term, and an oversized bound only costs
-    recheck work, never correctness.
-    """
-    if dims < 1:
-        raise ValueError(f"dims must be >= 1, got {dims}")
-    m = float(max_abs)
-    if not np.isfinite(m) or m < 0:
-        raise ValueError(f"max_abs must be finite and >= 0, got {max_abs}")
-    relative = 8.0 * (dims + 4) * dims * _EPS32 * m * m
-    underflow_guard = dims * (16.0 * m + 8.0) * _SUBNORMAL_ERR
-    return relative + underflow_guard
-
-
-class LeafBlocks:
-    """Per-dimension column copies of a kd-tree's leaf-ordered points.
-
-    ``coords`` is the ``(dims, n_points)`` C-contiguous float64 transpose
-    of the tree's (already leaf-permuted) point array; ``coords32`` is its
-    float32 rounding.  ``max_abs`` is the largest absolute coordinate,
-    cached for :func:`float32_error_bound`.
-    """
-
-    __slots__ = ("coords", "coords32", "max_abs")
-
-    def __init__(self, coords: np.ndarray, coords32: np.ndarray, max_abs: float):
-        if coords.ndim != 2 or coords.dtype != np.float64:
-            raise ValueError("coords must be a 2-D float64 array")
-        if coords32.shape != coords.shape or coords32.dtype != np.float32:
-            raise ValueError("coords32 must be a float32 array matching coords")
-        if not coords.flags.c_contiguous or not coords32.flags.c_contiguous:
-            raise ValueError("leaf block columns must be C-contiguous")
-        self.coords = coords
-        self.coords32 = coords32
-        self.max_abs = float(max_abs)
-
-    @classmethod
-    def from_points(cls, points: np.ndarray, coords32: np.ndarray | None = None) -> "LeafBlocks":
-        """Build blocks from an ``(n, dims)`` float64 point array.
-
-        ``coords32`` lets snapshot loaders supply the persisted float32
-        columns verbatim (byte-identity across save/load) instead of
-        re-rounding; it must match the derived float64 columns' shape.
-        """
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError(f"points must be 2-D, got shape {pts.shape}")
-        coords = np.ascontiguousarray(pts.T)
-        if coords32 is None:
-            coords32 = coords.astype(np.float32)
-        else:
-            coords32 = np.ascontiguousarray(coords32, dtype=np.float32)
-            if coords32.shape != coords.shape:
-                raise ValueError(
-                    f"coords32 shape {coords32.shape} does not match coords {coords.shape}"
-                )
-        max_abs = float(np.abs(coords).max()) if coords.size else 0.0
-        return cls(coords, np.ascontiguousarray(coords32), max_abs)
-
-    def columns(self, dtype: np.dtype) -> np.ndarray:
-        """The column block for a kernel dtype (float64 or float32)."""
-        dt = np.dtype(dtype)
-        if dt == np.float64:
-            return self.coords
-        if dt == np.float32:
-            return self.coords32
-        raise ValueError(f"unsupported kernel dtype {dt}")
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.coords.nbytes + self.coords32.nbytes)
+__all__ = ["gather_columns_sq", "scan_columns_sq"]
 
 
 @exactness_path
@@ -162,8 +34,8 @@ def scan_columns_sq(coords: np.ndarray, start: int, count: int, query: np.ndarra
     """Squared distances from ``query`` to one leaf's contiguous columns.
 
     ``coords`` is a ``(dims, n)`` column block, ``query`` a ``(dims,)``
-    vector of the same dtype.  Accumulates per dimension in index order —
-    the canonical op sequence shared with :func:`gather_columns_sq`.
+    vector.  Accumulates per dimension in index order — the canonical op
+    sequence shared with :func:`gather_columns_sq`.
     """
     end = start + count
     acc = np.zeros(count, dtype=coords.dtype)
@@ -179,9 +51,9 @@ def gather_columns_sq(coords: np.ndarray, idx: np.ndarray, queries: np.ndarray) 
 
     ``idx`` is an ``(m, cmax)`` int array of point indices (padded entries
     may repeat index 0 — callers mask them out), ``queries`` an
-    ``(m, dims)`` array matching ``coords``'s dtype.  Element ``(i, j)``
-    executes exactly the op sequence of :func:`scan_columns_sq` on point
-    ``idx[i, j]`` and query ``i``, so the two engines match bit-for-bit.
+    ``(m, dims)`` array.  Element ``(i, j)`` executes exactly the op
+    sequence of :func:`scan_columns_sq` on point ``idx[i, j]`` and query
+    ``i``, so the two engines match bit-for-bit.
     """
     acc = np.zeros(idx.shape, dtype=coords.dtype)
     for d in range(coords.shape[0]):

@@ -27,11 +27,6 @@ Two engines implement the same search semantics:
   (Which of several points tied exactly at the k-th distance is kept is
   unspecified in both engines and may differ between them.)
 
-Both engines stream the SoA leaf blocks, and :func:`batch_knn` adds a
-``precision`` tier: ``"float32"`` scans half-width columns and certifies
-its answers byte-identical to float64 with an exact recheck pass (see the
-function docstring for the two-phase argument).
-
 Radius semantics are **inclusive** everywhere: a point at exactly the
 search radius is returned.  This matters for step 4 of the distributed
 protocol, where a remote point lying exactly at the owner's k-th distance
@@ -52,22 +47,8 @@ import numpy as np
 
 from repro.cluster.metrics import PhaseCounters
 from repro.kdtree.heap import BatchTopK, BoundedMaxHeap
-from repro.kdtree.leafblocks import (
-    PRECISIONS,
-    float32_error_bound,
-    gather_columns_sq,
-    scan_columns_sq,
-)
+from repro.kdtree.leafblocks import gather_columns_sq, scan_columns_sq
 from repro.kdtree.tree import KDTree
-
-
-def resolve_precision(precision: str | None, tree: KDTree) -> str:
-    """Resolve a per-call precision override against the index tier."""
-    if precision is None:
-        precision = tree.config.precision
-    if precision not in PRECISIONS:
-        raise ValueError(f"precision must be one of {PRECISIONS} or None, got {precision!r}")
-    return precision
 
 
 @dataclass
@@ -79,9 +60,6 @@ class QueryStats:
     leaves_scanned: int = 0
     distance_computations: int = 0
     heap_updates: int = 0
-    #: float64 distance computations spent certifying the float32 tier
-    #: (the exact-recheck pass); always 0 on the float64 path.
-    rechecked_candidates: int = 0
 
     def merge(self, other: "QueryStats") -> None:
         """Accumulate ``other`` into this instance."""
@@ -90,7 +68,6 @@ class QueryStats:
         self.leaves_scanned += other.leaves_scanned
         self.distance_computations += other.distance_computations
         self.heap_updates += other.heap_updates
-        self.rechecked_candidates += other.rechecked_candidates
 
     def charge(self, counters: PhaseCounters, dims: int) -> None:
         """Charge this work to a cluster phase counter set."""
@@ -158,7 +135,7 @@ def knn_search(
         return KNNResult(distances=np.empty(0), ids=np.empty(0, dtype=np.int64), stats=local_stats)
 
     radius_sq = radius * radius if np.isfinite(radius) else np.inf
-    coords = tree.blocks.coords
+    coords = tree.columns
     ids = tree.ids
     split_dim = tree.split_dim
     split_val = tree.split_val
@@ -225,27 +202,47 @@ def knn_search(
     return KNNResult(distances=np.sqrt(dists_sq), ids=result_ids, stats=local_stats)
 
 
-def _traverse_batch(
+def batch_knn(
     tree: KDTree,
     queries: np.ndarray,
     k: int,
-    radius_sq: np.ndarray,
-    dtype: np.dtype,
-    agg: QueryStats,
-) -> BatchTopK:
-    """One lockstep batched traversal at a given leaf-kernel dtype.
+    radii: np.ndarray | float = np.inf,
+    stats: QueryStats | None = None,
+) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
+    """Vectorised batched KNN: all queries traverse the tree in lockstep.
 
-    Traversal bookkeeping (split-plane deltas, box lower bounds) is always
-    float64; ``dtype`` only selects which SoA column block the leaf scan
-    streams (``float64`` or ``float32``) and the top-k distance dtype.
-    Candidate filtering against ``radius_sq`` is inclusive and the heap
-    bound strict, exactly as in the scalar engine.
+    Semantically equivalent to running :func:`knn_search` on every row of
+    ``queries``: identical neighbour distances and identical ``QueryStats``
+    counters (which of several points tied exactly at the k-th distance is
+    kept is unspecified in both engines).  The traversal state of the whole
+    batch is held in flat arrays so each iteration is a handful of NumPy
+    operations instead of thousands of Python-level heap pushes.  Candidate
+    filtering against the radius is inclusive and the heap bound strict,
+    exactly as in the scalar engine.
+
+    Returns ``(distances, ids, stats)`` where the arrays have shape
+    ``(n_queries, k)``; missing neighbours (fewer than k in range) are padded
+    with ``inf`` distances and id ``-1``.
     """
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     n_queries = queries.shape[0]
-    blocks = tree.blocks
-    coords = blocks.columns(dtype)
-    queries_cast = queries if coords.dtype == np.float64 else queries.astype(np.float32)
-    pad_inf = coords.dtype.type(np.inf)
+    agg = QueryStats(queries=n_queries)
+    if tree.n_points == 0 or n_queries == 0:
+        if stats is not None:
+            stats.merge(agg)
+        return (
+            np.full((n_queries, k), np.inf, dtype=np.float64),
+            np.full((n_queries, k), -1, dtype=np.int64),
+            agg,
+        )
+    if queries.shape[1] != tree.dims:
+        raise ValueError(f"queries have {queries.shape[1]} dims, tree has {tree.dims}")
+    radii_arr = np.broadcast_to(np.asarray(radii, dtype=np.float64), (n_queries,))
+    radius_sq = np.where(np.isfinite(radii_arr), radii_arr * radii_arr, np.inf)
+
+    coords = tree.columns
     ids = tree.ids
     split_dim = tree.split_dim
     split_val = tree.split_val
@@ -254,7 +251,7 @@ def _traverse_batch(
     start = tree.start
     count = tree.count
 
-    topk = BatchTopK(n_queries, k, dtype=coords.dtype)
+    topk = BatchTopK(n_queries, k)
     bounds = topk.bounds()  # live view: shrinks as candidates are accepted
 
     # Per-query DFS stacks in one array set.  A DFS stack never exceeds
@@ -303,9 +300,9 @@ def _traverse_batch(
                     offs = np.arange(cmax)
                     valid = offs[None, :] < counts[:, None]
                     idx = np.where(valid, starts[:, None] + offs[None, :], 0)
-                    d2 = gather_columns_sq(coords, idx, queries_cast[lq])
+                    d2 = gather_columns_sq(coords, idx, queries[lq])
                     within = valid & (d2 <= radius_sq[lq, None])
-                    cand_d = np.where(within, d2, pad_inf)
+                    cand_d = np.where(within, d2, np.inf)
                     cand_i = np.where(within, ids[idx], -1)
                     accepted = topk.update(lq, cand_d, cand_i)
                     agg.heap_updates += int(accepted.sum())
@@ -349,89 +346,6 @@ def _traverse_batch(
                 stack_len[iq] = pos + 1
         active = np.flatnonzero(stack_len > 0)
 
-    return topk
-
-
-def batch_knn(
-    tree: KDTree,
-    queries: np.ndarray,
-    k: int,
-    radii: np.ndarray | float = np.inf,
-    stats: QueryStats | None = None,
-    precision: str | None = None,
-) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
-    """Vectorised batched KNN: all queries traverse the tree in lockstep.
-
-    On the float64 tier this is semantically equivalent to running
-    :func:`knn_search` on every row of ``queries``: identical neighbour
-    distances and identical ``QueryStats`` counters (which of several
-    points tied exactly at the k-th distance is kept is unspecified in
-    both engines).  The traversal state of the whole batch is held in flat
-    arrays so each iteration is a handful of NumPy operations instead of
-    thousands of Python-level heap pushes.
-
-    ``precision`` selects the distance-kernel tier (``None`` falls back to
-    ``tree.config.precision``).  The ``"float32"`` tier runs two phases:
-
-    1. a scouting traversal streaming the half-width float32 SoA columns,
-       whose k-th distances bound the true k-th distance to within
-       :func:`~repro.kdtree.leafblocks.float32_error_bound`;
-    2. an exact float64 recheck traversal whose initial radius is the
-       float32 k-th distance plus that error band (capped by the caller's
-       radius).  Every candidate within the band of the k-th distance is
-       therefore recomputed in float64, and the returned distances and ids
-       come entirely from this phase.
-
-    Because the recheck radius provably covers the true k-th distance, the
-    float32 tier's answers are **byte-identical** (ids and distances) to
-    the plain float64 path — including exact ties at the k-th distance,
-    whose resolution depends only on candidate arrival order, which the
-    shared DFS skeleton preserves.  ``stats.rechecked_candidates`` counts
-    the float64 distance computations spent in phase 2.
-
-    Returns ``(distances, ids, stats)`` where the arrays have shape
-    ``(n_queries, k)``; missing neighbours (fewer than k in range) are padded
-    with ``inf`` distances and id ``-1``.
-    """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    precision = resolve_precision(precision, tree)
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    n_queries = queries.shape[0]
-    agg = QueryStats(queries=n_queries)
-    if tree.n_points == 0 or n_queries == 0:
-        if stats is not None:
-            stats.merge(agg)
-        return (
-            np.full((n_queries, k), np.inf, dtype=np.float64),
-            np.full((n_queries, k), -1, dtype=np.int64),
-            agg,
-        )
-    if queries.shape[1] != tree.dims:
-        raise ValueError(f"queries have {queries.shape[1]} dims, tree has {tree.dims}")
-    radii_arr = np.broadcast_to(np.asarray(radii, dtype=np.float64), (n_queries,))
-    radius_sq = np.where(np.isfinite(radii_arr), radii_arr * radii_arr, np.inf)
-
-    if precision == "float32":
-        # Phase 1: float32 scout.  Its k-th distances are only used to
-        # bound the recheck radius; its candidate sets are discarded.
-        scout = _traverse_batch(tree, queries, k, radius_sq, np.float32, agg)
-        kth32_sq = scout.bounds().astype(np.float64)
-        blocks = tree.blocks
-        max_abs = max(blocks.max_abs, float(np.abs(queries).max()))
-        band = float32_error_bound(tree.dims, max_abs)
-        # Any point the float64 answer may contain has true d^2 <= true
-        # k-th^2 <= kth32^2 + band (or the caller's radius when phase 1
-        # is underfull, kth32 = inf).  Capping by the caller's radius
-        # keeps radius semantics; the cap also covers the corner where
-        # float32 rounding admitted an out-of-radius candidate.
-        recheck_radius_sq = np.minimum(radius_sq, kth32_sq + band)
-        before = agg.distance_computations
-        topk = _traverse_batch(tree, queries, k, recheck_radius_sq, np.float64, agg)
-        agg.rechecked_candidates += agg.distance_computations - before
-    else:
-        topk = _traverse_batch(tree, queries, k, radius_sq, np.float64, agg)
-
     out_d_sq, out_i = topk.sorted_results()
     if stats is not None:
         stats.merge(agg)
@@ -444,20 +358,13 @@ def batch_knn_scalar(
     k: int,
     radii: np.ndarray | float = np.inf,
     stats: QueryStats | None = None,
-    precision: str | None = None,
 ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
     """Reference batch path: one scalar :func:`knn_search` per query row.
 
     Kept as the A/B baseline for :func:`batch_knn` — both must return the
     same neighbour distances and the same aggregated ``QueryStats`` (tie
-    identity at the k-th distance excepted).  The scalar engine always
-    computes in float64: it *is* the gold reference the float32 tier is
-    certified against, so ``precision`` is validated for signature parity
-    but does not change the computation (stats equality with
-    :func:`batch_knn` only holds on the float64 tier; answers match on
-    both).
+    identity at the k-th distance excepted).
     """
-    resolve_precision(precision, tree)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     n_queries = queries.shape[0]
     out_d = np.full((n_queries, k), np.inf, dtype=np.float64)

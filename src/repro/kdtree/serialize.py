@@ -2,12 +2,7 @@
 
 A built :class:`~repro.kdtree.tree.KDTree` is eight flat arrays plus its
 construction config and stats, so a snapshot is simply those arrays written
-to disk together with a JSON metadata blob.  Since version 2 a snapshot
-also carries the float32 SoA leaf-block columns
-(:mod:`repro.kdtree.leafblocks`) so a warm-started float32-tier service
-streams byte-identical columns without re-deriving them; the float64
-columns are rebuilt deterministically from the point array on load.
-Two interchangeable backends
+to disk together with a JSON metadata blob.  Two interchangeable backends
 implement the same round-trip contract (loaded arrays are byte-identical to
 the saved ones, config and stats compare equal):
 
@@ -34,20 +29,17 @@ from typing import Tuple
 import numpy as np
 
 from repro.cluster.metrics import PhaseCounters
-from repro.kdtree.leafblocks import LeafBlocks
 from repro.kdtree.tree import KDTree, KDTreeConfig, TreeBuildStats
 
 #: Snapshot format version (bump on incompatible layout changes).
-#: Version 2 adds the persisted float32 SoA leaf-block columns (and the
-#: ``precision`` config key); version-1 snapshots still load, deriving the
-#: leaf blocks lazily from the point array.
-SNAPSHOT_VERSION = 2
+#: Version 3 is the version-1 array set.  Version 2 additionally carried
+#: float32 copies of the point columns (``blocks_coords32*``) and a
+#: ``precision`` config key for a since-retired query tier; both loaders
+#: read arrays by name, so those extras are simply never opened.
+SNAPSHOT_VERSION = 3
 
 #: Versions this build can read.
-_COMPATIBLE_VERSIONS = (1, 2)
-
-#: npz key / ColumnStore column prefix of the float32 leaf-block columns.
-_BLOCKS32_KEY = "blocks_coords32"
+_COMPATIBLE_VERSIONS = (1, 2, 3)
 
 #: Row-aligned arrays (one entry per point, in leaf-packed order).
 _POINT_ARRAYS = ("ids",)
@@ -66,8 +58,8 @@ def config_to_dict(config: KDTreeConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> KDTreeConfig:
-    """Inverse of :func:`config_to_dict`."""
-    return KDTreeConfig(**data)
+    """Inverse of :func:`config_to_dict` (drops a v2 snapshot's ``precision`` key)."""
+    return KDTreeConfig(**{key: value for key, value in data.items() if key != "precision"})
 
 
 def stats_to_dict(stats: TreeBuildStats) -> dict:
@@ -132,7 +124,6 @@ def _save_npz(tree: KDTree, path: Path) -> None:
         right=tree.right,
         start=tree.start,
         count=tree.count,
-        **{_BLOCKS32_KEY: tree.blocks.coords32},
     )
 
 
@@ -141,17 +132,9 @@ def _load_npz(path: Path) -> KDTree:
         meta = json.loads(bytes(data["meta"]).decode())
         _check_version(meta, str(path))
         arrays = {name: data[name] for name in ("points",) + _POINT_ARRAYS + _NODE_ARRAYS}
-        coords32 = data[_BLOCKS32_KEY] if _BLOCKS32_KEY in data.files else None
-    blocks = None
-    if coords32 is not None:
-        # The float64 columns derive deterministically from the (already
-        # leaf-ordered) point array; the float32 columns round-trip
-        # byte-identically from the snapshot.
-        blocks = LeafBlocks.from_points(arrays["points"], coords32=coords32)
     return KDTree(
         config=config_from_dict(meta["config"]),
         stats=stats_from_dict(meta["stats"]),
-        blocks=blocks,
         **arrays,
     )
 
@@ -165,11 +148,6 @@ def _save_columns(tree: KDTree, root: Path, chunk_size: int) -> None:
     root.mkdir(parents=True, exist_ok=True)
     dims = int(tree.points.shape[1])
     point_cols = {f"dim{d}": tree.points[:, d] for d in range(dims)}
-    blocks = tree.blocks
-    for d in range(dims):
-        # Per-dimension float32 leaf-block columns: already the SoA layout,
-        # so each slab is written (and can be read back) verbatim.
-        point_cols[f"{_BLOCKS32_KEY}_dim{d}"] = blocks.coords32[d]
     point_cols["ids"] = tree.ids
     ColumnStore(root / "points", chunk_size=chunk_size).write(point_cols)
     ColumnStore(root / "nodes", chunk_size=chunk_size).write(
@@ -190,12 +168,6 @@ def _load_columns(root: Path) -> KDTree:
     else:
         points = np.empty((int(meta["n_points"]), 0))
     ids = points_store.read_column("ids")
-    blocks = None
-    if int(meta.get("version", 1)) >= 2 and dims:
-        coords32 = np.stack(
-            [points_store.read_column(f"{_BLOCKS32_KEY}_dim{d}") for d in range(dims)]
-        )
-        blocks = LeafBlocks.from_points(points, coords32=coords32)
     nodes_store = ColumnStore(root / "nodes")
     node_arrays = {name: nodes_store.read_column(name) for name in _NODE_ARRAYS}
     return KDTree(
@@ -203,7 +175,6 @@ def _load_columns(root: Path) -> KDTree:
         ids=ids,
         config=config_from_dict(meta["config"]),
         stats=stats_from_dict(meta["stats"]),
-        blocks=blocks,
         **node_arrays,
     )
 

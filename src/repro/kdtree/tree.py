@@ -8,7 +8,6 @@ leaf scans and low-latency traversal.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -16,15 +15,9 @@ import numpy as np
 
 from repro.cluster.metrics import PhaseCounters
 from repro.kdtree.bucket import BucketStore
-from repro.kdtree.leafblocks import PRECISIONS, LeafBlocks
 
 #: Sentinel child / split-dimension value marking a leaf node.
 LEAF = -1
-
-
-def _default_precision() -> str:
-    """Default distance-kernel precision tier (``REPRO_PRECISION`` env)."""
-    return os.environ.get("REPRO_PRECISION", "float64")
 
 
 @dataclass(frozen=True)
@@ -52,12 +45,6 @@ class KDTreeConfig:
         uses approximately 10 x the thread count).
     seed:
         Seed of the deterministic RNG used by the sampling rules.
-    precision:
-        Distance-kernel tier: ``"float64"`` (reference) or ``"float32"``
-        (half the leaf-scan memory traffic; answers are certified
-        byte-identical to float64 by an exact recheck pass — see
-        :func:`repro.kdtree.query.batch_knn`).  Defaults to the
-        ``REPRO_PRECISION`` environment variable, else ``"float64"``.
     """
 
     bucket_size: int = 32
@@ -68,13 +55,8 @@ class KDTreeConfig:
     binning: str = "subinterval"
     data_parallel_factor: int = 10
     seed: int = 12345
-    precision: str = field(default_factory=_default_precision)
 
     def __post_init__(self) -> None:
-        if self.precision not in PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {PRECISIONS}, got {self.precision!r}"
-            )
         if self.bucket_size <= 0:
             raise ValueError(f"bucket_size must be positive, got {self.bucket_size}")
         if self.variance_sample_size <= 0:
@@ -153,7 +135,6 @@ class KDTree:
         count: np.ndarray,
         config: KDTreeConfig,
         stats: TreeBuildStats,
-        blocks: Optional[LeafBlocks] = None,
     ) -> None:
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         self.ids = np.asarray(ids, dtype=np.int64)
@@ -179,12 +160,7 @@ class KDTree:
         ):
             if arr.shape[0] != n_nodes:
                 raise ValueError(f"{name} has {arr.shape[0]} entries, expected {n_nodes}")
-        if blocks is not None and blocks.coords.shape != self.points.T.shape:
-            raise ValueError(
-                f"leaf blocks shape {blocks.coords.shape} does not match points "
-                f"{self.points.shape}"
-            )
-        self._blocks = blocks
+        self._columns: Optional[np.ndarray] = None
         if self.points.size:
             self._bounds_min = self.points.min(axis=0)
             self._bounds_max = self.points.max(axis=0)
@@ -221,21 +197,15 @@ class KDTree:
         return self._bounds_min.copy(), self._bounds_max.copy()
 
     @property
-    def precision(self) -> str:
-        """Default distance-kernel tier of this index (from its config)."""
-        return self.config.precision
+    def columns(self) -> np.ndarray:
+        """``(dims, n_points)`` C-contiguous transpose of the leaf-ordered points.
 
-    @property
-    def blocks(self) -> LeafBlocks:
-        """SoA leaf column blocks (built eagerly by the finaliser).
-
-        Trees assembled outside :func:`repro.kdtree.build.build_kdtree`
-        (hand-built fixtures, v1 snapshots) derive them lazily on first
-        query and cache the result.
+        The structure-of-arrays layout the leaf-scan kernels stream
+        (:mod:`repro.kdtree.leafblocks`); derived on first query and cached.
         """
-        if self._blocks is None:
-            self._blocks = LeafBlocks.from_points(self.points)
-        return self._blocks
+        if self._columns is None:
+            self._columns = np.ascontiguousarray(self.points.T)
+        return self._columns
 
     def is_leaf(self, node: int) -> bool:
         """True when ``node`` is a leaf bucket."""
@@ -315,8 +285,8 @@ class KDTree:
             self.count,
         )
         total = int(sum(a.nbytes for a in arrays))
-        if self._blocks is not None:
-            total += self._blocks.nbytes
+        if self._columns is not None:
+            total += self._columns.nbytes
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

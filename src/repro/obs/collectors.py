@@ -248,16 +248,6 @@ _SERVICE_COUNTERS = {
         "repro_service_cache_keys_dropped_total",
         "Incremental cache invalidations (streaming updates).",
     ),
-    "recheck_candidates": (
-        "repro_query_recheck_total",
-        "Float64 recheck distance computations certifying float32 answers.",
-    ),
-}
-
-#: Per-tier query counters: ``obs_snapshot`` key -> tier label value.
-_TIER_KEYS = {
-    "queries_float64": "float64",
-    "queries_float32": "float32",
 }
 
 _SERVICE_GAUGES = {
@@ -280,26 +270,16 @@ _SERVICE_GAUGES = {
 
 def _service_families(fleet) -> List[MetricFamily]:
     rows: Dict[str, List] = {key: [] for key in (*_SERVICE_COUNTERS, *_SERVICE_GAUGES)}
-    tier_rows: List = []
     for group in fleet.groups:
         for replica in group.replicas:
             snap = replica.service.obs_snapshot()
             labels = {"shard": group.shard_id, "replica": replica.replica_id}
             for key in rows:
                 rows[key].append((labels, float(snap.get(key, 0.0))))
-            for key, tier in _TIER_KEYS.items():
-                tier_rows.append(({**labels, "tier": tier}, float(snap.get(key, 0.0))))
     families = [
         counter_family(name, help_, rows[key])
         for key, (name, help_) in _SERVICE_COUNTERS.items()
     ]
-    families.append(
-        counter_family(
-            "repro_query_precision_total",
-            "Query rows answered per distance-kernel precision tier.",
-            tier_rows,
-        )
-    )
     families.extend(
         gauge_family(name, help_, rows[key])
         for key, (name, help_) in _SERVICE_GAUGES.items()

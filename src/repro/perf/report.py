@@ -6,14 +6,17 @@ in terminal output and in EXPERIMENTS.md.
 
 This module also owns the benchmark-artifact schema: every ``BENCH_*.json``
 payload is stamped with :data:`BENCH_SCHEMA_VERSION` and the
-:func:`run_metadata` block (git SHA, host CPU count, platform), so
-perf-trajectory tooling can tell apart format changes from machine changes.
+:func:`run_metadata` block (git SHA, host CPU count, platform, code size),
+so perf-trajectory tooling can tell apart format changes from machine
+changes and sees the codebase grow or shrink next to the numbers.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import platform
 import subprocess
 import sys
@@ -30,6 +33,22 @@ _REPO_ROOT = Path(__file__).resolve().parents[3]
 
 #: Canonical location of every ``BENCH_*.json`` artifact.
 RESULTS_DIR = _REPO_ROOT / "benchmarks" / "results"
+
+
+def _code_size() -> Dict[str, int]:
+    """Lines of ``repro`` source and public symbols (package ``__all__`` sum)."""
+    import repro
+
+    package_dir = Path(repro.__file__).resolve().parent
+    packages = ["repro"] + [
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
+    ]
+    return {
+        "src_lines": sum(p.read_bytes().count(b"\n") for p in package_dir.rglob("*.py")),
+        "public_symbols": sum(
+            len(getattr(importlib.import_module(name), "__all__", ())) for name in packages
+        ),
+    }
 
 
 def run_metadata() -> Dict[str, object]:
@@ -53,6 +72,7 @@ def run_metadata() -> Dict[str, object]:
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "python": sys.version.split()[0],
+        **_code_size(),
     }
 
 

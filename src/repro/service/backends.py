@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.panda import PandaKNN
 from repro.kdtree.build import build_kdtree
-from repro.kdtree.query import QueryStats, batch_knn
+from repro.kdtree.query import batch_knn
 from repro.kdtree.serialize import load_kdtree, save_kdtree
 from repro.kdtree.tree import KDTree, KDTreeConfig
 
@@ -53,27 +53,9 @@ class LocalTreeBackend:
         """Number of indexed points."""
         return self.tree.n_points
 
-    @property
-    def precision(self) -> str:
-        """Distance-kernel tier of the wrapped index."""
-        return self.tree.config.precision
-
-    def kneighbors(
-        self,
-        queries: np.ndarray,
-        k: int,
-        precision: str | None = None,
-        stats: QueryStats | None = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(distances, ids)`` of the k nearest tree points per query row.
-
-        ``precision`` overrides the index tier for this call (``None``
-        falls back to ``tree.config.precision``); answers are certified
-        byte-identical across tiers.  ``stats`` optionally accumulates the
-        traversal's :class:`~repro.kdtree.query.QueryStats` (recheck
-        counts included).
-        """
-        d, i, _ = batch_knn(self.tree, queries, k, stats=stats, precision=precision)
+    def kneighbors(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(distances, ids)`` of the k nearest tree points per query row."""
+        d, i, _ = batch_knn(self.tree, queries, k)
         return d, i
 
     def all_points(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -132,31 +114,8 @@ class PandaBackend:
         """Total points across all ranks."""
         return self.index.cluster.total_points()
 
-    @property
-    def precision(self) -> str:
-        """Distance-kernel tier of the distributed index's config."""
-        return self.index.config.precision
-
-    def kneighbors(
-        self,
-        queries: np.ndarray,
-        k: int,
-        precision: str | None = None,
-        stats: QueryStats | None = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(distances, ids)`` via the distributed query protocol.
-
-        The protocol serves at the index's own tier; a conflicting
-        per-call override is rejected rather than silently ignored.
-        ``stats`` is accepted for backend-protocol parity — the
-        distributed path accounts its work in the cluster phase counters
-        instead.
-        """
-        if precision is not None and precision != self.precision:
-            raise ValueError(
-                f"PandaBackend serves at its index tier {self.precision!r}; "
-                f"cannot override to {precision!r} per request"
-            )
+    def kneighbors(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(distances, ids)`` via the distributed query protocol."""
         return self.index.kneighbors(queries, k=k)
 
     def all_points(self) -> Tuple[np.ndarray, np.ndarray]:

@@ -68,8 +68,7 @@ import numpy as np
 from repro.analysis.annotations import exactness_path, requires_lock
 from repro.analysis.runtime import guarded, new_rlock
 from repro.core.snapshot import allocate_version_dir, promote_version
-from repro.kdtree.leafblocks import PRECISIONS
-from repro.kdtree.query import QueryStats, brute_force_knn
+from repro.kdtree.query import brute_force_knn
 from repro.obs.clock import MONOTONIC, Clock
 from repro.obs.profiler import phase
 from repro.service.cache import CacheStats, LRUCache, query_key
@@ -296,8 +295,6 @@ def _answer_snapshot(
     delta_ids: np.ndarray,
     queries: np.ndarray,
     k: int,
-    precision: str | None = None,
-    stats: QueryStats | None = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact live-set KNN over a frozen snapshot of the service state.
 
@@ -305,13 +302,10 @@ def _answer_snapshot(
     answers over the delta arrays — byte-identical to what the service
     would answer synchronously at the moment the snapshot was taken.  Pure
     function of immutable inputs, so pipelined micro-batches can run it on
-    a worker thread while the service keeps mutating.  ``precision``
-    selects the backend's distance-kernel tier for this call (answers are
-    certified byte-identical across tiers); ``stats`` accumulates the
-    traversal's :class:`~repro.kdtree.query.QueryStats` worker-locally.
+    a worker thread while the service keeps mutating.
     """
     n_tomb = int(tomb_ids.size)
-    d_tree, i_tree = backend.kneighbors(queries, k + n_tomb, precision=precision, stats=stats)
+    d_tree, i_tree = backend.kneighbors(queries, k + n_tomb)
     if n_tomb:
         dead = np.isin(i_tree, tomb_ids)
         d_tree = np.where(dead, np.inf, d_tree)
@@ -338,41 +332,23 @@ def _pipelined_answer_step(
     tomb_ids: np.ndarray,
     delta_points: np.ndarray,
     delta_ids: np.ndarray,
-    groups: List[Tuple[int, str | None, List[int], np.ndarray]],
+    groups: List[Tuple[int, List[int], np.ndarray]],
     clock: Clock,
-) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], float, Dict[str, int], int]:
+) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], float]:
     """Worker-side body of one pipelined micro-batch.
 
-    Pure compute over the snapshot (one answer call per distinct
-    ``(k, precision)`` group); the submitting thread folds the returned
-    per-request answers back into results, cache and records at harvest
-    time.  Per-tier query counts and recheck totals are accumulated
-    worker-locally and returned for the same fold — workers never touch
-    service counters directly.
+    Pure compute over the snapshot (one answer call per distinct ``k``
+    group); the submitting thread folds the returned per-request answers
+    back into results, cache and records at harvest time.
     """
     started = clock.monotonic()
     answers: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    tier_counts: Dict[str, int] = {}
-    rechecked = 0
     with phase("service.pipeline"):
-        for k, precision, request_ids, queries in groups:
-            stats = QueryStats()
-            d, i = _answer_snapshot(
-                backend, tomb_ids, delta_points, delta_ids, queries, k,
-                precision=precision, stats=stats,
-            )
-            tier = precision or getattr(backend, "precision", "float64")
-            tier_counts[tier] = tier_counts.get(tier, 0) + int(queries.shape[0])
-            rechecked += int(stats.rechecked_candidates)
+        for k, request_ids, queries in groups:
+            d, i = _answer_snapshot(backend, tomb_ids, delta_points, delta_ids, queries, k)
             for row, request_id in enumerate(request_ids):
                 answers[request_id] = (d[row], i[row])
-    return answers, clock.monotonic() - started, tier_counts, rechecked
-
-
-def _check_precision(precision: str | None) -> None:
-    """Reject unknown per-request precision tiers (``None`` = index tier)."""
-    if precision is not None and precision not in PRECISIONS:
-        raise ValueError(f"precision must be None or one of {PRECISIONS}, got {precision!r}")
+    return answers, clock.monotonic() - started
 
 
 @dataclass
@@ -381,7 +357,6 @@ class _Pending:
     arrival: float
     k: int
     query: np.ndarray
-    precision: str | None = None
 
 
 @dataclass
@@ -484,8 +459,6 @@ class KNNService:
         "_inflight": "_lock",
         "_backend_ids": "_lock",
         "_next_auto_id": "_lock",
-        "_recheck_candidates": "_lock",
-        "_tier_queries": "_lock",
         "_closed": "_lock",
     }
 
@@ -531,10 +504,6 @@ class KNNService:
         self._ewma_gap: float | None = None
         self._first_dirty_at: float | None = None
         self._bg: _BackgroundRebuild | None = None
-        # Precision-tier accounting: queries answered per tier, and float64
-        # recheck distance computations spent certifying float32 answers.
-        self._recheck_candidates = 0
-        self._tier_queries: Dict[str, int] = {tier: 0 for tier in PRECISIONS}
         # Immutable after construction (read-only references, not state):
         # deliberately outside GUARDED_BY.
         self._clock = clock if clock is not None else MONOTONIC
@@ -653,11 +622,6 @@ class KNNService:
                 "cache_full_clears": float(stats.full_clears),
                 "cache_keys_dropped": float(stats.keys_dropped),
                 "cache_size": float(len(self.cache)),
-                "recheck_candidates": float(self._recheck_candidates),
-                **{
-                    f"queries_{tier}": float(self._tier_queries.get(tier, 0))
-                    for tier in PRECISIONS
-                },
             }
 
     def target_batch_size(self) -> int:
@@ -688,7 +652,6 @@ class KNNService:
         query: np.ndarray,
         k: int | None = None,
         at: float | None = None,
-        precision: str | None = None,
     ) -> int:
         """Enqueue one query; returns its request id.
 
@@ -698,17 +661,10 @@ class KNNService:
         completes immediately on a cache hit, otherwise when its
         micro-batch is dispatched (size trigger, deadline flush, or an
         explicit :meth:`flush` / :meth:`drain`).
-
-        ``precision`` overrides the index's distance-kernel tier for this
-        request (``None`` serves at the index tier).  Tiers are certified
-        byte-identical, so the result cache is shared across them: a hit
-        stored by a float64 request may serve a float32 request and vice
-        versa.
         """
         k = self.k if k is None else k
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        _check_precision(precision)
         query = np.asarray(query, dtype=np.float64).ravel()
         with self._lock:
             if query.shape[0] != self.backend.dims:
@@ -727,7 +683,7 @@ class KNNService:
                 )
                 return request_id
 
-            self._pending.append(_Pending(request_id, arrival, k, query, precision))
+            self._pending.append(_Pending(request_id, arrival, k, query))
             if len(self._pending) >= self.target_batch_size():
                 self._dispatch(arrival)
             return request_id
@@ -737,11 +693,10 @@ class KNNService:
         query: np.ndarray,
         k: int | None = None,
         at: float | None = None,
-        precision: str | None = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Interactive single query: submit, flush, return ``(distances, ids)``."""
         with self._lock:
-            request_id = self.submit(query, k=k, at=at, precision=precision)
+            request_id = self.submit(query, k=k, at=at)
             if request_id not in self._results:
                 self._dispatch(self._now)
             return self.result(request_id)
@@ -751,7 +706,6 @@ class KNNService:
         queries: np.ndarray,
         k: int | None = None,
         at: float | None = None,
-        precision: str | None = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Synchronous exact batch answers, outside the micro-batch queue.
 
@@ -760,13 +714,10 @@ class KNNService:
         the exact live-set answer (tree + tombstone filter + delta fusion).
         Passing ``at`` advances the logical clock first, firing deadline
         flushes and background-rebuild swaps that were due by then.
-        ``precision`` overrides the index tier for this batch (certified
-        byte-identical either way).
         """
         k = self.k if k is None else k
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        _check_precision(precision)
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         with self._lock:
             if queries.shape[1] != self.backend.dims:
@@ -775,7 +726,7 @@ class KNNService:
                 )
             if at is not None:
                 self._advance(at)
-            return self._answer(queries, k, precision)
+            return self._answer(queries, k)
 
     def result(self, request_id: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(distances, ids)`` of a completed request.
@@ -1181,11 +1132,10 @@ class KNNService:
         started = self._clock.monotonic()
         answers: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         with phase("service.answer"):
-            for k, prec_key in sorted({(r.k, r.precision or "") for r in batch}):
-                precision = prec_key or None
-                group = [r for r in batch if r.k == k and (r.precision or "") == prec_key]
+            for k in sorted({r.k for r in batch}):
+                group = [r for r in batch if r.k == k]
                 queries = np.stack([r.query for r in group])
-                d, i = self._answer(queries, k, precision)
+                d, i = self._answer(queries, k)
                 for row, r in enumerate(group):
                     answers[r.request_id] = (d[row], i[row])
         elapsed = self._clock.monotonic() - started
@@ -1208,17 +1158,10 @@ class KNNService:
         self._harvest()
         dispatch_start = max(flush_time, self._server_free_at)
         self._now = max(self._now, flush_time)
-        groups: List[Tuple[int, str | None, List[int], np.ndarray]] = []
-        for k, prec_key in sorted({(r.k, r.precision or "") for r in batch}):
-            group = [r for r in batch if r.k == k and (r.precision or "") == prec_key]
-            groups.append(
-                (
-                    k,
-                    prec_key or None,
-                    [r.request_id for r in group],
-                    np.stack([r.query for r in group]),
-                )
-            )
+        groups: List[Tuple[int, List[int], np.ndarray]] = []
+        for k in sorted({r.k for r in batch}):
+            group = [r for r in batch if r.k == k]
+            groups.append((k, [r.request_id for r in group], np.stack([r.query for r in group])))
         # The snapshot is safe by immutability: the backend is only ever
         # replaced (never mutated), the tombstone set is materialised here,
         # and the delta's dense arrays are rebuilt (not written) on change.
@@ -1251,15 +1194,9 @@ class KNNService:
         with phase("service.harvest"):
             while self._inflight:
                 batch, dispatch_start, fut = self._inflight.popleft()
-                answers, elapsed, tier_counts, rechecked = fut.result()
+                answers, elapsed = fut.result()
                 if self._service_time is not None:
                     elapsed = float(self._service_time(len(batch)))
-                # Worker-local tier/recheck accounting folds back here, under
-                # the lock, in the submitting thread — same discipline as the
-                # clock and cache fold below.
-                for tier, count in tier_counts.items():
-                    self._tier_queries[tier] = self._tier_queries.get(tier, 0) + count
-                self._recheck_candidates += rechecked
                 # The clock already advanced to the flush time at submit;
                 # passing `_now` keeps the max() a no-op.
                 self._complete_batch(batch, self._now, dispatch_start, answers, elapsed)
@@ -1293,14 +1230,10 @@ class KNNService:
 
     @exactness_path
     @requires_lock("_lock")
-    def _answer(
-        self, queries: np.ndarray, k: int, precision: str | None = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _answer(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Exact live-set KNN: over-fetched tree answers (tombstones
         filtered) fused with the delta buffer's brute-force answers
-        (:func:`_answer_snapshot` over the current state).  Tier and
-        recheck counters fold immediately — this path already runs in the
-        submitting thread under the lock."""
+        (:func:`_answer_snapshot` over the current state)."""
         n_tomb = self.delta.n_tombstones
         tomb = (
             np.fromiter(self.delta.tombstones, dtype=np.int64, count=n_tomb)
@@ -1308,15 +1241,7 @@ class KNNService:
             else np.empty(0, dtype=np.int64)
         )
         delta_points, delta_ids = self.delta.live_arrays()
-        stats = QueryStats()
-        out = _answer_snapshot(
-            self.backend, tomb, delta_points, delta_ids, queries, k,
-            precision=precision, stats=stats,
-        )
-        tier = precision or getattr(self.backend, "precision", "float64")
-        self._tier_queries[tier] = self._tier_queries.get(tier, 0) + int(queries.shape[0])
-        self._recheck_candidates += int(stats.rechecked_candidates)
-        return out
+        return _answer_snapshot(self.backend, tomb, delta_points, delta_ids, queries, k)
 
     @requires_lock("_lock")
     def _mark_dirty(self, now: float) -> None:

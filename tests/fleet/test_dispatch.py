@@ -190,9 +190,9 @@ def _slow_service(replica, delay):
     """Make a replica's service sleep before answering (wall-clock only)."""
     orig = replica.service.answer_batch
 
-    def slowed(queries, k=None, at=None, precision=None):
+    def slowed(queries, k=None, at=None):
         time.sleep(delay)
-        return orig(queries, k=k, at=at, precision=precision)
+        return orig(queries, k=k, at=at)
 
     replica.service.answer_batch = slowed
 

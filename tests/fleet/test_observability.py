@@ -60,8 +60,6 @@ def test_metrics_text_round_trips_strict_parser():
             "repro_service_rebuilds_total",
             "repro_ops_events_total",
             "repro_trace_batches_total",
-            "repro_query_recheck_total",
-            "repro_query_precision_total",
         ):
             assert name in families, f"missing family {name}"
         # The scrape agrees with the fleet's own ledgers.
@@ -342,37 +340,3 @@ def test_service_obs_snapshot_keys():
     }
     assert expected <= set(snap)
     assert snap["n_live"] == 32.0
-    # Precision-tier instrumentation: the float64 query above counts on
-    # its tier, the recheck counter stays zero until float32 is used.
-    assert snap["queries_float64"] == 1.0
-    assert snap["queries_float32"] == 0.0
-    assert snap["recheck_candidates"] == 0.0
-
-
-def test_precision_tier_counters_strict_parsed():
-    with KNNFleet.build(_points(), n_shards=2, n_replicas=2) as fleet:
-        rng = np.random.default_rng(9)
-        t = 0.0
-        for q in rng.normal(size=(6, 3)):
-            t += 1.0
-            fleet.query(q, k=3, at=t, precision="float32")
-            t += 1.0
-            fleet.query(q, k=3, at=t)  # index tier: float64
-        families = parse_prometheus_text(fleet.metrics_text())
-        by_tier: dict = {}
-        for (_, labels), value in families["repro_query_precision_total"].samples.items():
-            label_map = dict(labels)
-            assert {"shard", "replica", "tier"} <= set(label_map)
-            by_tier[label_map["tier"]] = by_tier.get(label_map["tier"], 0.0) + value
-        # The counter ticks per shard-level row, so scatter-gather fan-out
-        # multiplies it; both tiers saw the same queries over the same
-        # shards, so their totals match and cover every request at least once.
-        assert by_tier["float32"] == by_tier["float64"] >= 6.0
-        recheck = sum(families["repro_query_recheck_total"].samples.values())
-        assert recheck >= 0.0  # near-tie-free data may legitimately recheck little
-        snap_total = sum(
-            r.service.obs_snapshot()["recheck_candidates"]
-            for g in fleet.groups
-            for r in g.replicas
-        )
-        assert recheck == snap_total

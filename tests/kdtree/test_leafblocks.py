@@ -1,175 +1,52 @@
-"""Tests for the SoA leaf-block columns and their distance kernels."""
-
-import json
+"""Tests for the SoA leaf columns and their distance kernels."""
 
 import numpy as np
-import pytest
 
 from repro.kdtree.build import build_kdtree
-from repro.kdtree.leafblocks import (
-    PRECISIONS,
-    LeafBlocks,
-    float32_error_bound,
-    gather_columns_sq,
-    scan_columns_sq,
-)
-from repro.kdtree.query import batch_knn
-from repro.kdtree.serialize import (
-    _BLOCKS32_KEY,
-    SNAPSHOT_VERSION,
-    load_kdtree,
-    save_kdtree,
-)
+from repro.kdtree.leafblocks import gather_columns_sq, scan_columns_sq
 
 
-class TestLeafBlocks:
+class TestTreeColumns:
     def test_derived_from_leaf_ordered_points(self):
         rng = np.random.default_rng(0)
         tree = build_kdtree(rng.normal(size=(500, 3)))
-        blocks = tree.blocks
-        assert np.array_equal(blocks.coords, tree.points.T)
-        assert np.array_equal(blocks.coords32, tree.points.T.astype(np.float32))
+        assert np.array_equal(tree.columns, tree.points.T)
 
     def test_columns_are_contiguous(self):
         rng = np.random.default_rng(1)
-        blocks = LeafBlocks.from_points(rng.normal(size=(100, 4)))
-        assert blocks.coords.flags.c_contiguous
-        assert blocks.coords32.flags.c_contiguous
-        assert blocks.coords.dtype == np.float64
-        assert blocks.coords32.dtype == np.float32
+        tree = build_kdtree(rng.normal(size=(100, 4)))
+        assert tree.columns.flags.c_contiguous
+        assert tree.columns.dtype == np.float64
+        assert tree.columns.shape == (4, 100)
 
-    def test_max_abs_cached(self):
-        pts = np.array([[1.0, -7.5], [3.0, 2.0]])
-        blocks = LeafBlocks.from_points(pts)
-        assert blocks.max_abs == 7.5
-        assert LeafBlocks.from_points(np.empty((0, 3))).max_abs == 0.0
-
-    def test_columns_selector(self):
-        blocks = LeafBlocks.from_points(np.zeros((4, 2)))
-        assert blocks.columns(np.float64) is blocks.coords
-        assert blocks.columns(np.float32) is blocks.coords32
-        with pytest.raises(ValueError):
-            blocks.columns(np.int32)
-
-    def test_coords32_override_must_match_shape(self):
-        with pytest.raises(ValueError):
-            LeafBlocks.from_points(np.zeros((4, 2)), coords32=np.zeros((2, 3), dtype=np.float32))
-
-    def test_precisions_constant(self):
-        assert PRECISIONS == ("float64", "float32")
+    def test_derived_once_and_counted_in_memory(self):
+        tree = build_kdtree(np.random.default_rng(2).normal(size=(64, 2)))
+        before = tree.memory_bytes()
+        columns = tree.columns
+        assert tree.columns is columns
+        assert tree.memory_bytes() == before + columns.nbytes
 
 
 class TestKernelBitIdentity:
     """scan (per-leaf) and gather (batched) must score identical bits."""
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_scan_equals_gather(self, dtype):
+    def test_scan_equals_gather(self):
         rng = np.random.default_rng(2)
-        blocks = LeafBlocks.from_points(rng.normal(size=(200, 3)) * 100.0)
-        coords = blocks.columns(dtype)
-        query = rng.normal(size=3).astype(dtype)
+        coords = np.ascontiguousarray((rng.normal(size=(200, 3)) * 100.0).T)
+        query = rng.normal(size=3)
         start, count = 32, 64
         scanned = scan_columns_sq(coords, start, count, query)
         idx = np.arange(start, start + count)[None, :]
         gathered = gather_columns_sq(coords, idx, query[None, :])
-        assert scanned.dtype == gathered.dtype == coords.dtype
+        assert scanned.dtype == gathered.dtype == np.float64
         assert np.array_equal(scanned, gathered[0])
 
     def test_gather_batch_rows_independent(self):
         rng = np.random.default_rng(3)
-        blocks = LeafBlocks.from_points(rng.normal(size=(64, 2)))
+        coords = np.ascontiguousarray(rng.normal(size=(64, 2)).T)
         queries = rng.normal(size=(5, 2))
         idx = rng.integers(0, 64, size=(5, 7))
-        batched = gather_columns_sq(blocks.coords, idx, queries)
+        batched = gather_columns_sq(coords, idx, queries)
         for r in range(5):
-            row = gather_columns_sq(blocks.coords, idx[r : r + 1], queries[r : r + 1])
+            row = gather_columns_sq(coords, idx[r : r + 1], queries[r : r + 1])
             assert np.array_equal(batched[r], row[0])
-
-
-class TestErrorBound:
-    """The float32 band must dominate the true float32/float64 gap."""
-
-    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
-    def test_bound_holds_on_random_data(self, scale):
-        rng = np.random.default_rng(4)
-        n, dims = 2000, 3
-        points = rng.normal(size=(n, dims)) * scale
-        blocks = LeafBlocks.from_points(points)
-        query = rng.normal(size=dims) * scale
-        d64 = scan_columns_sq(blocks.coords, 0, n, query)
-        d32 = scan_columns_sq(blocks.coords32, 0, n, query.astype(np.float32))
-        max_abs = max(blocks.max_abs, float(np.abs(query).max()))
-        band = float32_error_bound(dims, max_abs)
-        assert np.all(np.abs(d32.astype(np.float64) - d64) <= band)
-
-    def test_bound_holds_on_near_ties(self):
-        # Large offset + tiny perturbations: the worst case for float32,
-        # where squared distances agree to ~7 significant digits.
-        rng = np.random.default_rng(5)
-        n, dims = 500, 3
-        base = np.full(dims, 1000.0)
-        points = base + rng.normal(scale=1e-3, size=(n, dims))
-        blocks = LeafBlocks.from_points(points)
-        query = base + rng.normal(scale=1e-3, size=dims)
-        d64 = scan_columns_sq(blocks.coords, 0, n, query)
-        d32 = scan_columns_sq(blocks.coords32, 0, n, query.astype(np.float32))
-        max_abs = max(blocks.max_abs, float(np.abs(query).max()))
-        band = float32_error_bound(dims, max_abs)
-        assert np.all(np.abs(d32.astype(np.float64) - d64) <= band)
-
-    def test_bound_scales_with_magnitude(self):
-        assert float32_error_bound(3, 100.0) > float32_error_bound(3, 1.0)
-        assert float32_error_bound(8, 1.0) > float32_error_bound(3, 1.0)
-
-
-class TestSnapshotRoundTrip:
-    """Leaf blocks persist through both snapshot layouts byte-identically."""
-
-    @pytest.fixture(scope="class")
-    def tree(self):
-        rng = np.random.default_rng(6)
-        return build_kdtree(rng.normal(size=(700, 3)) * 50.0)
-
-    @pytest.mark.parametrize("backend", ["npz", "columns"])
-    def test_coords32_byte_identical(self, tree, tmp_path, backend):
-        path = save_kdtree(tree, tmp_path / "snap", backend=backend)
-        loaded = load_kdtree(path)
-        assert np.array_equal(loaded.blocks.coords32, tree.blocks.coords32)
-        assert loaded.blocks.coords32.dtype == np.float32
-        assert np.array_equal(loaded.blocks.coords, tree.blocks.coords)
-        assert loaded.blocks.max_abs == tree.blocks.max_abs
-
-    @pytest.mark.parametrize("backend", ["npz", "columns"])
-    def test_float32_answers_survive_roundtrip(self, tree, tmp_path, backend):
-        rng = np.random.default_rng(7)
-        queries = rng.normal(size=(40, 3)) * 50.0
-        d0, i0, _ = batch_knn(tree, queries, 6, precision="float32")
-        loaded = load_kdtree(save_kdtree(tree, tmp_path / "snap", backend=backend))
-        d1, i1, _ = batch_knn(loaded, queries, 6, precision="float32")
-        assert np.array_equal(d0, d1)
-        assert np.array_equal(i0, i1)
-
-    def test_v1_npz_without_blocks_loads_lazily(self, tree, tmp_path):
-        # Rewrite a fresh v2 snapshot as the v1 layout: no float32 block
-        # column and version 1 in the meta blob.
-        path = save_kdtree(tree, tmp_path / "snap.npz", backend="npz")
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files if name != _BLOCKS32_KEY}
-        meta = json.loads(bytes(arrays["meta"]).decode())
-        assert meta["version"] == SNAPSHOT_VERSION == 2
-        meta["version"] = 1
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        v1_path = tmp_path / "snap_v1.npz"
-        np.savez(v1_path, **arrays)
-
-        loaded = load_kdtree(v1_path)
-        # Blocks re-derive lazily from the point array; answers and the
-        # re-rounded float32 columns match the persisted-blocks load.
-        assert np.array_equal(loaded.blocks.coords32, tree.blocks.coords32)
-        rng = np.random.default_rng(8)
-        queries = rng.normal(size=(20, 3)) * 50.0
-        for precision in PRECISIONS:
-            d0, i0, _ = batch_knn(tree, queries, 5, precision=precision)
-            d1, i1, _ = batch_knn(loaded, queries, 5, precision=precision)
-            assert np.array_equal(d0, d1)
-            assert np.array_equal(i0, i1)

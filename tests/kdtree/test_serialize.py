@@ -1,11 +1,14 @@
 """Tests for kd-tree snapshot persistence (save/load round trips)."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.io.column_store import ColumnStore
 from repro.kdtree.build import build_kdtree
 from repro.kdtree.query import batch_knn
-from repro.kdtree.serialize import load_kdtree, save_kdtree, snapshot_nbytes
+from repro.kdtree.serialize import SNAPSHOT_VERSION, load_kdtree, save_kdtree, snapshot_nbytes
 from repro.kdtree.tree import KDTree, KDTreeConfig
 from repro.kdtree.validate import TreeInvariantError, check_snapshot_roundtrip
 
@@ -82,6 +85,58 @@ class TestRoundTrip:
         assert snapshot_nbytes(path) > 0
 
 
+def _rewrite_as_version(path, version):
+    """Rewrite a fresh snapshot into the shape an earlier build wrote.
+
+    Version 1 is today's array set.  Version 2 also stored float32 copies
+    of the point columns and a ``precision`` config key.
+    """
+
+    def old_meta(meta):
+        assert meta["version"] == SNAPSHOT_VERSION == 3
+        meta["version"] = version
+        if version == 2:
+            meta["config"]["precision"] = "float32"
+        return meta
+
+    if path.is_dir():
+        meta_file = path / "tree_meta.json"
+        meta_file.write_text(json.dumps(old_meta(json.loads(meta_file.read_text()))))
+        if version == 2:
+            store = ColumnStore(path / "points")
+            columns = {name: store.read_column(name) for name in store.column_names()}
+            for name in [name for name in columns if name.startswith("dim")]:
+                columns[f"blocks_coords32_{name}"] = columns[name].astype(np.float32)
+            store.write(columns)
+    else:
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = old_meta(json.loads(bytes(arrays["meta"]).decode()))
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        if version == 2:
+            arrays["blocks_coords32"] = np.ascontiguousarray(arrays["points"].T, dtype=np.float32)
+        np.savez(path, **arrays)
+
+
+class TestOlderVersions:
+    """Snapshots written by earlier builds still load and answer identically."""
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_loads_and_answers_byte_identically(
+        self, tree, small_points, tmp_path, backend, version
+    ):
+        path = save_kdtree(tree, tmp_path / "snap", backend=backend)
+        _rewrite_as_version(path, version)
+        restored = load_kdtree(path)
+        check_snapshot_roundtrip(tree, restored)
+        d0, i0, s0 = batch_knn(tree, small_points[:200], 7)
+        d1, i1, s1 = batch_knn(restored, small_points[:200], 7)
+        assert d0.tobytes() == d1.tobytes()
+        assert i0.tobytes() == i1.tobytes()
+        assert s0 == s1
+
+
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -97,8 +152,6 @@ class TestErrors:
             save_kdtree(tree, tmp_path / "s", backend="hdf5")
 
     def test_version_mismatch_rejected(self, tree, tmp_path):
-        import json
-
         path = save_kdtree(tree, tmp_path / "s", backend="columns")
         meta_file = path / "tree_meta.json"
         meta = json.loads(meta_file.read_text())

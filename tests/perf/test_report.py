@@ -1,8 +1,8 @@
-"""Tests for the plain-text report formatting."""
+"""Tests for the plain-text report formatting and bench run metadata."""
 
 import pytest
 
-from repro.perf.report import format_breakdown, format_scaling, format_table
+from repro.perf.report import format_breakdown, format_scaling, format_table, run_metadata
 
 
 class TestFormatTable:
@@ -43,3 +43,10 @@ class TestFormatBreakdown:
     def test_absolute_mode(self):
         text = format_breakdown({"a": 1.5}, as_percent=False)
         assert "1.500" in text
+
+
+class TestRunMetadata:
+    def test_code_size_is_stamped(self):
+        meta = run_metadata()
+        for key in ("src_lines", "public_symbols"):
+            assert isinstance(meta[key], int) and meta[key] > 0

@@ -128,6 +128,26 @@ class TestLazyAndSlabRestore:
         for cold, warm in zip(fitted.local_trees(), restored.local_trees()):
             check_snapshot_roundtrip(cold, warm)
 
+    @pytest.mark.parametrize("layout", ["files", "slabs"])
+    def test_retired_precision_key_is_dropped(self, fitted, small_points, layout, tmp_path):
+        # Snapshots written while KDTreeConfig still had a ``precision``
+        # field carry it in every serialised local-tree config.
+        import json
+
+        fitted.snapshot(tmp_path / "panda", layout=layout)
+        meta_file = tmp_path / "panda" / "panda_meta.json"
+        meta = json.loads(meta_file.read_text())
+        meta["config"]["local"]["precision"] = "float32"
+        for entry in meta.get("ranks", []):
+            entry["config"]["precision"] = "float32"
+        meta_file.write_text(json.dumps(meta))
+        restored = PandaKNN.restore(tmp_path / "panda")
+        assert restored.config == fitted.config
+        d0, i0 = fitted.kneighbors(small_points[:50], k=5)
+        d1, i1 = restored.kneighbors(small_points[:50], k=5)
+        assert d0.tobytes() == d1.tobytes()
+        assert i0.tobytes() == i1.tobytes()
+
     def test_lazy_restored_index_can_resnapshot(self, fitted, tmp_path):
         fitted.snapshot(tmp_path / "a", layout="slabs")
         lazy = PandaKNN.restore(tmp_path / "a", lazy=True)
