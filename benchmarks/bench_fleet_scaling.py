@@ -12,14 +12,11 @@ broadcasts every query to every shard by construction.
 
 A built-in exactness spot-check compares sampled fleet answers against
 brute force, and a streaming section pushes inserts through a background
-rebuild hot-swap mid-trace.  A dispatch A/B section replays one trace
-through a serial-dispatched and a thread-dispatched fleet, asserts their
-answers are byte-identical, and reports both latency profiles.
+rebuild hot-swap mid-trace.
 
-Results are written as perf-trajectory artifacts — ``BENCH_fleet.json``
-and ``BENCH_dispatch.json`` at the repo root (the deterministic location
-CI asserts), with a copy under ``benchmarks/results/`` — so successive
-runs can be compared.
+Results are written as a perf-trajectory artifact — ``BENCH_fleet.json``
+at the repo root (the deterministic location CI asserts), with a copy
+under ``benchmarks/results/`` — so successive runs can be compared.
 
 NOTE: this harness runs every shard in one process, so absolute QPS *falls*
 as shards are added (each dispatched batch pays the scatter-gather calls
@@ -153,49 +150,6 @@ def run_streaming(points: np.ndarray, size: dict, seed: int = 11) -> dict:
     return {"rebuilds": float(rebuilds), "n_live": float(fleet.n_live)}
 
 
-def run_dispatch_ab(points: np.ndarray, size: dict, seed: int = 13) -> dict:
-    """Serial vs threaded dispatch on the same trace, byte-equality asserted.
-
-    Both fleets see the identical open-loop trace; the threaded fleet runs
-    owner/scatter calls concurrently with hedged replica reads armed.  The
-    exactness guard of the dispatch plane is checked request by request:
-    every distance *and id* must match the serial answer bit for bit.
-    """
-    times, queries = uniform_trace(size["n_requests"], size["rate"], pool=points, seed=seed)
-    n_shards = size["shard_counts"][-1]
-    answers = {}
-    reports = {}
-    for spec in ("serial", "thread:4"):
-        fleet = KNNFleet.build(
-            points,
-            n_shards=n_shards,
-            n_replicas=2,
-            k=size["k"],
-            batch_policy=MicroBatchPolicy(max_batch=512, max_delay_s=2e-3),
-            dispatcher=spec,
-            hedge_after="p99" if spec != "serial" else None,
-        )
-        request_ids = [fleet.submit(q, at=t) for t, q in zip(times, queries)]
-        fleet.drain(at=float(times[-1]))
-        answers[spec] = [fleet.result(r) for r in request_ids]
-        stats = fleet.stats()
-        reports[spec] = {
-            "n_shards": n_shards,
-            "p50_latency_s": stats["p50_latency_s"],
-            "p99_latency_s": stats["p99_latency_s"],
-            "qps": stats["qps"],
-            "dispatch": stats["dispatch"],
-            "owner_seconds": stats["router"]["owner_seconds"],
-            "scatter_seconds": stats["router"]["scatter_seconds"],
-        }
-        fleet.close()
-    for (d_s, i_s), (d_t, i_t) in zip(answers["serial"], answers["thread:4"]):
-        assert np.array_equal(d_s, d_t) and np.array_equal(i_s, i_t), (
-            "threaded dispatch changed an answer"
-        )
-    return reports
-
-
 def run_observability_check(points: np.ndarray, size: dict, seed: int = 17) -> dict:
     """Observability A/B: plain vs fully-instrumented run of one trace.
 
@@ -215,8 +169,6 @@ def run_observability_check(points: np.ndarray, size: dict, seed: int = 17) -> d
             n_replicas=2,
             k=size["k"],
             batch_policy=MicroBatchPolicy(max_batch=512, max_delay_s=2e-3),
-            dispatcher="thread:4",
-            hedge_after="p99",
             tracer=tracer,
         )
         started = time.perf_counter()
@@ -282,7 +234,6 @@ def run_profiler_check(points: np.ndarray, size: dict, seed: int = 19) -> dict:
                 n_replicas=2,
                 k=size["k"],
                 batch_policy=MicroBatchPolicy(max_batch=512, max_delay_s=2e-3),
-                dispatcher="thread:4",
             )
         finally:
             os.environ.pop(PROFILE_ENV, None)
@@ -376,17 +327,6 @@ def main() -> None:
         f"{stream['n_live']:.0f} live points   [exactness verified]"
     )
 
-    dispatch = run_dispatch_ab(points, size)
-    for spec, report in dispatch.items():
-        print(
-            f"  dispatch {spec:>9s} x{report['n_shards']:<2d} "
-            f"p50 {report['p50_latency_s'] * 1e3:8.3f} ms   "
-            f"p99 {report['p99_latency_s'] * 1e3:8.3f} ms   "
-            f"qps {report['qps']:10.0f}   "
-            f"hedges {report['dispatch']['hedges']:4.0f}"
-        )
-    print("  dispatch: serial and threaded answers byte-identical")
-
     obs = run_observability_check(points, size)
     print(
         f"  observability: {obs['metric_families']} metric families, "
@@ -403,12 +343,11 @@ def main() -> None:
 
     check_runtime_monitor()
 
-    metadata = run_metadata()
     artifact = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "benchmark": "fleet_scaling",
         "smoke": bool(args.smoke),
-        "run": metadata,
+        "run": run_metadata(),
         "elapsed_s": time.perf_counter() - started,
         "config": {key: list(v) if isinstance(v, tuple) else v for key, v in size.items()},
         "rows": rows,
@@ -416,18 +355,8 @@ def main() -> None:
         "observability": obs,
         "profiler": prof,
     }
-    dispatch_artifact = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "benchmark": "fleet_dispatch",
-        "smoke": bool(args.smoke),
-        "run": metadata,
-        "config": {key: list(v) if isinstance(v, tuple) else v for key, v in size.items()},
-        "byte_identical": True,
-        "dispatchers": dispatch,
-    }
-    for name, payload in (("BENCH_fleet.json", artifact), ("BENCH_dispatch.json", dispatch_artifact)):
-        path = write_bench_artifact(name, payload)
-        print(f"[saved to {path}]")
+    path = write_bench_artifact("BENCH_fleet.json", artifact)
+    print(f"[saved to {path}]")
 
 
 if __name__ == "__main__":

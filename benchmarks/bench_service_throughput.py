@@ -139,38 +139,6 @@ def run_buffered_traces(
     return results
 
 
-def run_pipelined_ab(points: np.ndarray, traces: dict, k: int) -> dict:
-    """Pipelined (thread-dispatched) service vs its synchronous twin.
-
-    Both replay the identical uniform trace; the pipelined service computes
-    each micro-batch on a worker thread while accumulating the next.  The
-    answers must match the synchronous ones byte for byte — pipelining may
-    only move wall-clock (and the cache-fill timing, since pipelined cache
-    puts land at harvest).
-    """
-    times, queries = traces["uniform"]
-    answers = {}
-    results = {}
-    for label, dispatcher in (("sync", None), ("pipelined", "thread:2")):
-        service = KNNService(
-            LocalTreeBackend.fit(points),
-            k=k,
-            batch_policy=MicroBatchPolicy(max_batch=512, max_delay_s=2e-3),
-            cache_capacity=8192,
-            dispatcher=dispatcher,
-        )
-        request_ids = [service.submit(q, at=t) for t, q in zip(times, queries)]
-        service.drain(at=float(times[-1]))
-        answers[label] = [service.result(r) for r in request_ids]
-        results[label] = service.latency_summary()
-        service.close()
-    for (d_s, i_s), (d_p, i_p) in zip(answers["sync"], answers["pipelined"]):
-        assert np.array_equal(d_s, d_p) and np.array_equal(i_s, i_p), (
-            "pipelined dispatch changed an answer"
-        )
-    return results
-
-
 def run_streaming(n_points: int, n_stream: int, stream_buffer: int, k: int, seed: int = 11) -> dict:
     """Streaming inserts/deletes through a policy rebuild, sampled-exactness checked."""
     rng = np.random.default_rng(seed)
@@ -241,11 +209,6 @@ def main() -> None:
     buffered = run_buffered_traces(points, traces, size["k"], size["buffered_block"])
     for name, summary in buffered.items():
         print(format_row(f"buf/{name}", summary))
-
-    print("pipelined micro-batch dispatch (uniform trace, answers byte-checked):")
-    pipelined = run_pipelined_ab(points, traces, size["k"])
-    for name, summary in pipelined.items():
-        print(format_row(name, summary))
 
     stream = run_streaming(size["n_points"], size["n_stream"], size["stream_buffer"], size["k"])
     print(

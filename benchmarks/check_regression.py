@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "benchmarks" / "results"
 
-ARTIFACTS = ("BENCH_fleet.json", "BENCH_dispatch.json", "BENCH_kernels.json")
+ARTIFACTS = ("BENCH_fleet.json", "BENCH_kernels.json")
 
 #: Leaf-key unit suffixes whose values are wall-clock style (lower is better).
 LOWER_SUFFIXES = ("_s", "_ms", "_us", "_ns")

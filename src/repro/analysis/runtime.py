@@ -19,8 +19,8 @@ return :class:`InstrumentedLock` drop-ins that report to a process-wide
   lock is recorded as a violation.
 
 The existing fleet/service test suite doubles as the workload: CI runs it
-with ``REPRO_ANALYSIS=1 REPRO_DISPATCHER=thread`` and a session-scoped
-fixture asserts the monitor saw no cycles and no violations.
+with ``REPRO_ANALYSIS=1`` and a session-scoped fixture asserts the monitor
+saw no cycles and no violations.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ import os
 import pickle
 import queue as queue_mod
 import traceback
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -121,20 +121,6 @@ class RankExecutor:
         """
         raise NotImplementedError
 
-    def submit(self, task: RankTask) -> Future:
-        """Submit one task; returns a future resolving to its result.
-
-        The futures interface backs the serving-side dispatch plane
-        (:mod:`repro.fleet.dispatch`), which needs individual completion
-        instead of the bulk-synchronous :meth:`run` barrier.  Only the
-        in-process backends implement it: the process backend's tasks close
-        over live service objects that cannot cross a process boundary.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support futures-based submit(); "
-            "use an inline or thread executor"
-        )
-
     def close(self) -> None:
         """Release workers and published shared-memory segments (idempotent)."""
 
@@ -160,14 +146,6 @@ class InlineExecutor(RankExecutor):
 
     def run(self, tasks: Sequence[Optional[RankTask]]) -> List[Any]:
         return [None if task is None else _run_task(task) for task in tasks]
-
-    def submit(self, task: RankTask) -> Future:
-        fut: Future = Future()
-        try:
-            fut.set_result(_run_task(task))
-        except BaseException as exc:
-            fut.set_exception(exc)
-        return fut
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "InlineExecutor()"
@@ -214,9 +192,6 @@ class ThreadExecutor(RankExecutor):
         for (i, _), result in zip(live, pool.map(_run_task, [t for _, t in live])):
             results[i] = result
         return results
-
-    def submit(self, task: RankTask) -> Future:
-        return self._live_pool().submit(_run_task, task)
 
     def close(self) -> None:
         # Flip the flag under the lock, shut the pool down outside it: a

@@ -16,11 +16,9 @@ applied one level up, to a fleet of online services:
   intersects the k-th-distance ball, merged exactly;
 * :mod:`~repro.fleet.admission` — bounded pending queue with shed/reject
   accounting;
-* :mod:`~repro.fleet.dispatch` — the dispatch plane: every shard/replica
-  call is a :class:`ShardCall` submitted to a pluggable
-  :class:`Dispatcher` (:class:`SerialDispatcher` reproduces the historical
-  synchronous call order; :class:`ThreadDispatcher` runs calls
-  concurrently with byte-identical answers);
+* :mod:`~repro.fleet.dispatch` — the dispatch plane: every shard call is
+  a :class:`ShardCall` the :class:`SerialDispatcher` runs synchronously,
+  counts and (on a traced batch) records as a span;
 * :mod:`~repro.fleet.fleet` — :class:`KNNFleet`, the front door tying the
   above together with micro-batching, background rebuild hot-swap per
   replica, and fleet-wide aggregated statistics.
@@ -34,11 +32,8 @@ codebase).
 from repro.fleet.admission import AdmissionController, AdmissionPolicy, AdmissionStats
 from repro.fleet.dispatch import (
     DispatchStats,
-    Dispatcher,
     SerialDispatcher,
     ShardCall,
-    ThreadDispatcher,
-    make_dispatcher,
 )
 from repro.fleet.fleet import KNNFleet, RequestRejectedError
 from repro.fleet.planner import ShardPlan, ShardPlanner
@@ -54,7 +49,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
     "AdmissionStats",
-    "Dispatcher",
     "DispatchStats",
     "KNNFleet",
     "RequestRejectedError",
@@ -68,6 +62,4 @@ __all__ = [
     "ShardUnavailableError",
     "Router",
     "RouterStats",
-    "ThreadDispatcher",
-    "make_dispatcher",
 ]

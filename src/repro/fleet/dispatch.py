@@ -1,82 +1,46 @@
-"""Concurrent dispatch plane: how shard and replica calls actually run.
+"""Dispatch plane: the one place a shard call runs.
 
-Every serving call of the fleet — owner-phase lookups, scatter-phase
-fan-out, hedged replica reads, pipelined service micro-batches — is a
-:class:`ShardCall` work item submitted to a pluggable :class:`Dispatcher`
-that returns a future.  Two dispatchers ship:
+Every serving call of the fleet — owner-phase lookups and scatter-phase
+fan-out — is a :class:`ShardCall` handed to
+:meth:`SerialDispatcher.submit`, which runs it in the calling thread and
+returns its result.  Submission order is execution order and an exception
+propagates at the submit site: the bulk-synchronous call sequence of the
+paper's five-step query, with nothing racing and nothing to harvest.
 
-* :class:`SerialDispatcher` — the default.  ``submit`` executes the call
-  immediately in the calling thread and returns an already-resolved
-  future, so submission order *is* execution order and an exception
-  propagates at the submit site — provably the historical synchronous
-  call order of the pre-dispatch router.
-* :class:`ThreadDispatcher` — a bounded pool layered on the
-  :mod:`repro.cluster.executor` backends (a
-  :class:`~repro.cluster.executor.ThreadExecutor` by default).  Shard
-  calls run concurrently; callers consume futures in deterministic
-  submission order, which is what keeps threaded answers byte-identical
-  to serial ones.  A second, independent *replica lane* carries the
-  per-replica attempts of hedged reads, so a shard-lane worker blocked
-  waiting on a replica future can never deadlock the pool (replica-lane
-  tasks are leaves: they call straight into a service and submit nothing).
-
-The dispatch-site rule that makes concurrency exact: workers only ever
-*compute* (pure reads of immutable snapshots or lock-guarded services);
-every merge into shared accumulators happens in the submitting thread, in
-submission order.  Answers therefore cannot depend on completion order —
-only wall-clock does.
-
-``REPRO_DISPATCHER`` (``serial`` | ``thread`` | ``thread:N``) selects the
-fleet-wide default when no dispatcher is configured explicitly, which is
-how CI runs the whole fleet/service suite under concurrent dispatch.
+The dispatcher is what the call sites share: the per-call accounting
+(:class:`DispatchStats`, which the fleet's stats and metrics read), the
+profiler phase, and — on a traced batch — the timed span each call wraps
+around whatever its callee recorded.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.analysis.runtime import guarded, new_lock
-from repro.cluster.executor import (
-    InlineExecutor,
-    RankExecutor,
-    RankTask,
-    ThreadExecutor,
-    make_executor,
-)
 from repro.obs.profiler import phase
-
-#: Environment variable selecting the default dispatcher spec.
-DISPATCHER_ENV = "REPRO_DISPATCHER"
 
 
 @dataclass
 class ShardCall:
-    """One unit of serving work bound for a shard (or replica).
+    """One unit of serving work bound for a shard.
 
     Attributes
     ----------
     shard:
-        Shard id the call belongs to (progress accounting and debugging;
-        hedged replica attempts reuse their shard's id).
+        Shard id the call belongs to (span metadata and debugging).
     fn:
-        The callable doing the work (``ReplicaGroup.answer``, a replica
-        attempt, a pipelined micro-batch step).
+        The callable doing the work (``ReplicaGroup.answer``).
     args:
         Positional arguments for ``fn``.
-    tag:
-        Optional caller correlation (e.g. the query rows a scatter call
-        answers); the dispatcher carries it untouched.
     sink:
-        Optional :class:`~repro.obs.tracing.SpanSink` riding with the
-        call.  When set, whichever worker executes the call records a
-        timed span into it (the sink's single writer until the future
-        resolves); the submitting thread folds the sink into the batch
-        trace at harvest.  ``None`` (the default, and always the case
-        when tracing is off) costs nothing.
+        Optional :class:`~repro.obs.tracing.SpanSink` of a traced batch.
+        When set, the call is recorded as one timed span whose children
+        are the spans ``fn`` added to the sink while it ran (replica
+        attempts).  ``None`` (the default, and always the case when
+        tracing is off) costs nothing.
     label / cat:
         Span name and category used when ``sink`` is set.
     """
@@ -84,7 +48,6 @@ class ShardCall:
     shard: int
     fn: Callable[..., Any]
     args: Tuple[Any, ...] = ()
-    tag: Any = None
     sink: Any = None
     label: str = ""
     cat: str = "shard_call"
@@ -97,52 +60,33 @@ def _new_stats_lock() -> threading.Lock:
 @guarded
 @dataclass
 class DispatchStats:
-    """Counters of one dispatcher instance (thread-safe to update).
+    """Counters of one dispatcher instance (thread-safe to read and update).
 
-    ``submitted``/``completed``/``failed``/``cancelled`` cover the shard
-    lane; ``hedge_submitted`` counts replica-lane attempts (primary and
-    hedge reads both travel that lane).  ``max_queue_depth`` is the peak
-    number of shard calls in flight at once — 1 under serial dispatch,
-    up to the pool width under concurrent dispatch.
+    One ``submitted`` per shard call, owner and scatter alike; every
+    submitted call ends up ``completed`` or ``failed``.
     """
 
     GUARDED_BY = {
         "submitted": "_lock",
         "completed": "_lock",
         "failed": "_lock",
-        "cancelled": "_lock",
-        "hedge_submitted": "_lock",
-        "queue_depth": "_lock",
-        "max_queue_depth": "_lock",
     }
 
     submitted: int = 0
     completed: int = 0
     failed: int = 0
-    cancelled: int = 0
-    hedge_submitted: int = 0
-    queue_depth: int = 0
-    max_queue_depth: int = 0
     _lock: threading.Lock = field(default_factory=_new_stats_lock, repr=False)
 
-    def note_submit(self, hedge: bool = False) -> None:
+    def note_submit(self) -> None:
         with self._lock:
-            if hedge:
-                self.hedge_submitted += 1
-                return
             self.submitted += 1
-            self.queue_depth += 1
-            self.max_queue_depth = max(self.max_queue_depth, self.queue_depth)
 
-    def note_done(self, outcome: str) -> None:
+    def note_done(self, ok: bool) -> None:
         with self._lock:
-            self.queue_depth -= 1
-            if outcome == "completed":
+            if ok:
                 self.completed += 1
-            elif outcome == "failed":
-                self.failed += 1
             else:
-                self.cancelled += 1
+                self.failed += 1
 
     def as_dict(self) -> Dict[str, float]:
         with self._lock:
@@ -150,59 +94,14 @@ class DispatchStats:
                 "submitted": float(self.submitted),
                 "completed": float(self.completed),
                 "failed": float(self.failed),
-                "cancelled": float(self.cancelled),
-                "hedge_submitted": float(self.hedge_submitted),
-                "max_queue_depth": float(self.max_queue_depth),
             }
-
-
-class Dispatcher:
-    """Interface every dispatcher implements (see module docstring)."""
-
-    #: Short identifier used in reprs, stats and ``make_dispatcher``.
-    name: str = "abstract"
-    #: True when submitted calls may run concurrently with the caller.
-    #: Hedged reads require it (a serial dispatcher cannot race replicas).
-    concurrent: bool = False
-
-    def __init__(self) -> None:
-        self.stats = DispatchStats()
-
-    def submit(self, call: ShardCall) -> Future:
-        """Submit a shard-lane call; returns its future.
-
-        Serial dispatchers execute the call before returning (exceptions
-        propagate here); concurrent ones surface exceptions at
-        ``future.result()``.
-        """
-        raise NotImplementedError
-
-    def submit_hedge(self, call: ShardCall) -> Future:
-        """Submit a replica-lane call (hedged-read attempts).
-
-        The replica lane is independent of the shard lane so a shard-lane
-        worker waiting on a replica future can never starve it.
-        """
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release worker pools (idempotent)."""
-
-    def __enter__(self) -> "Dispatcher":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
 
 
 def _run_call(call: ShardCall) -> Any:
     """Execute a shard call, recording its span when a sink rides along.
 
-    Runs in whichever thread the dispatcher picked; the call's sink (if
-    any) is private to this execution until the future resolves, so the
-    span writes need no lock.  Spans the callee added to the sink while
-    running (e.g. replica attempts under a shard call) fold in as
-    children of this call's span.
+    Spans the callee added to the sink while running (replica attempts
+    under a shard call) fold in as children of this call's span.
     """
     sink = call.sink
     if sink is None:
@@ -238,210 +137,26 @@ def _run_call(call: ShardCall) -> Any:
     return result
 
 
-def _resolved_future(stats: DispatchStats, call: ShardCall, hedge: bool) -> Future:
-    """Execute ``call`` now; return a completed future or raise (shard lane)."""
-    stats.note_submit(hedge=hedge)
-    fut: Future = Future()
-    try:
-        result = _run_call(call)
-    except BaseException as exc:
-        if not hedge:
-            stats.note_done("failed")
-            # Serial semantics: the failure happens AT the call site, before
-            # any later call runs — exactly the historical synchronous order.
-            raise
-        fut.set_exception(exc)
-        return fut
-    if not hedge:
-        stats.note_done("completed")
-    fut.set_result(result)
-    return fut
+class SerialDispatcher:
+    """Run every call synchronously at submit time.
 
-
-class SerialDispatcher(Dispatcher):
-    """Execute every call synchronously at submit time (the default).
-
-    Submission order is execution order and ``submit`` raises the call's
-    exception directly, so a fleet on this dispatcher is observably the
-    pre-dispatch-plane code: same call sequence, same failure points, same
-    replica load accounting.
+    ``submit`` returns the call's result and raises its exception
+    directly, so a later call never starts before an earlier one
+    finished or failed.
     """
 
-    name = "serial"
-    concurrent = False
+    def __init__(self) -> None:
+        self.stats = DispatchStats()
 
-    def submit(self, call: ShardCall) -> Future:
-        return _resolved_future(self.stats, call, hedge=False)
-
-    def submit_hedge(self, call: ShardCall) -> Future:
-        # Hedging is pointless without concurrency, but the lane must still
-        # work (a ReplicaGroup handed a serial dispatcher degrades cleanly).
-        return _resolved_future(self.stats, call, hedge=True)
+    def submit(self, call: ShardCall) -> Any:
+        self.stats.note_submit()
+        try:
+            result = _run_call(call)
+        except BaseException:
+            self.stats.note_done(ok=False)
+            raise
+        self.stats.note_done(ok=True)
+        return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SerialDispatcher()"
-
-
-def _dispatch_step(state: Any, hook: Optional[Callable[[int], None]], call: ShardCall) -> Any:
-    """Executor step wrapping one shard call (module-level for RankTask)."""
-    if hook is not None:
-        hook(state.rank)
-    return _run_call(call)
-
-
-@guarded
-class ThreadDispatcher(Dispatcher):
-    """Bounded concurrent dispatch on the cluster executor backends.
-
-    Parameters
-    ----------
-    n_workers:
-        Shard-lane pool width (defaults to the executor backend's default).
-    executor:
-        The shard-lane :class:`~repro.cluster.executor.RankExecutor` (or a
-        ``make_executor`` spec).  Must be thread-based — shard calls close
-        over live service objects, which a process pool could neither
-        pickle nor share.
-    call_hook:
-        Optional ``hook(shard_id)`` invoked in the worker immediately
-        before each *shard-lane* call runs.  Tests use it with barriers to
-        pin down exact interleavings; the replica lane is never hooked so
-        hedged attempts cannot deadlock against a test barrier.
-    """
-
-    name = "thread"
-    concurrent = True
-
-    GUARDED_BY = {"_closed": "_lock"}
-
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        executor: "RankExecutor | str | None" = None,
-        call_hook: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        super().__init__()
-        if executor is None:
-            executor = ThreadExecutor(n_workers)
-        else:
-            executor = make_executor(executor, n_workers)
-        if not isinstance(executor, (ThreadExecutor, InlineExecutor)):
-            raise TypeError(
-                f"ThreadDispatcher needs a thread-based executor, got {executor.name!r} "
-                "(shard calls hold live service objects a process pool cannot share)"
-            )
-        self.concurrent = not isinstance(executor, InlineExecutor)
-        self._executor = executor
-        # Replica lane: independent leaf pool for hedged-read attempts.  One
-        # shard call can hold at most two replica attempts (primary + hedge),
-        # so 2x the shard width can never be the bottleneck.
-        width = getattr(executor, "n_workers", 2) or 2
-        self._replica_lane = ThreadExecutor(max(2, 2 * width))
-        self._call_hook = call_hook
-        self._lock = new_lock("ThreadDispatcher._lock")
-        self._closed = False
-
-    @property
-    def n_workers(self) -> int:
-        return getattr(self._executor, "n_workers", 1)
-
-    def _submit_lane(self, lane: RankExecutor, call: ShardCall, hedge: bool) -> Future:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("dispatcher is closed")
-        hook = None if hedge else self._call_hook
-        task = RankTask(call.shard, _dispatch_step, (hook, call))
-        self.stats.note_submit(hedge=hedge)
-        fut = lane.submit(task)
-        if not hedge:
-            fut.add_done_callback(self._note_shard_done)
-        return fut
-
-    def _note_shard_done(self, fut: Future) -> None:
-        if fut.cancelled():
-            self.stats.note_done("cancelled")
-        elif fut.exception() is not None:
-            self.stats.note_done("failed")
-        else:
-            self.stats.note_done("completed")
-
-    def submit(self, call: ShardCall) -> Future:
-        return self._submit_lane(self._executor, call, hedge=False)
-
-    def submit_hedge(self, call: ShardCall) -> Future:
-        return self._submit_lane(self._replica_lane, call, hedge=True)
-
-    def close(self) -> None:
-        # Check-and-set under the lock, pool shutdown outside it: repeated
-        # and concurrent closes are no-ops, and no lock is held while
-        # waiting on workers (the executors serialise their own teardown).
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._executor.close()
-        self._replica_lane.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ThreadDispatcher(n_workers={self.n_workers})"
-
-
-def default_dispatcher_spec() -> str:
-    """The fleet-wide default dispatcher spec (``REPRO_DISPATCHER`` or serial)."""
-    return os.environ.get(DISPATCHER_ENV, "serial")
-
-
-#: Spelled out in every spec error so a typo'd ``REPRO_DISPATCHER`` tells
-#: the user what would have worked.
-_ACCEPTED_SPECS = "'serial', 'thread', or 'thread:N' with N a positive integer"
-
-_SERIAL_KINDS = ("serial", "sync", "")
-_THREAD_KINDS = ("thread", "threads", "threaded")
-
-
-def make_dispatcher(
-    spec: "str | Dispatcher | None" = None, n_workers: int | None = None
-) -> Dispatcher:
-    """Build a dispatcher from a spec.
-
-    ``None`` consults ``REPRO_DISPATCHER`` (falling back to serial);
-    ``"serial"`` / ``"thread"`` / ``"thread:4"`` build fresh instances; an
-    existing dispatcher passes through (the caller keeps ownership).
-    Malformed specs raise a :class:`ValueError` naming the accepted forms
-    (and the environment variable, when that is where the spec came from).
-    """
-    if isinstance(spec, Dispatcher):
-        return spec
-    origin = "dispatcher spec"
-    if spec is None:
-        spec = default_dispatcher_spec()
-        origin = f"{DISPATCHER_ENV} environment variable"
-    if not isinstance(spec, str):
-        raise TypeError(f"dispatcher spec must be a string or Dispatcher, got {type(spec).__name__}")
-    kind, sep, count = spec.partition(":")
-    kind = kind.strip().lower()
-    if sep:
-        if kind not in _THREAD_KINDS:
-            raise ValueError(
-                f"invalid {origin} {spec!r}: only the thread dispatcher takes a "
-                f"worker count; accepted forms are {_ACCEPTED_SPECS}"
-            )
-        try:
-            n_workers = int(count.strip())
-        except ValueError:
-            raise ValueError(
-                f"invalid {origin} {spec!r}: {count.strip()!r} is not an integer "
-                f"worker count; accepted forms are {_ACCEPTED_SPECS}"
-            ) from None
-        if n_workers <= 0:
-            raise ValueError(
-                f"invalid {origin} {spec!r}: worker count must be positive; "
-                f"accepted forms are {_ACCEPTED_SPECS}"
-            )
-    if kind in _SERIAL_KINDS:
-        return SerialDispatcher()
-    if kind in _THREAD_KINDS:
-        return ThreadDispatcher(n_workers)
-    raise ValueError(
-        f"unknown {origin} {spec!r}; accepted forms are {_ACCEPTED_SPECS}"
-    )

@@ -23,12 +23,10 @@ from the old index while the fresh one builds, then hot-swaps — with an
 optional versioned snapshot trail under ``snapshot_root``
 (``shardNN/replicaM/vNNNN`` + ``CURRENT`` pointers).
 
-Every shard call travels the fleet's dispatch plane
-(:mod:`repro.fleet.dispatch`): ``dispatcher="thread"`` runs owner and
-scatter calls concurrently and enables hedged replica reads via
-``hedge_after`` — with byte-identical answers to the default serial
-dispatcher, because only wall-clock depends on completion order.  The
-``REPRO_DISPATCHER`` environment variable sets the fleet-wide default.
+Every shard call runs synchronously through the fleet's one
+:class:`~repro.fleet.dispatch.SerialDispatcher`
+(:mod:`repro.fleet.dispatch`), which counts it and, on a traced batch,
+records its span.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ import numpy as np
 
 from repro.analysis.runtime import guarded, new_lock
 from repro.fleet.admission import ADMIT, REJECT, SHED, AdmissionController, AdmissionPolicy
-from repro.fleet.dispatch import Dispatcher, make_dispatcher
+from repro.fleet.dispatch import SerialDispatcher
 from repro.fleet.planner import ShardPlan, ShardPlanner
 from repro.fleet.replica import Replica, ReplicaGroup, ShardUnavailableError
 from repro.fleet.router import Router
@@ -94,8 +92,6 @@ class KNNFleet:
         admission_policy: AdmissionPolicy | None = None,
         retention: int = 65536,
         service_time: Callable[[int], float] | None = None,
-        dispatcher: "Dispatcher | str | None" = None,
-        hedge_after: "float | str | None" = None,
         clock: Clock | None = None,
         tracer: Tracer | None = None,
         events: EventLog | None = None,
@@ -114,7 +110,7 @@ class KNNFleet:
         self.events = events if events is not None else EventLog(clock=self._clock)
         # Pre-assembled groups/replicas that came without an event sink get
         # shard/replica-scoped views of the fleet log (replica deaths,
-        # heals, hedges, rebuild swaps all land in one stream).
+        # heals, rebuild swaps all land in one stream).
         for group in self.groups:
             if group.events is None:
                 group.events = self.events.scoped(shard=group.shard_id)
@@ -123,14 +119,7 @@ class KNNFleet:
                     replica.service.events = self.events.scoped(
                         shard=group.shard_id, replica=replica.replica_id
                     )
-        # A dispatcher built here from a spec (or the REPRO_DISPATCHER
-        # default) is owned and closed with the fleet; a passed-in instance
-        # stays owned by the caller.
-        self._owns_dispatcher = not isinstance(dispatcher, Dispatcher)
-        self.dispatcher = make_dispatcher(dispatcher)
-        if hedge_after is not None:
-            for group in self.groups:
-                group.hedge_after = hedge_after
+        self.dispatcher = SerialDispatcher()
         self.router = Router(plan, self.groups, dispatcher=self.dispatcher, clock=self._clock)
         self.metrics = ObsRegistry()
         self._latency_hist = self.metrics.histogram(
@@ -212,8 +201,6 @@ class KNNFleet:
         retention: int = 65536,
         snapshot_root: str | Path | None = None,
         service_time: Callable[[int], float] | None = None,
-        dispatcher: "Dispatcher | str | None" = None,
-        hedge_after: "float | str | None" = None,
         clock: Clock | None = None,
         tracer: Tracer | None = None,
         events: EventLog | None = None,
@@ -225,11 +212,7 @@ class KNNFleet:
         Every replica service runs with ``background_rebuild=True`` (the
         old index serves during policy-triggered rebuilds) and, when
         ``snapshot_root`` is given, writes versioned snapshots under
-        ``snapshot_root/shardNN/replicaM/``.  ``dispatcher`` selects the
-        dispatch plane (``None`` consults ``REPRO_DISPATCHER``, falling
-        back to serial); ``hedge_after`` arms hedged replica reads (a
-        seconds deadline or a ``"p95"``-style latency percentile) on every
-        group — it needs a concurrent dispatcher to have any effect.
+        ``snapshot_root/shardNN/replicaM/``.
 
         ``clock`` / ``tracer`` / ``events`` inject the observability
         plane (see :mod:`repro.obs`): one monotonic clock threaded through
@@ -293,8 +276,6 @@ class KNNFleet:
             admission_policy=admission_policy,
             retention=retention,
             service_time=service_time,
-            dispatcher=dispatcher,
-            hedge_after=hedge_after,
             clock=clock,
             tracer=tracer,
             events=events,
@@ -303,8 +284,7 @@ class KNNFleet:
         )
 
     def close(self) -> None:
-        """Release every replica's backend resources (and the dispatcher's
-        worker pools, when the fleet owns it).
+        """Release every replica's backend resources.
 
         Idempotent and safe under concurrent callers: exactly one caller
         wins the ``_closed`` flag and performs the teardown.
@@ -322,8 +302,6 @@ class KNNFleet:
         for group in self.groups:
             for replica in group.replicas:
                 replica.service.close()
-        if self._owns_dispatcher:
-            self.dispatcher.close()
 
     def __enter__(self) -> "KNNFleet":
         return self
@@ -410,12 +388,7 @@ class KNNFleet:
         summary["slo"] = self.slo.status()
         summary["admission"] = self.admission.stats.as_dict()
         summary["router"] = self.router.stats.as_dict()
-        dispatch: Dict[str, object] = dict(self.dispatcher.stats.as_dict())
-        dispatch["dispatcher"] = self.dispatcher.name
-        dispatch["hedges"] = float(sum(g.hedges for g in self.groups))
-        dispatch["hedge_wins"] = float(sum(g.hedge_wins for g in self.groups))
-        dispatch["hedge_cancels"] = float(sum(g.hedge_cancels for g in self.groups))
-        summary["dispatch"] = dispatch
+        summary["dispatch"] = self.dispatcher.stats.as_dict()
         summary["n_live"] = float(self.n_live)
         summary["shards"] = [
             {
@@ -426,7 +399,6 @@ class KNNFleet:
                 "rebuilds": group.rebuilds,
                 "retries": group.retries,
                 "deaths": group.deaths,
-                "hedges": group.hedges,
             }
             for group in self.groups
         ]

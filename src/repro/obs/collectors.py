@@ -1,7 +1,7 @@
 """Scrape-time collectors: serving-stack stats as metric families.
 
 The serving classes already keep exact, locked counters (admission
-ledger, router fan-out, dispatch pool, replica health, service cache and
+ledger, router fan-out, dispatch calls, replica health, service cache and
 rebuild accounting, executor byte totals).  Rather than double-book every
 increment into instruments, a collector reads those sources once per
 scrape and emits them as gauge/counter families.
@@ -138,30 +138,19 @@ def _router_families(fleet) -> List[MetricFamily]:
 
 def _dispatch_families(fleet) -> List[MetricFamily]:
     stats = fleet.dispatcher.stats.as_dict()
-    dispatcher = str(getattr(fleet.dispatcher, "name", type(fleet.dispatcher).__name__))
     return [
         counter_family(
             "repro_dispatch_calls_total",
-            "Shard/replica calls by outcome on the dispatch plane.",
+            "Shard calls by outcome on the dispatch plane.",
             [
-                ({"dispatcher": dispatcher, "outcome": outcome}, float(stats[outcome]))
-                for outcome in ("completed", "failed", "cancelled")
+                ({"outcome": outcome}, float(stats[outcome]))
+                for outcome in ("completed", "failed")
             ],
         ),
         counter_family(
             "repro_dispatch_submitted_total",
-            "Calls submitted to the dispatcher (hedges included).",
-            [({"dispatcher": dispatcher}, float(stats["submitted"]))],
-        ),
-        counter_family(
-            "repro_dispatch_hedge_submitted_total",
-            "Hedge attempts submitted on the replica lane.",
-            [({"dispatcher": dispatcher}, float(stats["hedge_submitted"]))],
-        ),
-        gauge_family(
-            "repro_dispatch_max_queue_depth",
-            "Deepest in-flight call count the dispatcher has seen.",
-            [({"dispatcher": dispatcher}, float(stats["max_queue_depth"]))],
+            "Shard calls submitted to the dispatcher.",
+            [({}, float(stats["submitted"]))],
         ),
     ]
 
@@ -169,26 +158,17 @@ def _dispatch_families(fleet) -> List[MetricFamily]:
 def _shard_families(fleet) -> List[MetricFamily]:
     live_rows, alive_rows = [], []
     death_rows, retry_rows = [], []
-    hedge_rows = []
-    replica_alive, replica_served, replica_inflight = [], [], []
+    replica_alive, replica_served = [], []
     for group in fleet.groups:
         shard = {"shard": group.shard_id}
         live_rows.append((shard, float(group.n_live)))
         alive_rows.append((shard, float(group.n_alive)))
         death_rows.append((shard, float(group.deaths)))
         retry_rows.append((shard, float(group.retries)))
-        hedge_rows.extend(
-            [
-                ({**shard, "event": "fired"}, float(group.hedges)),
-                ({**shard, "event": "won"}, float(group.hedge_wins)),
-                ({**shard, "event": "cancelled"}, float(group.hedge_cancels)),
-            ]
-        )
         for replica in group.replicas:
             labels = {"shard": group.shard_id, "replica": replica.replica_id}
             replica_alive.append((labels, 1.0 if replica.alive else 0.0))
             replica_served.append((labels, float(replica.queries_served)))
-            replica_inflight.append((labels, float(replica.in_flight)))
     return [
         gauge_family(
             "repro_shard_live_points", "Live points per shard.", live_rows
@@ -204,11 +184,6 @@ def _shard_families(fleet) -> List[MetricFamily]:
             "Failed attempts retried on a peer replica, per shard.",
             retry_rows,
         ),
-        counter_family(
-            "repro_replica_hedges_total",
-            "Hedged-read lifecycle events per shard.",
-            hedge_rows,
-        ),
         gauge_family(
             "repro_replica_alive", "Liveness flag per replica.", replica_alive
         ),
@@ -216,11 +191,6 @@ def _shard_families(fleet) -> List[MetricFamily]:
             "repro_replica_queries_served_total",
             "Query batches served per replica.",
             replica_served,
-        ),
-        gauge_family(
-            "repro_replica_in_flight",
-            "Concurrently running attempts per replica.",
-            replica_inflight,
         ),
     ]
 

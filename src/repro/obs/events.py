@@ -1,8 +1,8 @@
 """Ring-buffered structured ops event log.
 
 Captures the operationally interesting moments of the serving fleet —
-replica death/heal, rebuild begin/swap, admission reject/shed, hedge
-fired, cache full-clear — as typed records in a bounded ring, cheap
+replica death/heal, rebuild begin/swap, admission reject/shed, cache
+full-clear — as typed records in a bounded ring, cheap
 enough to leave on in production.
 
 The log is a leaf lock: :meth:`EventLog.emit` acquires only its own lock

@@ -14,8 +14,8 @@ client data model:
 
 Each instrument serialises its series dict behind its own lock (leaf
 locks: nothing is ever acquired while one is held), so hot-path updates
-from dispatcher workers and scrapes from the driving thread can race
-freely.  The registry class is named ``ObsRegistry`` — the cluster layer
+from the driving thread and scrapes from the ops server's threads can
+race freely.  The registry class is named ``ObsRegistry`` — the cluster layer
 already owns the name ``MetricsRegistry`` for per-rank phase counters.
 """
 

@@ -6,21 +6,19 @@ One sampled micro-batch produces one span tree::
     ├── admission                     (instant: ledger + queue state)
     └── router k=5
         ├── owner_phase
-        │   └── shard_call shard0
-        │       └── replica_attempt r0        (hedges appear as siblings)
+        │   └── owner_call shard0
+        │       └── replica_attempt r0
         └── scatter_phase
-            ├── shard_call shard1
-            │   ├── replica_attempt r1
-            │   └── replica_attempt r0        (hedge)
+            ├── scatter_call shard1
+            │   ├── replica_attempt r1        (died mid-query)
+            │   └── replica_attempt r0        (retry on the peer)
             └── merge shard1
 
-Spans ride through the dispatch plane on :class:`SpanSink` objects
-attached to :class:`~repro.fleet.dispatch.ShardCall` metadata: the worker
-that executes a call records into that call's private sink (exactly one
-writer), and the submitting thread folds the sink into the batch tree at
-harvest — *after* ``Future.result()`` returns, so the hand-off is
-ordered by the future's own synchronisation.  No span structure is ever
-shared between concurrent writers.
+Spans ride through the dispatch plane on the batch's :class:`SpanSink`,
+attached to :class:`~repro.fleet.dispatch.ShardCall` metadata: the call
+runs synchronously in the thread driving the batch, records its replica
+attempts into the sink, and is folded over them as one timed span.  The
+sink has exactly one writer from start to finish.
 
 Sampling is controlled by the ``REPRO_OBS`` environment variable
 (default off): ``1`` traces every micro-batch, ``N`` every N-th.  The
@@ -101,13 +99,11 @@ class Span:
 
 
 class SpanSink:
-    """Single-writer span collector for one dispatch-plane hop.
+    """Single-writer span collector for one sampled micro-batch.
 
-    One sink is owned by exactly one thread at a time: the worker running
-    a traced :class:`ShardCall` appends to the call's sink, and the
-    submitting thread reads it only after the call's future resolves.
-    That hand-off protocol (not a lock) is the synchronisation, which is
-    why this class carries no ``GUARDED_BY``.
+    Only the thread driving the batch ever touches a sink — every traced
+    :class:`ShardCall` runs synchronously in it — which is why this class
+    carries no ``GUARDED_BY``.
     """
 
     __slots__ = ("clock", "spans")
@@ -123,9 +119,6 @@ class SpanSink:
     def add(self, span: Span) -> Span:
         self.spans.append(span)
         return span
-
-    def extend(self, spans: List[Span]) -> None:
-        self.spans.extend(spans)
 
     def fold(
         self, mark: int, name: str, cat: str, start: float, end: float, **meta

@@ -42,17 +42,8 @@ background build is also persisted as a versioned on-disk snapshot
 (``v0001``, ``v0002``, ...) whose ``CURRENT`` pointer is promoted at swap
 time (:mod:`repro.core.snapshot`).
 
-With a concurrent ``dispatcher`` (:mod:`repro.fleet.dispatch`) the service
-**pipelines** its micro-batches: batch N computes on a worker thread over a
-frozen snapshot of the index state while the submitting thread keeps
-accumulating batch N+1.  The pipeline is depth one and every fold-back
-(results, cache, records, the logical clock) happens in the submitting
-thread at harvest time, so answers and accounting are byte-identical to the
-synchronous path; mutations and closed-loop clock reads drain the pipeline
-first, which is what keeps every cached entry exact against the live set.
-The dispatcher is an explicit opt-in — ``REPRO_DISPATCHER`` never changes a
-service's behaviour, only the fleet's default.  All public methods are
-additionally safe under concurrent callers (one re-entrant lock).
+Micro-batches are answered synchronously in the calling thread.  All
+public methods are safe under concurrent callers (one re-entrant lock).
 """
 
 from __future__ import annotations
@@ -301,8 +292,7 @@ def _answer_snapshot(
     Over-fetched tree answers (tombstones filtered) fused with brute-force
     answers over the delta arrays — byte-identical to what the service
     would answer synchronously at the moment the snapshot was taken.  Pure
-    function of immutable inputs, so pipelined micro-batches can run it on
-    a worker thread while the service keeps mutating.
+    function of immutable inputs.
     """
     n_tomb = int(tomb_ids.size)
     d_tree, i_tree = backend.kneighbors(queries, k + n_tomb)
@@ -324,31 +314,6 @@ def _answer_snapshot(
     out_i = np.take_along_axis(all_i, order, axis=1)
     out_i = np.where(np.isfinite(out_d), out_i, -1)
     return out_d, out_i
-
-
-@exactness_path
-def _pipelined_answer_step(
-    backend,
-    tomb_ids: np.ndarray,
-    delta_points: np.ndarray,
-    delta_ids: np.ndarray,
-    groups: List[Tuple[int, List[int], np.ndarray]],
-    clock: Clock,
-) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], float]:
-    """Worker-side body of one pipelined micro-batch.
-
-    Pure compute over the snapshot (one answer call per distinct ``k``
-    group); the submitting thread folds the returned per-request answers
-    back into results, cache and records at harvest time.
-    """
-    started = clock.monotonic()
-    answers: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    with phase("service.pipeline"):
-        for k, request_ids, queries in groups:
-            d, i = _answer_snapshot(backend, tomb_ids, delta_points, delta_ids, queries, k)
-            for row, request_id in enumerate(request_ids):
-                answers[request_id] = (d[row], i[row])
-    return answers, clock.monotonic() - started
 
 
 @dataclass
@@ -414,17 +379,6 @@ class KNNService:
         Directory receiving one versioned snapshot (``v0001``, ``v0002``,
         ...) per background rebuild; the ``CURRENT`` pointer is promoted
         atomically at swap time.  ``None`` disables persistence.
-    dispatcher:
-        Opt-in micro-batch pipelining: a
-        :class:`~repro.fleet.dispatch.Dispatcher` (or a spec string like
-        ``"thread"`` / ``"thread:4"``).  With a concurrent dispatcher each
-        dispatched micro-batch computes on the dispatcher's replica lane
-        (a leaf pool, so nesting under a fleet cannot deadlock) while the
-        submitting thread accumulates the next batch.  ``None`` (default)
-        keeps the fully synchronous path; the ``REPRO_DISPATCHER``
-        environment variable is deliberately *not* consulted here.  A
-        dispatcher built from a spec string is owned (closed with the
-        service); a passed-in instance stays owned by the caller.
     clock:
         Injectable monotonic clock (:class:`~repro.obs.clock.Clock`) all
         wall-time measurements read through — real ``perf_counter`` by
@@ -456,7 +410,6 @@ class KNNService:
         "_ewma_gap": "_lock",
         "_first_dirty_at": "_lock",
         "_bg": "_lock",
-        "_inflight": "_lock",
         "_backend_ids": "_lock",
         "_next_auto_id": "_lock",
         "_closed": "_lock",
@@ -473,7 +426,6 @@ class KNNService:
         service_time: Callable[[int], float] | None = None,
         background_rebuild: bool = False,
         snapshot_root: str | Path | None = None,
-        dispatcher=None,
         clock: Clock | None = None,
         events=None,
     ) -> None:
@@ -510,44 +462,26 @@ class KNNService:
         self.events = events
         self._lock = new_rlock("KNNService._lock")
         self._closed = False
-        # Depth-1 micro-batch pipeline: at most one dispatched batch in
-        # flight, as (batch, dispatch_start, future).
-        self._inflight: Deque[Tuple[List[_Pending], float, object]] = deque()
-        self._dispatcher = None
-        self._owns_dispatcher = False
-        if dispatcher is not None:
-            # Imported lazily: repro.fleet imports this module at package
-            # import time, so a top-level import would be circular.
-            from repro.fleet.dispatch import Dispatcher, make_dispatcher
-
-            self._owns_dispatcher = not isinstance(dispatcher, Dispatcher)
-            self._dispatcher = make_dispatcher(dispatcher)
-        self._pipelined = self._dispatcher is not None and self._dispatcher.concurrent
         self._reindex_ids()
 
     def close(self) -> None:
         """Release backend resources (pooled executor workers, if owned).
 
-        Any in-flight pipelined batch is harvested (its requests complete
-        normally) and an in-flight background rebuild is cancelled — its
-        backend may hold the pool-shutdown responsibility (refit transfers
-        it), so dropping it unclosed would leak the worker pool.
+        An in-flight background rebuild is cancelled — its backend may
+        hold the pool-shutdown responsibility (refit transfers it), so
+        dropping it unclosed would leak the worker pool.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._harvest()
             self._cancel_background()
             closer = getattr(self.backend, "close", None)
-            dispatcher = self._dispatcher if self._owns_dispatcher else None
         # Teardown of owned resources happens outside the lock: pool
         # shutdown can block on worker completion, and no service state is
         # touched past this point (the _closed flag already bars re-entry).
         if closer is not None:
             closer()
-        if dispatcher is not None:
-            dispatcher.close()
 
     def cancel_background(self) -> None:
         """Discard any in-flight background rebuild and keep serving the
@@ -732,13 +666,9 @@ class KNNService:
         """``(distances, ids)`` of a completed request.
 
         Raises ``KeyError`` when the request is still pending or its answer
-        was already evicted by the retention ring.  An answer riding the
-        in-flight pipelined batch is harvested first, so "dispatched"
-        always implies "fetchable".
+        was already evicted by the retention ring.
         """
         with self._lock:
-            if request_id not in self._results and self._inflight:
-                self._harvest()
             if request_id not in self._results:
                 raise KeyError(
                     f"request {request_id} has no result (still pending, or evicted "
@@ -761,12 +691,8 @@ class KNNService:
             return self._dispatch(now)
 
     def drain(self, at: float | None = None) -> int:
-        """:meth:`flush`, plus harvesting the pipeline: on return every
-        dispatched request has completed (end-of-trace use)."""
-        with self._lock:
-            n = self.flush(at)
-            self._harvest()
-            return n
+        """Alias of :meth:`flush` for end-of-trace use."""
+        return self.flush(at)
 
     # ------------------------------------------------------------------
     # Streaming updates
@@ -783,11 +709,6 @@ class KNNService:
         with self._lock:
             now = self._advance(at)
             self._dispatch(now)
-            # Drain the pipeline before mutating: in-flight answers are
-            # exact against the pre-update set and must land in the cache
-            # *before* the invalidation below, or they would survive it
-            # stale.
-            self._harvest()
             points = np.atleast_2d(np.asarray(points, dtype=np.float64))
             if ids is None:
                 ids = np.arange(
@@ -819,9 +740,6 @@ class KNNService:
         with self._lock:
             now = self._advance(at)
             self._dispatch(now)
-            # Same ordering as insert: pipelined cache puts must precede
-            # the invalidation.
-            self._harvest()
             id_list = [int(i) for i in np.asarray(ids, dtype=np.int64).ravel()]
             # Validate the whole batch before mutating anything, so a bad id
             # cannot leave the delete half-applied with a stale cache.
@@ -853,7 +771,6 @@ class KNNService:
         with self._lock:
             now = self._advance(at)
             self._dispatch(now)
-            self._harvest()
             self._rebuild_now(now)
 
     def begin_background_rebuild(self, at: float | None = None) -> float:
@@ -1075,11 +992,6 @@ class KNNService:
         server finished its previous work (open-loop traces always pass
         explicit arrival timestamps instead).
         """
-        if at is None and self._inflight:
-            # Closed-loop reads of "when is the server free" must see the
-            # in-flight batch's completion, which is only known once it is
-            # harvested.
-            self._harvest()
         now = max(self._now, self._server_free_at) if at is None else float(at)
         if now < self._now:
             raise ValueError(f"time went backwards: {now} < {self._now}")
@@ -1115,6 +1027,7 @@ class KNNService:
             self._ewma_gap = gap if self._ewma_gap is None else (1 - alpha) * self._ewma_gap + alpha * gap
         self._last_arrival = arrival
 
+    @exactness_path
     @requires_lock("_lock")
     def _dispatch(self, flush_time: float) -> int:
         """Dispatch every queued request that arrived by ``flush_time``."""
@@ -1125,8 +1038,6 @@ class KNNService:
         if not batch:
             return 0
         self._pending = self._pending[split:]
-        if self._pipelined:
-            return self._dispatch_pipelined(batch, flush_time)
 
         dispatch_start = max(flush_time, self._server_free_at)
         started = self._clock.monotonic()
@@ -1141,77 +1052,6 @@ class KNNService:
         elapsed = self._clock.monotonic() - started
         if self._service_time is not None:
             elapsed = float(self._service_time(len(batch)))
-        self._complete_batch(batch, flush_time, dispatch_start, answers, elapsed)
-        return len(batch)
-
-    @requires_lock("_lock")
-    def _dispatch_pipelined(self, batch: List[_Pending], flush_time: float) -> int:
-        """Submit one micro-batch to the dispatcher's replica lane.
-
-        Depth-one pipeline: the previous in-flight batch is harvested first
-        (so ``_server_free_at`` is final when this dispatch is stamped),
-        then this batch's compute runs on a worker over a frozen snapshot
-        while the caller goes back to accumulating the next batch.
-        """
-        from repro.fleet.dispatch import ShardCall
-
-        self._harvest()
-        dispatch_start = max(flush_time, self._server_free_at)
-        self._now = max(self._now, flush_time)
-        groups: List[Tuple[int, List[int], np.ndarray]] = []
-        for k in sorted({r.k for r in batch}):
-            group = [r for r in batch if r.k == k]
-            groups.append((k, [r.request_id for r in group], np.stack([r.query for r in group])))
-        # The snapshot is safe by immutability: the backend is only ever
-        # replaced (never mutated), the tombstone set is materialised here,
-        # and the delta's dense arrays are rebuilt (not written) on change.
-        n_tomb = self.delta.n_tombstones
-        tomb = (
-            np.fromiter(self.delta.tombstones, dtype=np.int64, count=n_tomb)
-            if n_tomb
-            else np.empty(0, dtype=np.int64)
-        )
-        delta_points, delta_ids = self.delta.live_arrays()
-        fut = self._dispatcher.submit_hedge(
-            ShardCall(
-                0,
-                _pipelined_answer_step,
-                (self.backend, tomb, delta_points, delta_ids, groups, self._clock),
-            )
-        )
-        self._inflight.append((batch, dispatch_start, fut))
-        return len(batch)
-
-    @exactness_path
-    @requires_lock("_lock")
-    def _harvest(self) -> None:
-        """Fold the in-flight pipelined batch (if any) back into the service.
-
-        Runs in the submitting thread under the service lock — results,
-        cache, records and the logical clock are only ever touched here and
-        in the synchronous path, never by workers.
-        """
-        with phase("service.harvest"):
-            while self._inflight:
-                batch, dispatch_start, fut = self._inflight.popleft()
-                answers, elapsed = fut.result()
-                if self._service_time is not None:
-                    elapsed = float(self._service_time(len(batch)))
-                # The clock already advanced to the flush time at submit;
-                # passing `_now` keeps the max() a no-op.
-                self._complete_batch(batch, self._now, dispatch_start, answers, elapsed)
-
-    @exactness_path
-    @requires_lock("_lock")
-    def _complete_batch(
-        self,
-        batch: List[_Pending],
-        flush_time: float,
-        dispatch_start: float,
-        answers: Dict[int, Tuple[np.ndarray, np.ndarray]],
-        elapsed: float,
-    ) -> None:
-        """Shared tail of both dispatch paths: clock, results, cache, records."""
         completion = dispatch_start + elapsed
         self._server_free_at = completion
         self._now = max(self._now, flush_time)
@@ -1227,6 +1067,7 @@ class KNNService:
                     cache_hit=False, batch_size=len(batch),
                 )
             )
+        return len(batch)
 
     @exactness_path
     @requires_lock("_lock")

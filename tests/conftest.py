@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,24 @@ def _analysis_monitor():
         "unguarded cross-thread field accesses observed: "
         + "; ".join(f"{c}.{f}: {d}" for c, f, d in report["violations"])
     )
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_workers(request):
+    """Fail a fleet/service test that returns with a thread or child process
+    it started still alive (an unclosed pool, ops server or profiler)."""
+    if request.node.path.parent.name not in ("fleet", "service"):
+        yield
+        return
+    threads = set(threading.enumerate())
+    children = set(multiprocessing.active_children())
+    yield
+    leaked = [t for t in threading.enumerate() if t not in threads]
+    leaked += [p for p in multiprocessing.active_children() if p not in children]
+    for worker in leaked:
+        worker.join(timeout=2.0)  # a closed pool's workers may still be exiting
+    alive = [w.name for w in leaked if w.is_alive()]
+    assert not alive, f"test leaked live workers: {alive}"
 
 
 @pytest.fixture(scope="session")

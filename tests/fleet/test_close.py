@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.executor import ProcessExecutor, ThreadExecutor
-from repro.fleet.dispatch import ThreadDispatcher
 from repro.fleet.fleet import KNNFleet
 from repro.service.backends import LocalTreeBackend
 from repro.service.service import KNNService
@@ -39,35 +38,29 @@ def close_concurrently(obj, n_threads=8):
 
 
 def test_service_double_close(points):
-    service = KNNService(LocalTreeBackend.fit(points), dispatcher="thread:2")
+    service = KNNService(LocalTreeBackend.fit(points))
     service.query(points[0])
     service.close()
     service.close()  # second close is a no-op, not an error
 
 
 def test_service_concurrent_close(points):
-    service = KNNService(LocalTreeBackend.fit(points), dispatcher="thread:2")
+    service = KNNService(LocalTreeBackend.fit(points))
     service.query(points[0])
     close_concurrently(service)
 
 
 def test_fleet_double_close(points):
-    fleet = KNNFleet.build(points, n_shards=2, n_replicas=2, dispatcher="thread")
+    fleet = KNNFleet.build(points, n_shards=2, n_replicas=2)
     fleet.query(points[1])
     fleet.close()
     fleet.close()
 
 
 def test_fleet_concurrent_close(points):
-    fleet = KNNFleet.build(points, n_shards=2, n_replicas=2, dispatcher="thread")
+    fleet = KNNFleet.build(points, n_shards=2, n_replicas=2)
     fleet.query(points[1])
     close_concurrently(fleet)
-
-
-def test_thread_dispatcher_double_close():
-    dispatcher = ThreadDispatcher(2)
-    dispatcher.close()
-    dispatcher.close()
 
 
 def test_thread_executor_double_and_concurrent_close():

@@ -6,11 +6,11 @@ The acceptance bar of the observability plane:
   and agrees with the fleet's own stats;
 * a sampled micro-batch produces a span tree covering admission →
   router → owner/scatter phases → shard calls → replica attempts
-  (hedges included) → merges, and exports in Chrome trace-event form;
+  (retries included) → merges, and exports in Chrome trace-event form;
 * answers are byte-identical with observability fully on vs fully off,
-  under the threaded dispatcher and with replica failures in the mix;
+  with replica failures in the mix;
 * every operational moment (death, heal, rebuild begin/swap, cache
-  full-clear, admission reject/shed, hedge fired) lands in the event log.
+  full-clear, admission reject/shed) lands in the event log.
 """
 
 import json
@@ -72,6 +72,14 @@ def test_metrics_text_round_trips_strict_parser():
             for (name, _), v in families["repro_replica_alive"].samples.items()
         ]
         assert alive == [1.0] * 6  # 3 shards x 2 replicas
+        dispatch = fleet.stats()["dispatch"]
+        assert families["repro_dispatch_submitted_total"].samples == {
+            ("repro_dispatch_submitted_total", ()): dispatch["submitted"]
+        }
+        assert families["repro_dispatch_calls_total"].samples == {
+            ("repro_dispatch_calls_total", (("outcome", "completed"),)): dispatch["completed"],
+            ("repro_dispatch_calls_total", (("outcome", "failed"),)): dispatch["failed"],
+        }
 
 
 def test_metrics_scrape_repeats_cleanly():
@@ -103,11 +111,11 @@ def test_span_tree_covers_every_stage():
         _points(),
         n_shards=3,
         n_replicas=2,
-        dispatcher="thread:4",
-        hedge_after=0.0,  # hedge every scatter-able call immediately
         tracer=tracer,
     )
     try:
+        for shard in range(3):  # the first attempt on every shard dies
+            fleet.arm_replica_failure(shard, 0)
         # k of 60 over ~133-point shards forces scatter beyond the owner.
         _drive(fleet, n=30, k=60)
         traces = tracer.traces()
@@ -126,14 +134,16 @@ def test_span_tree_covers_every_stage():
         assert "owner_phase" in names
         assert "scatter_phase" in names
         assert any(n.startswith("replica_attempt") for n in names)
-        # Hedges fired: some shard_call holds more than one replica attempt.
-        hedged = any(
-            len([c for c in span.children if c.cat == "replica_attempt"]) > 1
+        # A retry is a sibling: some shard_call holds a dead attempt and
+        # the peer's answer.
+        attempts = [
+            [c.meta["ok"] for c in span.children if c.cat == "replica_attempt"]
             for record in traces
             for span in record.root.walk()
             if span.cat == "shard_call"
-        )
-        assert hedged, "hedge_after=0.0 produced no hedged attempt spans"
+        ]
+        assert all(a[-1] is True for a in attempts)
+        assert [False, True] in attempts, "armed failures produced no retried attempt spans"
     finally:
         fleet.close()
 
@@ -179,8 +189,6 @@ def _run_with_failures(tracer):
         _points(seed=5),
         n_shards=3,
         n_replicas=2,
-        dispatcher="thread",
-        hedge_after=0.0,
         tracer=tracer,
     )
     try:
@@ -223,20 +231,6 @@ def test_death_and_heal_events_scoped_per_shard():
         assert dict(deaths[0].fields)["replica"] == 0
         assert dict(deaths[0].fields)["injected"] is True
         assert dict(heals[0].fields)["replica"] == 0
-
-
-def test_hedge_fired_events():
-    fleet = KNNFleet.build(
-        _points(), n_shards=2, n_replicas=2, dispatcher="thread", hedge_after=0.0
-    )
-    try:
-        _drive(fleet, n=10, k=60)
-        hedges = fleet.events.snapshot("hedge_fired")
-        assert hedges, "no hedge_fired events with hedge_after=0.0"
-        fields = dict(hedges[0].fields)
-        assert {"shard", "replica", "hedge_replica", "deadline_s"} <= set(fields)
-    finally:
-        fleet.close()
 
 
 def test_admission_reject_and_shed_events():

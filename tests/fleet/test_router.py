@@ -5,6 +5,7 @@ import pytest
 
 from repro.fleet import KNNFleet, ReplicaGroup, ShardUnavailableError
 from repro.kdtree.query import brute_force_knn
+from repro.service import KNNService, LocalTreeBackend
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +42,33 @@ class TestExactness:
         ref_d, _ = brute_force_knn(clustered, np.arange(clustered.shape[0]), q, k)
         d, i = fleet.router.answer(q, k)
         np.testing.assert_allclose(d, ref_d)
+
+    @pytest.mark.parametrize("n_shards", [2, 4, 7])
+    def test_two_calls_per_shard_and_single_service_bytes(self, n_shards):
+        # The whole protocol is one owner call and at most one scatter call
+        # per shard, and its distances are a single unsharded service's,
+        # bit for bit — on a lattice the median cuts run between lattice
+        # planes, so exact ties at the k-th distance sit on both sides of a
+        # region boundary.
+        k = 3
+        rng = np.random.default_rng(5)
+        lattice = np.stack(np.meshgrid(*[np.arange(-5.0, 6.0)] * 3), axis=-1).reshape(-1, 3)
+        points = np.concatenate([lattice, rng.normal(scale=3.0, size=(500, 3))])
+        queries = np.concatenate([lattice, rng.uniform(-6, 6, size=(100, 3))])
+        fleet = fleet_over(points, n_shards=n_shards, k=k)
+        single = KNNService(LocalTreeBackend.fit(points), k=k, cache_capacity=0)
+        ref_d, _ = single.answer_batch(queries, k=k)
+
+        kth = ref_d[: lattice.shape[0], k - 1 : k]
+        tied = np.linalg.norm(lattice[:, None, :] - points[None, :, :], axis=2) == kth
+        owners = fleet.plan.owner_of(points)
+        assert any(np.unique(owners[row]).size > 1 for row in tied)
+
+        d, i = fleet.router.answer(queries, k)
+        assert np.array_equal(d, ref_d)
+        calls = fleet.stats()["dispatch"]
+        assert calls["submitted"] <= 2 * n_shards
+        assert calls["completed"] == calls["submitted"]
 
 
 class TestFanout:
@@ -103,6 +131,24 @@ class TestReplicaFailover:
             assert g.n_alive == 3 - g.deaths
             assert g.retries == g.deaths
 
+    def test_death_inside_scatter_call_retries_on_peer_once(self, clustered):
+        fleet = fleet_over(clustered, n_shards=2, n_replicas=2)
+        q = clustered[fleet.plan.owner_of(clustered) == 0][:4]
+        k = 1200  # more than shard 0 holds: every row scatters to shard 1
+        d_before, i_before = fleet.router.answer(q, k)
+        calls_before = fleet.stats()["dispatch"]["submitted"]
+        fleet.arm_replica_failure(1, fleet.groups[1].primary().replica_id)
+        d_after, i_after = fleet.router.answer(q, k)
+        assert np.array_equal(d_before, d_after)
+        assert np.array_equal(i_before, i_after)
+        scatter = fleet.groups[1]
+        assert (scatter.deaths, scatter.retries, scatter.n_alive) == (1, 1, 1)
+        assert (fleet.groups[0].deaths, fleet.groups[0].retries) == (0, 0)
+        # The retry happened inside the one scatter call.
+        dispatch = fleet.stats()["dispatch"]
+        assert dispatch["submitted"] - calls_before == 2
+        assert dispatch["failed"] == 0
+
     def test_reads_balance_across_replicas(self, clustered):
         fleet = fleet_over(clustered, n_shards=1, n_replicas=2)
         for step in range(6):
@@ -146,6 +192,31 @@ class TestReplicaFailover:
         fleet.flush(at=3.0)
         d, i = fleet.result(rid)  # answered after recovery, not lost
         assert np.isfinite(d).all()
+
+    def test_dead_scatter_shard_rolls_back_and_requeues(self, clustered):
+        # The owner call succeeds and the *scatter* call finds its shard
+        # fully dead: the owner's work must be un-counted with the rest.
+        fleet = fleet_over(clustered, n_shards=2, n_replicas=2, k=1200)
+        owned_by_0 = clustered[fleet.plan.owner_of(clustered) == 0]
+        fleet.query(owned_by_0[0], at=1.0)
+        stats_before = fleet.router.stats.as_dict()
+        load_before = [r.queries_served for g in fleet.groups for r in g.replicas]
+        for replica in range(2):
+            fleet.kill_replica(1, replica)
+        rid = fleet.submit(owned_by_0[1], at=2.0)
+        with pytest.raises(ShardUnavailableError):
+            fleet.flush(at=3.0)
+        stats_after = fleet.router.stats.as_dict()
+        for key in ("queries", "shard_visits", "owner_only", "broadcasts"):
+            assert stats_after[key] == stats_before[key]
+        assert [r.queries_served for g in fleet.groups for r in g.replicas] == load_before
+        assert fleet.n_pending == 1
+        dispatch = fleet.stats()["dispatch"]
+        assert dispatch["failed"] == dispatch["submitted"] - dispatch["completed"] > 0
+        fleet.groups[1].replicas[0].alive = True
+        fleet.flush(at=4.0)
+        d, _ = fleet.result(rid)
+        assert np.isfinite(d[: clustered.shape[0]]).all()
 
     def test_stalled_batch_does_not_wedge_healthy_shards(self, clustered):
         # One poisoned batch (owner shard fully dead) must not block
