@@ -24,9 +24,11 @@ applied one level up, to a fleet of online services:
   replica, and fleet-wide aggregated statistics.
 
 Fleet answers are exact: identical distances to one unsharded
-:class:`~repro.service.service.KNNService` over the same live set (tie
-identity at the k-th distance unspecified, as everywhere in this
-codebase).
+:class:`~repro.service.service.KNNService` over the same live set.  Among
+candidates tied at a distance each tree keeps the one met first in the
+query's own DFS scan order and the router's merge keeps the owner's, then
+the lower shard's, so which tied point is returned depends on the index
+layout, never on how requests were batched.
 """
 
 from repro.fleet.admission import AdmissionController, AdmissionPolicy, AdmissionStats

@@ -294,8 +294,9 @@ class ReplicaGroup:
         The donor's *live* arrays (tree minus tombstones plus delta) are
         refit into a fresh service carrying the dead replica's policies —
         a healed replica serves exactly the shard's live set from the first
-        query on (its delta buffer starts empty, so only the unspecified
-        identity of exactly-tied k-th neighbours can differ from a peer).
+        query on (its refit tree scans points in another order than a
+        peer's tree plus delta buffer, so among exactly-tied k-th
+        neighbours, kept in scan order, it may return a different one).
         """
         donor = self.primary()  # raises when the whole group is dead
         points, ids = donor.service.live_arrays()

@@ -23,8 +23,10 @@ call that hit it, before any later call starts.
 Because every shard answers its own live set exactly and any point not in
 a visited shard lies beyond r' (which is itself >= the true k-th distance),
 the merged answer equals a single unsharded service's answer — identical
-distances, with only the identity of exactly-tied k-th neighbours
-unspecified, as everywhere else in this codebase.
+distances.  Among exactly-tied neighbours each shard's tree keeps the one
+met first in the query's own DFS scan order and the merge keeps the
+owner's, then the lower shard's, so ids are a function of the index layout
+alone: the same query gets the same bytes whatever batch it arrives in.
 
 Plans without geometry (hash / round-robin) broadcast every query to every
 shard: still exact, never pruned.  :class:`RouterStats` records the

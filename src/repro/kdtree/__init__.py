@@ -14,8 +14,9 @@ This package implements the single-node building blocks of PANDA:
   and a per-node scalar reference that produce identical trees under
   deterministic strategies;
 * :mod:`~repro.kdtree.query` — Algorithm 1: bounded-radius k-nearest
-  neighbour search with distance-based pruning, as a scalar single-query
-  traversal and as a vectorised lockstep traversal of whole query batches;
+  neighbour search with distance-based pruning, as a single-query
+  traversal and as a vectorised lockstep traversal of whole query batches,
+  chosen per call by ``batch_knn`` with identical answers either way;
 * :mod:`~repro.kdtree.leafblocks` — the distance kernels both query
   engines share, over structure-of-arrays leaf columns;
 * :mod:`~repro.kdtree.tree` — the flat array representation shared by all
@@ -24,7 +25,7 @@ This package implements the single-node building blocks of PANDA:
 """
 
 from repro.kdtree.bucket import BucketStore
-from repro.kdtree.heap import BatchTopK, BoundedMaxHeap, merge_topk
+from repro.kdtree.heap import BatchTopK, merge_topk
 from repro.kdtree.median import (
     HistogramMedianEstimator,
     approximate_median,
@@ -59,7 +60,6 @@ from repro.kdtree.validate import check_snapshot_roundtrip, check_tree_invariant
 __all__ = [
     "BucketStore",
     "BatchTopK",
-    "BoundedMaxHeap",
     "merge_topk",
     "HistogramMedianEstimator",
     "approximate_median",

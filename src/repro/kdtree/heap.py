@@ -2,12 +2,13 @@
 
 Algorithm 1 of the paper maintains a heap ``H`` of at most ``k`` candidates
 ordered by distance to the query; its maximum is the pruning radius ``r'``.
-Three implementations live here:
+Two top-k structures with one tie rule (among candidates tied at a
+distance, the one offered first is kept) and two merges live here:
 
-* :class:`BoundedMaxHeap` — a classic binary max-heap over parallel arrays
-  (distances and point ids) used by the scalar single-query search;
+* :func:`offer_sorted` — one query's top-k as two parallel sorted lists
+  with a stable insert, used by the single-query search;
 * :class:`BatchTopK` — one ``(n_queries, k)`` pair of sorted arrays holding
-  the candidate sets of a whole query batch at once, used by the vectorised
+  the candidate sets of a whole query batch at once, used by the lockstep
   batched traversal (the k-th column *is* the per-query pruning bound);
 * :func:`merge_topk_rows` — the shared vectorised sorted-merge primitive:
   fold two ``(n, *)`` candidate blocks into per-row top-k, optionally
@@ -19,151 +20,56 @@ Three implementations live here:
 
 from __future__ import annotations
 
-from typing import Tuple
+from bisect import bisect_right
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.analysis.annotations import exactness_path
 
 
-class BoundedMaxHeap:
-    """Fixed-capacity max-heap of (distance, id) pairs.
+def offer_sorted(
+    top_d: List[float], top_i: List[int], k: int, cand_d: List[float], cand_i: List[int]
+) -> int:
+    """Offer ascending candidates to one query's sorted top-k, in place.
 
-    The heap keeps at most ``k`` entries; pushing a closer candidate into a
-    full heap evicts the current farthest one.  ``worst()`` returns the
-    current pruning bound r' (infinite until the heap is full, exactly as in
-    Algorithm 1 where pruning only starts once ``|H| = k``).
+    ``top_d`` / ``top_i`` are parallel lists of at most ``k`` (distance, id)
+    entries, ascending by distance; the last entry of a full list is the
+    pruning bound r' of Algorithm 1.  A candidate is inserted *after* every
+    held entry at its distance and the last entry is dropped to make room,
+    so among candidates tied at a distance the one offered first is kept —
+    the same outcome as :meth:`BatchTopK.update`'s stable merge.  Returns
+    the number of candidates accepted; none accepted is ever dropped again
+    by a later candidate of the same call, because they arrive ascending.
     """
-
-    def __init__(self, k: int) -> None:
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        self.k = k
-        self._dist = np.empty(k, dtype=np.float64)
-        self._ids = np.empty(k, dtype=np.int64)
-        self._size = 0
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def is_full(self) -> bool:
-        """True once k candidates are held."""
-        return self._size == self.k
-
-    def worst(self) -> float:
-        """Current pruning radius r': max distance when full, +inf otherwise."""
-        if self._size < self.k:
-            return np.inf
-        return float(self._dist[0])
-
-    def max_distance(self) -> float:
-        """Largest distance currently held (+inf when empty)."""
-        if self._size == 0:
-            return np.inf
-        return float(self._dist[0])
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def push(self, dist: float, point_id: int) -> bool:
-        """Offer a candidate; returns True when it was kept.
-
-        Mirrors Algorithm 1 lines 8-15: candidates are inserted while the
-        heap is not full; afterwards only candidates closer than the current
-        maximum replace the top.
-        """
-        if self._size < self.k:
-            i = self._size
-            self._dist[i] = dist
-            self._ids[i] = point_id
-            self._size += 1
-            self._sift_up(i)
-            return True
-        if dist < self._dist[0]:
-            self._dist[0] = dist
-            self._ids[0] = point_id
-            self._sift_down(0)
-            return True
-        return False
-
-    def push_many(self, dists: np.ndarray, ids: np.ndarray) -> int:
-        """Offer a batch of candidates; returns how many were kept.
-
-        Input dtype is handled explicitly: one vectorised conversion up
-        front instead of a per-element ``float()``/``int()`` cast per push.
-        """
-        dist_list = np.asarray(dists, dtype=np.float64).tolist()
-        id_list = np.asarray(ids, dtype=np.int64).tolist()
-        kept = 0
-        for d, i in zip(dist_list, id_list):
-            if self.push(d, i):
-                kept += 1
-        return kept
-
-    # ------------------------------------------------------------------
-    # Extraction
-    # ------------------------------------------------------------------
-    def sorted_items(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return (distances, ids) sorted ascending by distance."""
-        order = np.argsort(self._dist[: self._size], kind="stable")
-        return self._dist[: self._size][order].copy(), self._ids[: self._size][order].copy()
-
-    def items(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return (distances, ids) in heap order (no copy of heap layout)."""
-        return self._dist[: self._size].copy(), self._ids[: self._size].copy()
-
-    # ------------------------------------------------------------------
-    # Heap plumbing
-    # ------------------------------------------------------------------
-    def _sift_up(self, i: int) -> None:
-        dist = self._dist
-        ids = self._ids
-        while i > 0:
-            parent = (i - 1) >> 1
-            if dist[i] > dist[parent]:
-                dist[i], dist[parent] = dist[parent], dist[i]
-                ids[i], ids[parent] = ids[parent], ids[i]
-                i = parent
-            else:
+    accepted = 0
+    for d, point_id in zip(cand_d, cand_i):
+        if len(top_d) == k:
+            if d >= top_d[-1]:
                 break
-
-    def _sift_down(self, i: int) -> None:
-        dist = self._dist
-        ids = self._ids
-        size = self._size
-        while True:
-            left = 2 * i + 1
-            right = left + 1
-            largest = i
-            if left < size and dist[left] > dist[largest]:
-                largest = left
-            if right < size and dist[right] > dist[largest]:
-                largest = right
-            if largest == i:
-                break
-            dist[i], dist[largest] = dist[largest], dist[i]
-            ids[i], ids[largest] = ids[largest], ids[i]
-            i = largest
+            top_d.pop()
+            top_i.pop()
+        pos = bisect_right(top_d, d)
+        top_d.insert(pos, d)
+        top_i.insert(pos, point_id)
+        accepted += 1
+    return accepted
 
 
 class BatchTopK:
     """Sorted top-k candidate lists for a whole batch of queries.
 
-    The vectorised batched traversal replaces one :class:`BoundedMaxHeap`
-    per query with a single ``(n_queries, k)`` pair of arrays kept sorted
+    The lockstep batched traversal replaces one sorted list pair per
+    query with a single ``(n_queries, k)`` pair of arrays kept sorted
     ascending by (squared) distance and padded with ``inf`` distances /
     ``-1`` ids.  Because rows are sorted and padded, the k-th column is
     exactly the pruning bound r'^2 of Algorithm 1: ``inf`` until a query
     holds k candidates, the squared k-th distance afterwards.
 
-    :meth:`update` replicates the sequential push rule of the scalar heap
-    (candidates are accepted while the set is not full, then only on a
-    strictly smaller distance than the current worst), so the number of
-    accepted candidates it reports equals the scalar ``heap_updates`` count.
+    :meth:`update` replicates :func:`offer_sorted` (candidates are accepted
+    while the set is not full, then only on a strictly smaller distance
+    than the current worst), so contents, tie order and the number of
+    accepted candidates it reports equal the single-query search's.
     """
 
     def __init__(self, n_queries: int, k: int) -> None:
@@ -195,13 +101,12 @@ class BatchTopK:
         -------
         np.ndarray
             ``(m,)`` number of candidates accepted into each row, matching
-            what sequential strict-< pushes into a :class:`BoundedMaxHeap`
-            would have accepted.
+            what :func:`offer_sorted` accepts for the same candidates.
         """
         k = self.k
         # Old entries go first so the stable sort resolves distance ties in
         # their favour — a candidate equal to the current k-th distance is
-        # rejected, exactly like the scalar heap's strict-< push.
+        # rejected, exactly like the single-query search's strict-< offer.
         all_d = np.concatenate([self.dists[rows], cand_dists], axis=1)
         all_i = np.concatenate([self.ids[rows], cand_ids], axis=1)
         order = np.argsort(all_d, axis=1, kind="stable")[:, :k]

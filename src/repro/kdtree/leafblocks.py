@@ -5,13 +5,13 @@ contiguous ``[start, start+count)`` slice of the point array.
 :attr:`repro.kdtree.tree.KDTree.columns` holds the *transposed* layout —
 one contiguous float64 column per dimension — so a leaf scan streams
 ``count`` consecutive values per dimension (cache-line-aligned runs) and
-the batched engine gathers flat 1-D columns instead of ``(count, dims)``
+the lockstep engine gathers flat 1-D columns instead of ``(count, dims)``
 row blocks.
 
 Two scan kernels live here, one for each query engine:
 
-- :func:`scan_columns_sq` — scalar engine: contiguous column slices.
-- :func:`gather_columns_sq` — batched engine: fancy-indexed column gathers.
+- :func:`scan_columns_sq` — row-by-row engine: contiguous column slices.
+- :func:`gather_columns_sq` — lockstep engine: fancy-indexed column gathers.
 
 Both accumulate ``sum_d (x_d - q_d)**2`` with *identical* per-dimension
 ordering (dim 0, then 1, ...), so they are IEEE bit-identical per element.

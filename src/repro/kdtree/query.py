@@ -1,31 +1,37 @@
 """k-nearest-neighbour search over a local kd-tree (paper Algorithm 1).
 
-Two engines implement the same search semantics:
+Two engines compute the same answer, and :func:`batch_knn` picks between
+them per call from the batch's size and ``k`` alone:
 
-* :func:`knn_search` — the scalar single-query traversal.  A stack of
-  ``(node, lower_bound, offsets)`` entries drives a depth-first descent
-  (closer child first); the bound is the exact squared distance from the
-  query to the node's region, maintained incrementally by *replacing* the
-  crossed dimension's offset (ANN-style incremental distance computation —
-  summing plane distances would double-count repeated split dimensions and
-  prune subtrees that hold true neighbours).  A bounded max-heap holds the
-  best k candidates and its maximum is the pruning radius r', progressively
-  shrunk as closer candidates are found.  Leaf buckets are scanned with one
+* the single-query engine (:func:`knn_search`, and one row at a time behind
+  :func:`batch_knn` for small batches).  A stack of ``(node, lower_bound,
+  offsets)`` entries drives a depth-first descent (closer child first); the
+  bound is the exact squared distance from the query to the node's region,
+  maintained incrementally by *replacing* the crossed dimension's offset
+  (ANN-style incremental distance computation — summing plane distances
+  would double-count repeated split dimensions and prune subtrees that hold
+  true neighbours).  A sorted top-k (:func:`~repro.kdtree.heap.offer_sorted`)
+  holds the best k candidates and its last entry is the pruning radius r',
+  progressively shrunk as closer candidates are found.  Stack, offsets and
+  bound are plain Python values; leaf buckets are scanned with one
   vectorised distance kernel.
-* :func:`batch_knn` — the vectorised batched traversal.  All queries of a
-  batch advance in lockstep: per-query DFS stacks live in one
-  ``(n_queries, stack_cap)`` array pair, the per-query pruning bounds are
-  one vector (the k-th column of a :class:`~repro.kdtree.heap.BatchTopK`),
-  and every iteration pops one node per active query.  Queries sitting at
-  leaf buckets are scanned together with a single padded gather over the
-  structure-of-arrays leaf columns (:mod:`repro.kdtree.leafblocks`); their
-  candidate sets are folded into the batch top-k with one sorted merge.
-  Because every query performs exactly the node visits of its own scalar
-  DFS and both engines share one per-dimension distance kernel, distances
-  *and* ``QueryStats`` counters match :func:`knn_search` query for query
-  while the Python interpreter cost is amortised over the whole batch.
-  (Which of several points tied exactly at the k-th distance is kept is
-  unspecified in both engines and may differ between them.)
+* the lockstep engine, for batches large enough to amortise its fixed cost
+  per iteration.  All queries of a batch advance together: per-query DFS
+  stacks live in one ``(n_queries, stack_cap)`` array pair, the per-query
+  pruning bounds are one vector (the k-th column of a
+  :class:`~repro.kdtree.heap.BatchTopK`), and every iteration pops one node
+  per active query.  Queries sitting at leaf buckets are scanned together
+  with a single padded gather over the structure-of-arrays leaf columns
+  (:mod:`repro.kdtree.leafblocks`); their candidate sets are folded into
+  the batch top-k with one sorted merge.
+
+Every query performs exactly the node visits of its own DFS in either
+engine, both share one per-dimension distance kernel, and both top-k
+structures insert a candidate after the entries it ties with.  So
+distances, ids *and* ``QueryStats`` counters are identical row for row,
+whatever batch a query arrives in.  The tie rule, for both engines: among
+candidates tied at a distance, the one met first in the query's own DFS
+scan order is kept.
 
 Radius semantics are **inclusive** everywhere: a point at exactly the
 search radius is returned.  This matters for step 4 of the distributed
@@ -46,7 +52,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.cluster.metrics import PhaseCounters
-from repro.kdtree.heap import BatchTopK, BoundedMaxHeap
+from repro.kdtree.heap import BatchTopK, offer_sorted
 from repro.kdtree.leafblocks import gather_columns_sq, scan_columns_sq
 from repro.kdtree.tree import KDTree
 
@@ -91,6 +97,93 @@ class KNNResult:
         return int(self.ids.shape[0])
 
 
+def _check_radii(radii) -> None:
+    """Reject a negative or NaN search radius (its square would hide both)."""
+    if not np.all(np.asarray(radii) >= 0.0):
+        raise ValueError(f"search radius must be non-negative and not NaN, got {radii}")
+
+
+def _search_row(tree: KDTree, q: List[float], k: int, radius_sq: float):
+    """One query's DFS over a non-empty tree: the single-query kernel.
+
+    Returns ``(squared distances, ids, stats)``: two parallel lists,
+    ascending and at most ``k`` long, and this query's work counters.
+    """
+    coords = tree.columns
+    ids = tree.ids
+    dim_of = tree.split_dim.item
+    val_of = tree.split_val.item
+    left_of = tree.left.item
+    right_of = tree.right.item
+    start_of = tree.start.item
+    count_of = tree.count.item
+
+    # Sorted top-k as two parallel lists; ``bound`` is the pruning radius
+    # r'^2: inf until k candidates are held, the k-th distance afterwards.
+    top_d: List[float] = []
+    top_i: List[int] = []
+    bound = np.inf
+    stats = QueryStats(queries=1)
+    nodes = 0  # per-node counter kept local; the per-leaf ones go straight to stats
+
+    # Stack of (node, squared box lower bound, per-dimension offsets).  The
+    # bound is the exact squared distance from the query to the node's
+    # region; the offsets hold the query-to-region offset along every
+    # dimension so that crossing a split plane on a dimension an ancestor
+    # already split on *replaces* that dimension's contribution instead of
+    # double-counting it (naive accumulation overestimates the bound and
+    # wrongly prunes subtrees that contain true neighbours).
+    stack = [(0, 0.0, [0.0] * len(q))]
+    while stack:
+        node, lower_bound, offsets = stack.pop()
+        # Heap pruning is strict (a tie cannot improve the top-k) while the
+        # radius bound is inclusive (a point exactly at r must be kept).
+        if lower_bound >= bound or lower_bound > radius_sq:
+            continue
+        nodes += 1
+        dim = dim_of(node)
+        if dim < 0:
+            # Leaf bucket: exhaustive scan over the contiguous SoA column
+            # slices (same per-dimension kernel as the lockstep engine, so
+            # the two engines stay bit-identical per candidate).
+            s = start_of(node)
+            c = count_of(node)
+            dists = scan_columns_sq(coords, s, c, q)
+            stats.leaves_scanned += 1
+            stats.distance_computations += c
+            # One comparison decides: whichever limit is tighter implies
+            # the other (strict against the bound, inclusive radius).
+            hits = np.flatnonzero(dists < bound if bound <= radius_sq else dists <= radius_sq)
+            if hits.size:
+                # Ascending and stable, so equal distances are offered in
+                # scan order and every accepted candidate stays accepted.
+                hits = hits[np.argsort(dists[hits], kind="stable")]
+                stats.heap_updates += offer_sorted(
+                    top_d, top_i, k, dists[hits].tolist(), ids[s + hits].tolist()
+                )
+                if len(top_d) == k:
+                    bound = top_d[-1]
+            continue
+
+        # Internal node: descend towards the closer child first.  The
+        # farther child's bound replaces this dimension's previous offset
+        # with the (necessarily larger) distance to the new split plane.
+        delta = q[dim] - val_of(node)
+        old_offset = offsets[dim]
+        plane_sq = lower_bound - old_offset * old_offset + delta * delta
+        if delta <= 0.0:
+            closer, farther = left_of(node), right_of(node)
+        else:
+            closer, farther = right_of(node), left_of(node)
+        if plane_sq < bound and plane_sq <= radius_sq:
+            far_offsets = offsets[:]
+            far_offsets[dim] = delta
+            stack.append((farther, plane_sq, far_offsets))
+        stack.append((closer, lower_bound, offsets))
+    stats.nodes_visited = nodes
+    return top_d, top_i, stats
+
+
 def knn_search(
     tree: KDTree,
     query: np.ndarray,
@@ -111,7 +204,8 @@ def knn_search(
     radius:
         Initial search radius r (Euclidean, not squared), inclusive: a
         point at exactly distance r is returned.  Defaults to infinity;
-        remote queries pass the owner's current k-th distance.
+        remote queries pass the owner's current k-th distance.  Negative
+        or NaN raises ``ValueError``.
     stats:
         Optional external stats accumulator; this query's work is merged
         into it.  ``result.stats`` always holds the work of this query
@@ -124,124 +218,42 @@ def knn_search(
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
+    _check_radii(radius)
     query = np.asarray(query, dtype=np.float64).ravel()
     if tree.n_points and query.shape[0] != tree.dims:
         raise ValueError(f"query has {query.shape[0]} dims, tree has {tree.dims}")
-    local_stats = QueryStats(queries=1)
-    heap = BoundedMaxHeap(k)
-    if tree.n_points == 0:
-        if stats is not None:
-            stats.merge(local_stats)
-        return KNNResult(distances=np.empty(0), ids=np.empty(0, dtype=np.int64), stats=local_stats)
-
-    radius_sq = radius * radius if np.isfinite(radius) else np.inf
-    coords = tree.columns
-    ids = tree.ids
-    split_dim = tree.split_dim
-    split_val = tree.split_val
-    left = tree.left
-    right = tree.right
-    start = tree.start
-    count = tree.count
-
-    # Stack of (node, squared box lower bound, per-dimension offsets).  The
-    # bound is the exact squared distance from the query to the node's
-    # region; the offsets vector holds the query-to-region offset along
-    # every dimension so that crossing a split plane on a dimension an
-    # ancestor already split on *replaces* that dimension's contribution
-    # instead of double-counting it (naive accumulation overestimates the
-    # bound and wrongly prunes subtrees that contain true neighbours).
-    stack: List[Tuple[int, float, np.ndarray]] = [(0, 0.0, np.zeros(tree.dims))]
-    while stack:
-        node, lower_bound, offsets = stack.pop()
-        # Heap pruning is strict (a tie cannot improve the heap) while the
-        # radius bound is inclusive (a point exactly at r must be kept).
-        if lower_bound >= heap.worst() or lower_bound > radius_sq:
-            continue
-        local_stats.nodes_visited += 1
-        dim = int(split_dim[node])
-        if dim < 0:
-            # Leaf bucket: exhaustive scan over the contiguous SoA column
-            # slices (same per-dimension kernel as the batched engine, so
-            # the two engines stay bit-identical per candidate).
-            s = int(start[node])
-            c = int(count[node])
-            dists = scan_columns_sq(coords, s, c, query)
-            local_stats.leaves_scanned += 1
-            local_stats.distance_computations += c
-            candidate_mask = (dists < heap.worst()) & (dists <= radius_sq)
-            if np.any(candidate_mask):
-                cand_dists = dists[candidate_mask]
-                cand_ids = ids[s : s + c][candidate_mask]
-                order = np.argsort(cand_dists, kind="stable")
-                for d, pid in zip(cand_dists[order], cand_ids[order]):
-                    if d < heap.worst():
-                        heap.push(float(d), int(pid))
-                        local_stats.heap_updates += 1
-            continue
-
-        # Internal node: descend towards the closer child first.  The
-        # farther child's bound replaces this dimension's previous offset
-        # with the (necessarily larger) distance to the new split plane.
-        delta = query[dim] - split_val[node]
-        old_offset = offsets[dim]
-        plane_sq = lower_bound - old_offset * old_offset + delta * delta
-        if delta <= 0.0:
-            closer, farther = int(left[node]), int(right[node])
-        else:
-            closer, farther = int(right[node]), int(left[node])
-        if plane_sq < heap.worst() and plane_sq <= radius_sq:
-            far_offsets = offsets.copy()
-            far_offsets[dim] = delta
-            stack.append((farther, plane_sq, far_offsets))
-        stack.append((closer, lower_bound, offsets))
-
-    dists_sq, result_ids = heap.sorted_items()
+    if tree.n_points:
+        radius = float(radius)
+        dists_sq, result_ids, local_stats = _search_row(tree, query.tolist(), k, radius * radius)
+    else:
+        dists_sq, result_ids, local_stats = [], [], QueryStats(queries=1)
     if stats is not None:
         stats.merge(local_stats)
-    return KNNResult(distances=np.sqrt(dists_sq), ids=result_ids, stats=local_stats)
+    return KNNResult(
+        distances=np.sqrt(np.array(dists_sq, dtype=np.float64)),
+        ids=np.array(result_ids, dtype=np.int64),
+        stats=local_stats,
+    )
 
 
-def batch_knn(
-    tree: KDTree,
-    queries: np.ndarray,
-    k: int,
-    radii: np.ndarray | float = np.inf,
-    stats: QueryStats | None = None,
-) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
-    """Vectorised batched KNN: all queries traverse the tree in lockstep.
+def _rows_engine(tree: KDTree, queries: np.ndarray, k: int, radius_sq: np.ndarray):
+    """Row-by-row engine: one :func:`_search_row` per query."""
+    n_queries = queries.shape[0]
+    out_d = np.full((n_queries, k), np.inf, dtype=np.float64)
+    out_i = np.full((n_queries, k), -1, dtype=np.int64)
+    agg = QueryStats()
+    for qi, (q, r_sq) in enumerate(zip(queries.tolist(), radius_sq.tolist())):
+        top_d, top_i, row_stats = _search_row(tree, q, k, r_sq)
+        out_d[qi, : len(top_d)] = top_d
+        out_i[qi, : len(top_i)] = top_i
+        agg.merge(row_stats)
+    return out_d, out_i, agg
 
-    Semantically equivalent to running :func:`knn_search` on every row of
-    ``queries``: identical neighbour distances and identical ``QueryStats``
-    counters (which of several points tied exactly at the k-th distance is
-    kept is unspecified in both engines).  The traversal state of the whole
-    batch is held in flat arrays so each iteration is a handful of NumPy
-    operations instead of thousands of Python-level heap pushes.  Candidate
-    filtering against the radius is inclusive and the heap bound strict,
-    exactly as in the scalar engine.
 
-    Returns ``(distances, ids, stats)`` where the arrays have shape
-    ``(n_queries, k)``; missing neighbours (fewer than k in range) are padded
-    with ``inf`` distances and id ``-1``.
-    """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+def _lockstep_engine(tree: KDTree, queries: np.ndarray, k: int, radius_sq: np.ndarray):
+    """Lockstep engine: the whole batch advances one node per iteration."""
     n_queries = queries.shape[0]
     agg = QueryStats(queries=n_queries)
-    if tree.n_points == 0 or n_queries == 0:
-        if stats is not None:
-            stats.merge(agg)
-        return (
-            np.full((n_queries, k), np.inf, dtype=np.float64),
-            np.full((n_queries, k), -1, dtype=np.int64),
-            agg,
-        )
-    if queries.shape[1] != tree.dims:
-        raise ValueError(f"queries have {queries.shape[1]} dims, tree has {tree.dims}")
-    radii_arr = np.broadcast_to(np.asarray(radii, dtype=np.float64), (n_queries,))
-    radius_sq = np.where(np.isfinite(radii_arr), radii_arr * radii_arr, np.inf)
-
     coords = tree.columns
     ids = tree.ids
     split_dim = tree.split_dim
@@ -347,9 +359,70 @@ def batch_knn(
         active = np.flatnonzero(stack_len > 0)
 
     out_d_sq, out_i = topk.sorted_results()
+    return out_d_sq, out_i, agg
+
+
+#: Per-call engine crossover, measured by the small-batch sweep of
+#: ``benchmarks/bench_kernels.py`` (``small_batch`` in ``BENCH_kernels.json``):
+#: the row-by-row engine stops beating the lockstep one between 32 and 128
+#: queries at k = 8 and between 16 and 64 at k = 136, depending on the
+#: dimensionality, so each width uses the low end of its range.
+_ROW_BY_ROW_MAX_QUERIES = 32
+_WIDE_K = 64
+_ROW_BY_ROW_MAX_QUERIES_WIDE_K = 16
+
+
+def _row_by_row_max(k: int) -> int:
+    """Largest batch the row-by-row engine answers (see the constants above)."""
+    return _ROW_BY_ROW_MAX_QUERIES if k <= _WIDE_K else _ROW_BY_ROW_MAX_QUERIES_WIDE_K
+
+
+def _answer(engine, tree, queries, k, radii, stats):
+    """Shared prologue/epilogue of the batch entry points."""
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    _check_radii(radii)
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    n_queries = queries.shape[0]
+    if tree.n_points == 0 or n_queries == 0:
+        agg = QueryStats(queries=n_queries)
+        out_d_sq = np.full((n_queries, k), np.inf, dtype=np.float64)
+        out_i = np.full((n_queries, k), -1, dtype=np.int64)
+    else:
+        if queries.shape[1] != tree.dims:
+            raise ValueError(f"queries have {queries.shape[1]} dims, tree has {tree.dims}")
+        radii_arr = np.broadcast_to(np.asarray(radii, dtype=np.float64), (n_queries,))
+        if engine is None:
+            engine = _rows_engine if n_queries <= _row_by_row_max(k) else _lockstep_engine
+        out_d_sq, out_i, agg = engine(tree, queries, k, radii_arr * radii_arr)
     if stats is not None:
         stats.merge(agg)
     return np.sqrt(out_d_sq), out_i, agg
+
+
+def batch_knn(
+    tree: KDTree,
+    queries: np.ndarray,
+    k: int,
+    radii: np.ndarray | float = np.inf,
+    stats: QueryStats | None = None,
+) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
+    """Batched KNN: one answer per query row, whichever engine computes it.
+
+    Picks per call, from the number of queries and ``k`` alone, between the
+    row-by-row loop and the lockstep traversal (small batches cannot
+    amortise the lockstep loop's fixed cost).  The choice is invisible:
+    both engines return identical distances, ids and ``QueryStats``
+    counters for every row (module docstring), so the answer to a query
+    does not depend on the batch it arrived in.  Candidate filtering
+    against the radius is inclusive and the top-k bound strict.  A negative
+    or NaN radius raises ``ValueError``.
+
+    Returns ``(distances, ids, stats)`` where the arrays have shape
+    ``(n_queries, k)``; missing neighbours (fewer than k in range) are padded
+    with ``inf`` distances and id ``-1``.
+    """
+    return _answer(None, tree, queries, k, radii, stats)
 
 
 def batch_knn_scalar(
@@ -359,27 +432,24 @@ def batch_knn_scalar(
     radii: np.ndarray | float = np.inf,
     stats: QueryStats | None = None,
 ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
-    """Reference batch path: one scalar :func:`knn_search` per query row.
+    """:func:`batch_knn` pinned to the row-by-row engine at every batch size."""
+    return _answer(_rows_engine, tree, queries, k, radii, stats)
 
-    Kept as the A/B baseline for :func:`batch_knn` — both must return the
-    same neighbour distances and the same aggregated ``QueryStats`` (tie
-    identity at the k-th distance excepted).
+
+def _batch_knn_lockstep(
+    tree: KDTree,
+    queries: np.ndarray,
+    k: int,
+    radii: np.ndarray | float = np.inf,
+    stats: QueryStats | None = None,
+) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
+    """:func:`batch_knn` pinned to the lockstep engine at every batch size.
+
+    With :func:`batch_knn_scalar`, the two sides of the engine A/B tests
+    and benchmarks, which must keep comparing the engines below the
+    crossover too.
     """
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    n_queries = queries.shape[0]
-    out_d = np.full((n_queries, k), np.inf, dtype=np.float64)
-    out_i = np.full((n_queries, k), -1, dtype=np.int64)
-    agg = QueryStats()
-    radii_arr = np.broadcast_to(np.asarray(radii, dtype=np.float64), (n_queries,))
-    for qi in range(n_queries):
-        result = knn_search(tree, queries[qi], k, radius=float(radii_arr[qi]))
-        found = result.k_found
-        out_d[qi, :found] = result.distances
-        out_i[qi, :found] = result.ids
-        agg.merge(result.stats)
-    if stats is not None:
-        stats.merge(agg)
-    return out_d, out_i, agg
+    return _answer(_lockstep_engine, tree, queries, k, radii, stats)
 
 
 def brute_force_knn(

@@ -71,6 +71,25 @@ class TestExactness:
         assert calls["completed"] == calls["submitted"]
 
 
+    def test_lattice_ids_do_not_depend_on_batching(self):
+        # Every row has exact ties at its k-th distance.  One query per
+        # call reaches the shards as one-row batches (row-by-row engine),
+        # one burst flush as a few hundred rows (lockstep engine); the tie
+        # rule is the same, so the answers are the same bytes, ids included.
+        k = 8
+        rng = np.random.default_rng(9)
+        lattice = np.stack(np.meshgrid(*[np.arange(-5.0, 6.0)] * 3), axis=-1).reshape(-1, 3)
+        queries = rng.integers(-10, 11, size=(200, 3)) / 2.0  # lattice points and midpoints
+        with fleet_over(lattice, k=k) as one_by_one, fleet_over(lattice, k=k) as burst:
+            single = [one_by_one.query(q) for q in queries]
+            request_ids = [burst.submit(q, at=0.0) for q in queries]
+            assert burst.flush() == len(queries)  # one batch, not a trickle
+            for (d, i), request_id in zip(single, request_ids):
+                burst_d, burst_i = burst.result(request_id)
+                assert d.tobytes() == burst_d.tobytes()
+                assert i.tobytes() == burst_i.tobytes()
+
+
 class TestFanout:
     def test_tree_plan_prunes_on_clustered_data(self, clustered):
         fleet = fleet_over(clustered, n_shards=4)

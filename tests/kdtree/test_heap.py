@@ -1,79 +1,57 @@
-"""Tests for the bounded max-heap, the batched top-k and the top-k merges."""
+"""Tests for the sorted single-query top-k, the batched top-k and the top-k merges."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kdtree.heap import BatchTopK, BoundedMaxHeap, merge_topk, merge_topk_rows
+from repro.kdtree.heap import BatchTopK, merge_topk, merge_topk_rows, offer_sorted
 
 
-class TestBoundedMaxHeap:
-    def test_requires_positive_k(self):
-        with pytest.raises(ValueError):
-            BoundedMaxHeap(0)
+class TestOfferSorted:
+    def test_closer_candidate_replaces_last_when_full(self):
+        top_d, top_i = [3.0, 5.0], [2, 1]
+        assert offer_sorted(top_d, top_i, 2, [1.0], [3]) == 1
+        assert top_d == [1.0, 3.0]
+        assert top_i == [3, 2]
 
-    def test_worst_is_inf_until_full(self):
-        heap = BoundedMaxHeap(3)
-        heap.push(1.0, 1)
-        heap.push(2.0, 2)
-        assert heap.worst() == np.inf
-        heap.push(3.0, 3)
-        assert heap.worst() == 3.0
+    def test_farther_or_tied_candidate_rejected_when_full(self):
+        top_d, top_i = [1.0, 2.0], [1, 2]
+        assert offer_sorted(top_d, top_i, 2, [2.0, 5.0], [3, 4]) == 0
+        assert top_d == [1.0, 2.0]
+        assert top_i == [1, 2]
 
-    def test_push_replaces_farthest_when_full(self):
-        heap = BoundedMaxHeap(2)
-        heap.push(5.0, 1)
-        heap.push(3.0, 2)
-        assert heap.push(1.0, 3) is True
-        dists, ids = heap.sorted_items()
-        assert list(ids) == [3, 2]
-        assert list(dists) == [1.0, 3.0]
+    def test_kept_ascending_and_accepted_while_not_full(self):
+        top_d, top_i = [2.0], [2]
+        assert offer_sorted(top_d, top_i, 4, [1.0, 3.0, 4.0], [1, 3, 4]) == 3
+        assert top_d == [1.0, 2.0, 3.0, 4.0]
+        assert top_i == [1, 2, 3, 4]
 
-    def test_push_rejects_farther_candidate_when_full(self):
-        heap = BoundedMaxHeap(2)
-        heap.push(1.0, 1)
-        heap.push(2.0, 2)
-        assert heap.push(5.0, 3) is False
-        assert heap.worst() == 2.0
-
-    def test_sorted_items_ascending(self):
-        heap = BoundedMaxHeap(4)
-        for d, i in [(4.0, 4), (1.0, 1), (3.0, 3), (2.0, 2)]:
-            heap.push(d, i)
-        dists, ids = heap.sorted_items()
-        assert list(dists) == [1.0, 2.0, 3.0, 4.0]
-        assert list(ids) == [1, 2, 3, 4]
-
-    def test_len_and_is_full(self):
-        heap = BoundedMaxHeap(2)
-        assert len(heap) == 0 and not heap.is_full
-        heap.push(1.0, 1)
-        heap.push(2.0, 2)
-        assert len(heap) == 2 and heap.is_full
-
-    def test_push_many(self):
-        heap = BoundedMaxHeap(3)
-        kept = heap.push_many(np.array([5.0, 1.0, 2.0, 9.0]), np.array([5, 1, 2, 9]))
-        assert kept >= 3
-        dists, _ = heap.sorted_items()
-        assert list(dists) == [1.0, 2.0, 5.0]
-
-    def test_max_distance_empty(self):
-        assert BoundedMaxHeap(3).max_distance() == np.inf
+    def test_tied_candidate_goes_after_held_entries(self):
+        # The tie rule: first offered wins, so the later tie is the one
+        # dropped when a closer candidate pushes the list past k.
+        top_d, top_i = [1.0, 2.0], [10, 20]
+        assert offer_sorted(top_d, top_i, 4, [1.0, 2.0], [11, 21]) == 2
+        assert top_i == [10, 11, 20, 21]
+        assert offer_sorted(top_d, top_i, 4, [0.5], [5]) == 1
+        assert top_i == [5, 10, 11, 20]
 
     @given(
         values=st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=60),
         k=st.integers(min_value=1, max_value=10),
+        chunk=st.integers(min_value=1, max_value=12),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_numpy_topk(self, values, k):
-        heap = BoundedMaxHeap(k)
-        for i, v in enumerate(values):
-            heap.push(v, i)
-        dists, _ = heap.sorted_items()
-        expected = np.sort(np.asarray(values))[: min(k, len(values))]
-        assert np.allclose(np.sort(dists), expected)
+    def test_matches_numpy_topk(self, values, k, chunk):
+        top_d, top_i = [], []
+        for lo in range(0, len(values), chunk):
+            block = sorted(zip(values[lo : lo + chunk], range(lo, lo + chunk)))
+            offer_sorted(top_d, top_i, k, [d for d, _ in block], [i for _, i in block])
+        # Stable argsort is the tie rule stated once: equal values keep
+        # their offer order, so ids match too, not only distances.
+        order = np.argsort(np.asarray(values), kind="stable")[:k]
+        assert top_d == np.asarray(values)[order].tolist()
+        assert top_i == order.tolist()
 
 
 class TestBatchTopK:
@@ -128,47 +106,30 @@ class TestBatchTopK:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_sequential_heap_and_counts(self, batches, k):
-        """Accepted counts and final contents replicate BoundedMaxHeap pushes."""
+        """Accepted counts, distances and ids replicate ``offer_sorted``."""
         topk = BatchTopK(1, k)
-        heap = BoundedMaxHeap(k)
+        top_d, top_i = [], []
         next_id = 0
         for batch in batches:
             ids = np.arange(next_id, next_id + len(batch))
             next_id += len(batch)
-            # Scalar reference: strict-< pushes in ascending distance order.
-            pushes = 0
+            # Single-query reference: offers in ascending, stable order.
             order = np.argsort(np.asarray(batch), kind="stable")
-            for j in order:
-                if batch[j] < heap.worst():
-                    heap.push(float(batch[j]), int(ids[j]))
-                    pushes += 1
+            offered = offer_sorted(
+                top_d, top_i, k, np.asarray(batch)[order].tolist(), ids[order].tolist()
+            )
             accepted = topk.update(
                 np.array([0]), np.asarray([batch], dtype=np.float64), ids[None, :]
             )
-            assert accepted[0] == pushes
-        heap_d, heap_i = heap.sorted_items()
-        found = int(np.isfinite(topk.dists[0]).sum())
-        assert np.array_equal(topk.dists[0][:found], heap_d)
-        # Which of several candidates tied at the k-th distance survives is
-        # unspecified (the heap evicts in heap order, the batch merge in
-        # stored order), so ids are only compared when all distances differ.
-        all_values = [v for batch in batches for v in batch]
-        if len(set(all_values)) == len(all_values):
-            assert sorted(topk.ids[0][:found].tolist()) == sorted(heap_i.tolist())
+            assert accepted[0] == offered
+        # One tie rule: ids are compared always, ties at the k-th included.
+        assert topk.dists[0][: len(top_d)].tolist() == top_d
+        assert topk.ids[0][: len(top_i)].tolist() == top_i
+        assert np.all(topk.ids[0][len(top_i) :] == -1)
 
 
 class TestDtypeHandling:
-    """Non-float64 candidates are widened into the heaps' float64 storage."""
-
-    def test_push_many_accepts_float32(self):
-        heap = BoundedMaxHeap(3)
-        dists = np.array([5.0, 1.0, 2.0, 9.0], dtype=np.float32)
-        kept = heap.push_many(dists, np.array([5, 1, 2, 9], dtype=np.int32))
-        assert kept >= 3
-        sorted_d, sorted_i = heap.sorted_items()
-        assert sorted_d.dtype == np.float64
-        assert list(sorted_d) == [1.0, 2.0, 5.0]
-        assert list(sorted_i) == [1, 2, 5]
+    """Non-float64 candidates are widened into the batch top-k's float64 storage."""
 
     def test_batch_topk_converts_candidates_to_row_dtype(self):
         # float32 candidates offered to float64 rows widen losslessly.

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.kdtree.build import build_kdtree
-from repro.kdtree.query import batch_knn, brute_force_knn, knn_search
+from repro.kdtree.query import _batch_knn_lockstep, batch_knn_scalar, brute_force_knn, knn_search
 from repro.kdtree.tree import KDTreeConfig
 from repro.kdtree.validate import check_tree_invariants
 
@@ -31,6 +31,16 @@ def point_clouds(min_points: int = 1, max_points: int = 300, max_dims: int = 5):
     )
 
 
+def _assert_engines_agree(tree, queries, k):
+    """Both engines, pinned: these batches sit below ``batch_knn``'s crossover."""
+    lockstep = _batch_knn_lockstep(tree, queries, k)
+    rows = batch_knn_scalar(tree, queries, k)
+    assert np.array_equal(lockstep[0], rows[0])
+    assert np.array_equal(lockstep[1], rows[1])
+    assert lockstep[2] == rows[2]
+    return lockstep
+
+
 class TestTreeProperties:
     @given(points=point_clouds(), bucket=st.sampled_from([4, 16, 32]))
     @settings(max_examples=60, deadline=None)
@@ -44,7 +54,7 @@ class TestTreeProperties:
     def test_knn_matches_brute_force(self, points, k):
         tree = build_kdtree(points)
         queries = points[:: max(1, points.shape[0] // 10)]
-        d, _, _ = batch_knn(tree, queries, k)
+        d, _, _ = _assert_engines_agree(tree, queries, k)
         bd, _ = brute_force_knn(points, np.arange(points.shape[0]), queries, k)
         assert np.allclose(d, bd, atol=1e-9)
 
@@ -90,6 +100,6 @@ class TestTreeProperties:
         points = np.repeat(base, copies, axis=0)
         tree = build_kdtree(points)
         check_tree_invariants(tree)
-        d, _, _ = batch_knn(tree, base, k)
+        d, _, _ = _assert_engines_agree(tree, base, k)
         bd, _ = brute_force_knn(points, np.arange(points.shape[0]), base, k)
         assert np.allclose(d, bd)

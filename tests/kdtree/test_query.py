@@ -1,32 +1,24 @@
 """Tests for Algorithm 1: local k-nearest-neighbour search."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.kdtree import query as query_module
 from repro.kdtree.build import build_kdtree
 from repro.kdtree.leafblocks import scan_columns_sq
 from repro.kdtree.query import (
     KNNResult,
     QueryStats,
+    _batch_knn_lockstep,
+    _row_by_row_max,
     batch_knn,
     batch_knn_scalar,
     brute_force_knn,
     knn_search,
 )
 from repro.kdtree.tree import KDTreeConfig
-
-
-def _tie_normalized(dists: np.ndarray, ids: np.ndarray):
-    """Sort each row by (distance, id) so tie order does not matter."""
-    dists = np.atleast_2d(dists)
-    ids = np.atleast_2d(ids)
-    out_d = np.empty_like(dists)
-    out_i = np.empty_like(ids)
-    for r in range(dists.shape[0]):
-        order = np.lexsort((ids[r], dists[r]))
-        out_d[r] = dists[r][order]
-        out_i[r] = ids[r][order]
-    return out_d, out_i
 
 
 def _near_tie_large_magnitude():
@@ -209,6 +201,36 @@ class TestRadiusBoundedSearch:
         assert bounded.stats.nodes_visited <= full.stats.nodes_visited
 
 
+class TestRadiusValidation:
+    """A negative radius used to act as ``|r|`` and a NaN one as unbounded."""
+
+    @pytest.mark.parametrize("radius", [-0.1, -np.inf, np.nan])
+    def test_single_query_rejects(self, tree_and_points, radius):
+        tree, points = tree_and_points
+        with pytest.raises(ValueError, match="radius"):
+            knn_search(tree, points[0], 3, radius=radius)
+
+    @pytest.mark.parametrize("engine", [batch_knn, batch_knn_scalar, _batch_knn_lockstep])
+    @pytest.mark.parametrize("radii", [-0.1, np.nan, [0.5, -0.5], [np.nan, 1.0]])
+    def test_batch_rejects(self, tree_and_points, engine, radii):
+        tree, points = tree_and_points
+        with pytest.raises(ValueError, match="radius"):
+            engine(tree, points[:2], 3, radii=radii)
+
+    def test_rejected_on_an_empty_tree_too(self):
+        tree = build_kdtree(np.empty((0, 3)))
+        with pytest.raises(ValueError, match="radius"):
+            knn_search(tree, np.zeros(3), 3, radius=-1.0)
+        with pytest.raises(ValueError, match="radius"):
+            batch_knn(tree, np.zeros((2, 3)), 3, radii=-1.0)
+
+    def test_zero_and_infinite_radii_stay_valid(self, tree_and_points):
+        tree, points = tree_and_points
+        assert knn_search(tree, points[0], 3, radius=0.0).k_found == 1
+        d, _, _ = batch_knn(tree, points[:2], 3, radii=[0.0, np.inf])
+        assert np.isfinite(d).sum(axis=1).tolist() == [1, 3]
+
+
 class TestBatchKnn:
     def test_shapes_and_padding(self):
         rng = np.random.default_rng(4)
@@ -261,24 +283,32 @@ class TestBruteForce:
 
 
 class TestVectorizedMatchesScalar:
-    """A/B: the vectorised batch traversal must replicate the scalar path."""
+    """A/B: the lockstep traversal must replicate the row-by-row loop.
+
+    Both sides are pinned (``_batch_knn_lockstep`` against
+    ``batch_knn_scalar``), never ``batch_knn``: below its crossover that
+    would compare the row-by-row engine with itself.
+    """
 
     @pytest.mark.parametrize("k", [1, 5, 16])
     def test_random_data_identical(self, tree_and_points, k):
         tree, _ = tree_and_points
         rng = np.random.default_rng(8)
         queries = rng.normal(size=(120, 3))
-        d_vec, i_vec, s_vec = batch_knn(tree, queries, k)
-        d_ref, i_ref, s_ref = batch_knn_scalar(tree, queries, k)
-        assert np.array_equal(d_vec, d_ref)
-        assert np.array_equal(i_vec, i_ref)
-        assert s_vec == s_ref
+        # Every batch size down to one row, across the crossover.
+        crossover = _row_by_row_max(k)
+        for n in (1, 2, crossover - 1, crossover, crossover + 1, 120):
+            d_vec, i_vec, s_vec = _batch_knn_lockstep(tree, queries[:n], k)
+            d_ref, i_ref, s_ref = batch_knn_scalar(tree, queries[:n], k)
+            assert np.array_equal(d_vec, d_ref)
+            assert np.array_equal(i_vec, i_ref)
+            assert s_vec == s_ref
 
     def test_clustered_data_identical(self, cosmo_points):
         tree = build_kdtree(cosmo_points)
         rng = np.random.default_rng(9)
         queries = cosmo_points[rng.choice(cosmo_points.shape[0], 150, replace=False)]
-        d_vec, i_vec, s_vec = batch_knn(tree, queries, 8)
+        d_vec, i_vec, s_vec = _batch_knn_lockstep(tree, queries, 8)
         d_ref, i_ref, s_ref = batch_knn_scalar(tree, queries, 8)
         assert np.array_equal(d_vec, d_ref)
         assert np.array_equal(i_vec, i_ref)
@@ -289,7 +319,7 @@ class TestVectorizedMatchesScalar:
         tree, _ = tree_and_points
         rng = np.random.default_rng(10)
         queries = rng.normal(size=(60, 3))
-        _, _, s_vec = batch_knn(tree, queries, 6)
+        _, _, s_vec = _batch_knn_lockstep(tree, queries, 6)
         _, _, s_ref = batch_knn_scalar(tree, queries, 6)
         assert s_vec.queries == s_ref.queries == 60
         assert s_vec == s_ref
@@ -299,7 +329,7 @@ class TestVectorizedMatchesScalar:
         rng = np.random.default_rng(11)
         queries = rng.normal(size=(50, 3))
         radii = rng.uniform(0.05, 0.8, size=50)
-        d_vec, i_vec, s_vec = batch_knn(tree, queries, 5, radii=radii)
+        d_vec, i_vec, s_vec = _batch_knn_lockstep(tree, queries, 5, radii=radii)
         d_ref, i_ref, s_ref = batch_knn_scalar(tree, queries, 5, radii=radii)
         assert np.array_equal(d_vec, d_ref)
         assert np.array_equal(i_vec, i_ref)
@@ -311,28 +341,26 @@ class TestVectorizedMatchesScalar:
         points = np.repeat(base, 4, axis=0)  # every coordinate 4 times
         tree = build_kdtree(points)
         queries = base[:25] + rng.normal(scale=0.01, size=(25, 3))
-        d_vec, i_vec, _ = batch_knn(tree, queries, 6)
-        d_ref, i_ref, _ = batch_knn_scalar(tree, queries, 6)
-        # The distance multisets must agree exactly.  Which of several
-        # points tied at the k-th distance is kept is unspecified (the
-        # scalar heap evicts in heap order, the batch merge in stored
-        # order), so ids are checked for validity instead of identity.
-        nd_vec, _ = _tie_normalized(d_vec, i_vec)
-        nd_ref, _ = _tie_normalized(d_ref, i_ref)
-        assert np.array_equal(nd_vec, nd_ref)
-        for d, i in ((d_vec, i_vec), (d_ref, i_ref)):
-            for row in range(queries.shape[0]):
-                ids_row = i[row]
-                assert len(set(ids_row.tolist())) == ids_row.shape[0]
-                true_d = np.linalg.norm(points[ids_row] - queries[row], axis=1)
-                assert np.allclose(true_d, d[row], atol=1e-12)
+        d_vec, i_vec, s_vec = _batch_knn_lockstep(tree, queries, 6)
+        d_ref, i_ref, s_ref = batch_knn_scalar(tree, queries, 6)
+        # Four copies tie at every distance and k = 6 cuts through a group
+        # of them; the tie rule is shared, so the id arrays are equal, not
+        # merely the id sets.
+        assert np.array_equal(d_vec, d_ref)
+        assert np.array_equal(i_vec, i_ref)
+        assert s_vec == s_ref
+        for row in range(queries.shape[0]):
+            ids_row = i_vec[row]
+            assert len(set(ids_row.tolist())) == ids_row.shape[0]
+            true_d = np.linalg.norm(points[ids_row] - queries[row], axis=1)
+            assert np.allclose(true_d, d_vec[row], atol=1e-12)
 
     def test_fewer_points_than_k_identical(self):
         rng = np.random.default_rng(13)
         points = rng.normal(size=(7, 3))
         tree = build_kdtree(points)
         queries = rng.normal(size=(30, 3))
-        d_vec, i_vec, s_vec = batch_knn(tree, queries, 20)
+        d_vec, i_vec, s_vec = _batch_knn_lockstep(tree, queries, 20)
         d_ref, i_ref, s_ref = batch_knn_scalar(tree, queries, 20)
         assert np.array_equal(d_vec, d_ref)
         assert np.array_equal(i_vec, i_ref)
@@ -344,18 +372,19 @@ class TestVectorizedMatchesScalar:
     def test_hard_inputs_match_scalar_and_brute_force(self, make_input):
         points, queries, k, radii = make_input()
         tree = build_kdtree(points)
-        d_vec, i_vec, s_vec = batch_knn(tree, queries, k, radii=radii)
-        d_ref, _, s_ref = batch_knn_scalar(tree, queries, k, radii=radii)
+        d_vec, i_vec, s_vec = _batch_knn_lockstep(tree, queries, k, radii=radii)
+        d_ref, i_ref, s_ref = batch_knn_scalar(tree, queries, k, radii=radii)
         assert np.array_equal(d_vec, d_ref)
+        assert np.array_equal(i_vec, i_ref)
         assert s_vec == s_ref
         # Brute force runs the same per-dimension accumulation, so within
         # the radius it agrees to the bit, not merely to a tolerance.
         bd, _ = brute_force_knn(points, np.arange(points.shape[0]), queries, k)
         radii_col = np.broadcast_to(radii, (queries.shape[0],))[:, None]
         assert np.array_equal(d_vec, np.where(bd <= radii_col, bd, np.inf))
-        # Which of several points tied at one distance is kept is
-        # unspecified, so ids are checked for validity, not identity: each
-        # is distinct and really lies at the distance reported for it.
+        # Brute force breaks ties its own way, so against it ids are
+        # checked for validity, not identity: each is distinct and really
+        # lies at the distance reported for it.
         for row in range(queries.shape[0]):
             ids_row = i_vec[row][i_vec[row] >= 0]
             assert np.array_equal(np.isfinite(d_vec[row]), i_vec[row] >= 0)
@@ -385,6 +414,82 @@ class TestVectorizedMatchesScalar:
         tree, _ = tree_and_points
         with pytest.raises(ValueError):
             batch_knn(tree, np.zeros((3, 5)), 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _tie_case(kind: str, dims: int):
+    """``(tree, 128 queries)`` over data where every distance is tied."""
+    rng = np.random.default_rng(31 + dims)
+    if kind == "lattice":
+        side, levels = (12, 23) if dims == 3 else (2, 3)
+        axes = [np.arange(side, dtype=np.float64)] * dims
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dims)
+        points = np.vstack([points, points[::3]])  # every third point twice
+        queries = rng.integers(0, levels, size=(128, dims)) / 2.0  # points and midpoints
+    elif kind == "duplicated":
+        base = rng.normal(size=(60, dims))
+        points = np.repeat(base, 4, axis=0)
+        queries = base[rng.integers(0, 60, size=128)]
+        queries[::2] += rng.normal(scale=0.01, size=(64, dims))
+    else:
+        points = np.full((70, dims), 2.5)
+        queries = np.where(rng.random((128, 1)) < 0.5, 2.5, rng.normal(size=(128, dims)))
+    return build_kdtree(points), queries
+
+
+class TestTieRule:
+    """One answer per query, whichever engine and batch it went through.
+
+    Among candidates tied at a distance the one met first in the query's
+    own DFS scan order is kept, in both engines, so a row's distances, ids
+    and work counters are the same asked alone (``knn_search`` or a one-row
+    batch) and inside batches on either side of ``batch_knn``'s crossover.
+    """
+
+    @pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+    @pytest.mark.parametrize("k", [1, 8, 40])
+    @pytest.mark.parametrize("dims", [3, 10])
+    @pytest.mark.parametrize("kind", ["lattice", "duplicated", "identical"])
+    def test_answer_independent_of_batch_size(self, kind, dims, k, bounded):
+        tree, queries = _tie_case(kind, dims)
+        crossover = _row_by_row_max(k)
+        queries = queries[: 4 * crossover]
+        radii = np.full(queries.shape[0], np.inf)
+        if bounded:
+            # Per-row radii below, exactly at (inclusive) and above the
+            # row's own k-th distance, as a remote rank is bounded.
+            kth = batch_knn(tree, queries, k)[0][:, -1]
+            radii = kth * np.resize([0.5, 1.0, 1.5], kth.shape)
+        alone = [batch_knn(tree, q, k, radii=r) for q, r in zip(queries, radii)]
+        for (d, i, s), q, r in zip(alone, queries, radii):
+            single = knn_search(tree, q, k, radius=r)
+            found = single.k_found
+            assert np.array_equal(single.distances, d[0, :found])
+            assert np.array_equal(single.ids, i[0, :found])
+            assert np.all(i[0, found:] == -1)
+            assert single.stats == s
+        for n in (crossover - 1, crossover, crossover + 1, 4 * crossover):
+            d, i, s = batch_knn(tree, queries[:n], k, radii=radii[:n])
+            assert np.array_equal(d, np.concatenate([a[0] for a in alone[:n]]))
+            assert np.array_equal(i, np.concatenate([a[1] for a in alone[:n]]))
+            summed = QueryStats()
+            for a in alone[:n]:
+                summed.merge(a[2])
+            assert s == summed
+
+    def test_engine_is_chosen_from_batch_size_and_k(self, monkeypatch):
+        used = []
+        for name in ("_rows_engine", "_lockstep_engine"):
+            real = getattr(query_module, name)
+            monkeypatch.setattr(
+                query_module, name, lambda *args, _n=name, _r=real: used.append(_n) or _r(*args)
+            )
+        tree, queries = _tie_case("lattice", 3)
+        for k in (8, 136):
+            crossover = _row_by_row_max(k)
+            batch_knn(tree, queries[:crossover], k)
+            batch_knn(tree, queries[: crossover + 1], k)
+        assert used == ["_rows_engine", "_lockstep_engine"] * 2
 
 
 class TestInclusiveRadius:
