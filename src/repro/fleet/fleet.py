@@ -532,14 +532,16 @@ class KNNFleet:
         that shard's group.  Auto ids continue above the largest id ever
         indexed fleet-wide.
         """
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if points.shape[1] != self._dims:
+            raise ValueError(f"points have {points.shape[1]} dims, fleet has {self._dims}")
+        if not np.isfinite(points).all():
+            raise ValueError("points must have finite coordinates (found nan or inf)")
         now = self._advance(at)
         # Quiet flush: a batch stalled on a dead shard must not block a
         # mutation whose own target shards are healthy (the stuck queries
         # answer against the then-current live set once retried).
         self._dispatch_quietly(now)
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if points.shape[1] != self._dims:
-            raise ValueError(f"points have {points.shape[1]} dims, fleet has {self._dims}")
         if ids is None:
             ids = np.arange(
                 self._next_auto_id, self._next_auto_id + points.shape[0], dtype=np.int64

@@ -204,6 +204,10 @@ _SERVICE_COUNTERS = {
         "repro_service_rebuild_seconds_total",
         "Wall seconds spent rebuilding per replica service.",
     ),
+    "refetched_rows": (
+        "repro_service_refetched_rows_total",
+        "Answer rows sent back to the tree because they held a tombstoned id.",
+    ),
     "cache_hits": ("repro_service_cache_hits_total", "Result-cache hits."),
     "cache_misses": ("repro_service_cache_misses_total", "Result-cache misses."),
     "cache_evictions": (

@@ -23,8 +23,9 @@ and compute all show up in the reported percentiles.
 
 Streaming updates (:meth:`KNNService.insert` / :meth:`KNNService.delete`)
 are absorbed by a brute-force delta buffer and a tombstone set
-(:mod:`repro.service.delta`) whose answers are fused with the tree's; a
-:class:`RebuildPolicy` folds them into a fresh index before either grows
+(:mod:`repro.service.delta`): a read asks the tree for ``k``, goes back
+only for the rows a dead id touched, and fuses one delta scan per batch; a
+:class:`RebuildPolicy` folds both into a fresh index before either grows
 enough to hurt.  Mutations invalidate the LRU result cache *selectively*:
 only entries whose stored k-th-distance ball can intersect the mutated
 points are dropped, so unrelated hot keys keep hitting — and every
@@ -59,11 +60,11 @@ import numpy as np
 from repro.analysis.annotations import exactness_path, requires_lock
 from repro.analysis.runtime import guarded, new_rlock
 from repro.core.snapshot import allocate_version_dir, promote_version
-from repro.kdtree.query import brute_force_knn
+from repro.kdtree.heap import merge_topk_rows
 from repro.obs.clock import MONOTONIC, Clock
 from repro.obs.profiler import phase
 from repro.service.cache import CacheStats, LRUCache, query_key
-from repro.service.delta import DeltaBuffer
+from repro.service.delta import DeltaBuffer, sorted_member
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,11 @@ class RebuildPolicy:
         Rebuild once this many inserted points are buffered (bounds the
         brute-force scan the delta buffer adds to every batch).
     max_tombstones:
-        Rebuild once this many tree points are deleted (bounds the
-        ``k + tombstones`` over-fetch the exact delete filter needs).
+        Rebuild once this many tree points are deleted.  A read fetches
+        ``k`` and re-fetches only the rows a dead id touched, so this bounds
+        the worst-case re-fetch width (``k + tombstones``, a whole deleted
+        neighbourhood), not the width of every read; lower it when
+        ``refetched_rows`` climbs.
     max_staleness_s:
         Rebuild once the oldest un-absorbed update is this old (logical
         service time), regardless of buffer sizes.
@@ -278,44 +282,6 @@ def summarize_records(records: Sequence[RequestRecord]) -> Dict[str, float]:
     }
 
 
-@exactness_path
-def _answer_snapshot(
-    backend,
-    tomb_ids: np.ndarray,
-    delta_points: np.ndarray,
-    delta_ids: np.ndarray,
-    queries: np.ndarray,
-    k: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact live-set KNN over a frozen snapshot of the service state.
-
-    Over-fetched tree answers (tombstones filtered) fused with brute-force
-    answers over the delta arrays — byte-identical to what the service
-    would answer synchronously at the moment the snapshot was taken.  Pure
-    function of immutable inputs.
-    """
-    n_tomb = int(tomb_ids.size)
-    d_tree, i_tree = backend.kneighbors(queries, k + n_tomb)
-    if n_tomb:
-        dead = np.isin(i_tree, tomb_ids)
-        d_tree = np.where(dead, np.inf, d_tree)
-        i_tree = np.where(dead, -1, i_tree)
-    if delta_ids.size:
-        d_delta, i_delta = brute_force_knn(delta_points, delta_ids, queries, k)
-        all_d = np.concatenate([d_tree, d_delta], axis=1)
-        all_i = np.concatenate([i_tree, i_delta], axis=1)
-    elif n_tomb:
-        all_d, all_i = d_tree, i_tree
-    else:
-        return d_tree, i_tree
-    all_d = np.where(all_i >= 0, all_d, np.inf)
-    order = np.argsort(all_d, axis=1, kind="stable")[:, :k]
-    out_d = np.take_along_axis(all_d, order, axis=1)
-    out_i = np.take_along_axis(all_i, order, axis=1)
-    out_i = np.where(np.isfinite(out_d), out_i, -1)
-    return out_d, out_i
-
-
 @dataclass
 class _Pending:
     request_id: int
@@ -400,6 +366,7 @@ class KNNService:
         "version": "_lock",
         "rebuilds": "_lock",
         "rebuild_seconds": "_lock",
+        "refetched_rows": "_lock",
         "_pending": "_lock",
         "_results": "_lock",
         "_result_order": "_lock",
@@ -443,6 +410,7 @@ class KNNService:
         self.version = 0
         self.rebuilds = 0
         self.rebuild_seconds = 0.0
+        self.refetched_rows = 0
         self.background_rebuild = background_rebuild
         self.snapshot_root = Path(snapshot_root) if snapshot_root is not None else None
         self._service_time = service_time
@@ -550,6 +518,7 @@ class KNNService:
                 ),
                 "delta_inserts": float(self.delta.n_inserted),
                 "tombstones": float(self.delta.n_tombstones),
+                "refetched_rows": float(self.refetched_rows),
                 "cache_hits": float(stats.hits),
                 "cache_misses": float(stats.misses),
                 "cache_evictions": float(stats.evictions),
@@ -645,7 +614,7 @@ class KNNService:
 
         The scatter-gather router of the fleet layer calls this: no
         queueing, no result cache, no per-request latency accounting — just
-        the exact live-set answer (tree + tombstone filter + delta fusion).
+        the exact live-set answer (tree, dead rows re-fetched, delta fused).
         Passing ``at`` advances the logical clock first, firing deadline
         flushes and background-rebuild swaps that were due by then.
         """
@@ -706,22 +675,25 @@ class KNNService:
         runs if the delta buffer crossed its policy threshold.
         Auto-assigned ids continue above the largest id ever indexed.
         """
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if not np.isfinite(points).all():
+            # No query can reach such a point, and the next rebuild would
+            # hand it to the tree builder.
+            raise ValueError("points must have finite coordinates (found nan or inf)")
         with self._lock:
             now = self._advance(at)
             self._dispatch(now)
-            points = np.atleast_2d(np.asarray(points, dtype=np.float64))
             if ids is None:
                 ids = np.arange(
                     self._next_auto_id, self._next_auto_id + points.shape[0], dtype=np.int64
                 )
             else:
                 ids = np.asarray(ids, dtype=np.int64)
-                live_backend = [
-                    int(i) for i in ids
-                    if int(i) in self._backend_ids and int(i) not in self.delta.tombstones
+                live_backend = ids[
+                    sorted_member(self._backend_ids, ids) & ~self.delta.dead_mask(ids)
                 ]
-                if live_backend:
-                    raise ValueError(f"ids already indexed: {live_backend[:5]}")
+                if live_backend.size:
+                    raise ValueError(f"ids already indexed: {live_backend[:5].tolist()}")
             self.delta.insert(points, ids)
             if ids.size:
                 self._next_auto_id = max(self._next_auto_id, int(ids.max()) + 1)
@@ -740,23 +712,24 @@ class KNNService:
         with self._lock:
             now = self._advance(at)
             self._dispatch(now)
-            id_list = [int(i) for i in np.asarray(ids, dtype=np.int64).ravel()]
+            dead_ids = np.asarray(ids, dtype=np.int64).ravel()
+            buffered = np.fromiter(
+                map(self.delta.contains, dead_ids.tolist()), dtype=bool, count=dead_ids.size
+            )
+            live = buffered | (
+                sorted_member(self._backend_ids, dead_ids) & ~self.delta.dead_mask(dead_ids)
+            )
             # Validate the whole batch before mutating anything, so a bad id
             # cannot leave the delete half-applied with a stale cache.
             seen: set[int] = set()
-            for point_id in id_list:
-                live = self.delta.contains(point_id) or (
-                    point_id in self._backend_ids and point_id not in self.delta.tombstones
-                )
-                if not live or point_id in seen:
+            for point_id, is_live in zip(dead_ids.tolist(), live.tolist()):
+                if not is_live or point_id in seen:
                     raise KeyError(f"id {point_id} is not in the live set")
                 seen.add(point_id)
-            for point_id in id_list:
-                if self.delta.contains(point_id):
-                    self.delta.delete_buffered(point_id)
-                else:
-                    self.delta.add_tombstone(point_id)
-            self._invalidate_for_delete(np.array(id_list, dtype=np.int64))
+            for point_id in dead_ids[buffered].tolist():
+                self.delta.delete_buffered(point_id)
+            self.delta.add_tombstones(dead_ids[~buffered])
+            self._invalidate_for_delete(dead_ids)
             self._mark_dirty(now)
             self._maybe_rebuild(now)
 
@@ -808,10 +781,7 @@ class KNNService:
         with self._lock:
             tree_points, tree_ids = self.backend.all_points()
             if self.delta.n_tombstones:
-                tomb = np.fromiter(
-                    self.delta.tombstones, dtype=np.int64, count=self.delta.n_tombstones
-                )
-                live = ~np.isin(tree_ids, tomb)
+                live = ~self.delta.dead_mask(tree_ids)
                 tree_points, tree_ids = tree_points[live], tree_ids[live]
             delta_points, delta_ids = self.delta.live_arrays()
             points = np.concatenate([tree_points, delta_points], axis=0)
@@ -934,36 +904,26 @@ class KNNService:
         self._bg = None
         t_points, t_ids = bg.backend.all_points()
         buf_points, buf_ids = self.delta.live_arrays()
-        backend_ids = np.fromiter(self._backend_ids, dtype=np.int64, count=len(self._backend_ids))
-        if self.delta.n_tombstones:
-            tomb = np.fromiter(
-                self.delta.tombstones, dtype=np.int64, count=self.delta.n_tombstones
-            )
-            backend_ids = backend_ids[~np.isin(backend_ids, tomb)]
-        live_now = np.concatenate([backend_ids, buf_ids])
+        order = np.argsort(t_ids)
+        new_ids = t_ids[order]
 
-        dead_mask = ~np.isin(t_ids, live_now)
-        tombstones = set(int(i) for i in t_ids[dead_mask])
+        # Live now: in the old tree and not tombstoned, or buffered.
+        old_live = self._backend_ids[~self.delta.dead_mask(self._backend_ids)]
+        live_now = sorted_member(old_live, new_ids) | sorted_member(np.sort(buf_ids), new_ids)
 
+        in_tree = sorted_member(new_ids, buf_ids)
+        rows = order[np.searchsorted(new_ids, buf_ids[in_tree])]
+        same = np.all(t_points[rows] == buf_points[in_tree], axis=1)
+        # Absorbed verbatim -> leave the buffer; stale tree copy -> keep the
+        # buffer's coordinates and kill the tree's.
         keep_buffer = np.ones(buf_ids.shape[0], dtype=bool)
-        if buf_ids.size and t_ids.size:
-            order = np.argsort(t_ids, kind="stable")
-            pos = np.searchsorted(t_ids[order], buf_ids)
-            pos_clipped = np.minimum(pos, t_ids.size - 1)
-            in_tree = t_ids[order[pos_clipped]] == buf_ids
-            rows = order[pos_clipped[in_tree]]
-            same = np.all(t_points[rows] == buf_points[in_tree], axis=1)
-            # Absorbed verbatim -> leave the buffer; stale tree copy ->
-            # keep the buffer's coordinates and kill the tree's.
-            keep_buffer[np.flatnonzero(in_tree)[same]] = False
-            for stale_id in buf_ids[in_tree][~same]:
-                tombstones.add(int(stale_id))
+        keep_buffer[np.flatnonzero(in_tree)[same]] = False
 
         self.backend = bg.backend
         self.delta = DeltaBuffer(self.backend.dims)
         if keep_buffer.any():
             self.delta.insert(buf_points[keep_buffer], buf_ids[keep_buffer])
-        self.delta.tombstones = tombstones
+        self.delta.add_tombstones(np.concatenate([new_ids[~live_now], buf_ids[in_tree][~same]]))
         self.rebuilds += 1
         self.rebuild_seconds += bg.elapsed
         self._clear_cache_fully()
@@ -1072,17 +1032,59 @@ class KNNService:
     @exactness_path
     @requires_lock("_lock")
     def _answer(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact live-set KNN: over-fetched tree answers (tombstones
-        filtered) fused with the delta buffer's brute-force answers
-        (:func:`_answer_snapshot` over the current state)."""
-        n_tomb = self.delta.n_tombstones
-        tomb = (
-            np.fromiter(self.delta.tombstones, dtype=np.int64, count=n_tomb)
-            if n_tomb
-            else np.empty(0, dtype=np.int64)
-        )
-        delta_points, delta_ids = self.delta.live_arrays()
-        return _answer_snapshot(self.backend, tomb, delta_points, delta_ids, queries, k)
+        """Exact live-set KNN over the tree, the tombstones and the buffer.
+
+        The tree is asked for ``k``.  With no tombstone and no buffered
+        insert that is the answer.  Otherwise only the rows whose answer
+        holds a dead id go back to the tree (:meth:`_refetch_dead_rows`),
+        and the buffer is scanned once for the batch and merged in, tree
+        first on ties.
+        """
+        d, i = self.backend.kneighbors(queries, k)
+        if self.delta.n_tombstones:
+            d, i = self._refetch_dead_rows(queries, k, d, i)
+        if self.delta.n_inserted:
+            d, i = merge_topk_rows(k, d, i, *self.delta.query(queries, k))
+        return d, i
+
+    @exactness_path
+    @requires_lock("_lock")
+    def _refetch_dead_rows(
+        self, queries: np.ndarray, k: int, d: np.ndarray, i: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Replace every row of a width-``k`` tree answer that holds a
+        tombstoned id by its ``k`` nearest live tree points.
+
+        A fetch of width ``w`` holding ``c`` dead ids holds the ``w - c``
+        nearest live tree points in order, so a row is settled once
+        ``w - c >= k``, or once it shows padding (the tree is exhausted).
+        The unsettled rows go back as one sub-batch, ``c`` wider each time:
+        ``c`` exceeds what the last width allowed for, so the allowance at
+        least doubles per round, and the width stops at
+        ``k + n_tombstones``, which settles every row.
+        """
+        dead = self.delta.dead_mask(i)
+        rows = np.flatnonzero(dead.any(axis=1))
+        if rows.size == 0:
+            return d, i
+        cap = k + self.delta.n_tombstones
+        width, sub_d, sub_i, dead = k, d[rows], i[rows], dead[rows]
+        while True:
+            n_dead = dead.sum(axis=1)
+            settled = (width - n_dead >= k) | (sub_i[:, -1] < 0) | (width == cap)
+            # The one compaction rule, merging with an empty second block:
+            # dead slots are dropped, live ones keep their order.
+            none = np.empty((int(settled.sum()), 0))
+            d[rows[settled]], i[rows[settled]] = merge_topk_rows(
+                k, sub_d[settled], np.where(dead[settled], -1, sub_i[settled]), none, none
+            )
+            rows = rows[~settled]
+            if rows.size == 0:
+                return d, i
+            width = min(width + int(n_dead[~settled].max()), cap)
+            self.refetched_rows += int(rows.size)
+            sub_d, sub_i = self.backend.kneighbors(queries[rows], width)
+            dead = self.delta.dead_mask(sub_i)
 
     @requires_lock("_lock")
     def _mark_dirty(self, now: float) -> None:
@@ -1159,7 +1161,9 @@ class KNNService:
     @requires_lock("_lock")
     def _reindex_ids(self) -> None:
         _, ids = self.backend.all_points()
-        self._backend_ids = frozenset(int(i) for i in ids)
+        # One ascending array: whole-batch searchsorted membership for
+        # insert/delete and the swap, no Python object per indexed id.
+        self._backend_ids = np.sort(ids)
         # Auto ids only ever move forward: an id freed by a delete + rebuild
         # must not be reassigned to a different point.
         floor = int(ids.max()) + 1 if ids.size else 0

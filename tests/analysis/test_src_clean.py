@@ -20,9 +20,10 @@ def test_analyzer_clean_on_src(capsys):
 
 def test_every_suppression_is_justified():
     path = default_suppressions(default_root().resolve())
-    suppressions = load_suppressions(path)
-    assert suppressions, f"expected a non-empty suppression file at {path}"
-    for key, entry in suppressions.items():
+    # The file may be empty of entries (it is since the streamed read
+    # stopped iterating the tombstone set); it must still exist and parse.
+    assert path.is_file(), f"expected a suppression file at {path}"
+    for key, entry in load_suppressions(path).items():
         # load_suppressions already rejects empty justifications; insist on
         # a real sentence, not a placeholder.
         assert len(entry.justification) >= 20, (key, entry.justification)

@@ -131,6 +131,21 @@ def test_randomized_interleavings_match_single_service(base, n_shards, n_replica
     assert_fleet_exact(fleet, single, reference, queries, 5, t)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_insert_rejected_before_any_shard_is_touched(base, bad):
+    points, ids = base
+    with KNNFleet.build(points, ids=ids, n_shards=3, n_replicas=2, k=5) as fleet:
+        fresh = points[:4] + 0.5
+        fresh[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fleet.insert(fresh, at=1.0)
+        assert fleet.n_live == points.shape[0]
+        assert all(r.service.delta.n_updates == 0 for g in fleet.groups for r in g.replicas)
+        # Round-robin and auto-id counters did not move: the next insert
+        # gets the ids the rejected one would have had.
+        assert fleet.insert(points[:4] + 0.5, at=2.0).tolist() == list(range(2000, 2004))
+
+
 def test_exact_during_in_flight_background_rebuild(base):
     # Queries answered while every shard is mid-rebuild (old snapshots
     # serving), and again after the hot swap, are byte-identical.

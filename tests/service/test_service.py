@@ -249,6 +249,19 @@ class TestStreamingUpdates:
         with pytest.raises(ValueError):
             service.insert(small_points[:1], ids=np.array([0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_insert_rejected_before_any_mutation(self, backend, small_points, bad):
+        service = make_service(backend, k=2, cache_capacity=16)
+        service.query(small_points[0], at=1.0)
+        points = small_points[:3].copy()
+        points[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            service.insert(points, at=2.0)
+        assert service.n_live == small_points.shape[0] and service.delta.n_updates == 0
+        assert service.now == 1.0 and len(service.cache) == 1
+        # The auto-id counter did not move either.
+        assert service.insert(small_points[:1] + 9.0).tolist() == [small_points.shape[0]]
+
     def test_mutations_invalidate_cache(self, backend, small_points):
         service = make_service(backend, k=2, cache_capacity=16)
         q = small_points[0]
