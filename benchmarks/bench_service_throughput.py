@@ -41,10 +41,10 @@ from repro.service import (
     LocalTreeBackend,
     MicroBatchPolicy,
     RebuildPolicy,
+    RecordRing,
     RequestRecord,
     bursty_trace,
     hotkey_trace,
-    summarize_records,
     uniform_trace,
 )
 
@@ -110,7 +110,7 @@ def run_buffered_traces(
     for name, (times, queries) in traces.items():
         n = times.shape[0]
         server_free = 0.0
-        records = []
+        records = RecordRing(n)  # holds every request: p50/p99 over the whole trace
         for lo in range(0, n, block):
             hi = min(lo + block, n)
             flush_time = float(times[hi - 1])  # block is full on its last arrival
@@ -120,22 +120,22 @@ def run_buffered_traces(
             elapsed = time.perf_counter() - started
             completion = dispatch + elapsed
             server_free = completion
-            records.extend(
-                RequestRecord(
-                    request_id=j,
-                    arrival=float(times[j]),
-                    dispatch=dispatch,
-                    completion=completion,
-                    cache_hit=False,
-                    batch_size=hi - lo,
+            for j in range(lo, hi):
+                records.append(
+                    RequestRecord(
+                        request_id=j,
+                        arrival=float(times[j]),
+                        dispatch=dispatch,
+                        completion=completion,
+                        cache_hit=False,
+                        batch_size=hi - lo,
+                    )
                 )
-                for j in range(lo, hi)
-            )
             if lo == 0:
                 sample = rng.choice(hi - lo, size=min(16, hi - lo), replace=False)
                 ref_d, _ = brute_force_knn(points, ref_ids, queries[lo:hi][sample], k)
                 assert np.allclose(d[sample], ref_d), f"buffered baseline diverges on {name}"
-        results[name] = summarize_records(records)
+        results[name] = records.summary()
     return results
 
 

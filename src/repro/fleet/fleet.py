@@ -9,12 +9,12 @@ answered by the :class:`~repro.fleet.router.Router`'s region-pruned
 scatter-gather — byte-equal distances to a single unsharded service, at a
 fan-out that shrinks as regions get tighter.
 
-The fleet runs the same event-driven single-server queue model as the
-service one level down: requests are admission-controlled
-(:class:`~repro.fleet.admission.AdmissionController`) into a bounded
-pending queue, dispatched in size-or-deadline micro-batches, and accounted
-request by request — so the fleet-wide :meth:`KNNFleet.stats` reports
-honest p50/p99 latency, QPS, shed/reject counts and measured fan-out.
+Requests are admission-controlled
+(:class:`~repro.fleet.admission.AdmissionController`) into the bounded
+micro-batch queue of :mod:`repro.service.queue`, the same model a single
+service runs, and accounted request by request — so the fleet-wide
+:meth:`KNNFleet.stats` reports honest p50/p99 latency, QPS, shed/reject
+counts and measured fan-out.
 
 Streaming mutations route to the owning shard (by region, id hash, or
 round-robin, matching the plan) and are applied to every live replica of
@@ -32,9 +32,9 @@ records its span.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
+from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -54,14 +54,8 @@ from repro.obs.server import OpsServer
 from repro.obs.slo import SLO, SLOEngine, fleet_slos
 from repro.obs.tracing import Tracer
 from repro.service.backends import LocalTreeBackend
-from repro.service.service import (
-    KNNService,
-    MicroBatchPolicy,
-    RebuildPolicy,
-    RecordRing,
-    RequestRecord,
-    _Pending,
-)
+from repro.service.queue import MicroBatchPolicy, MicroBatchQueue, RecordRing, answer_by_k
+from repro.service.service import KNNService, RebuildPolicy
 
 
 class RequestRejectedError(KeyError):
@@ -136,26 +130,17 @@ class KNNFleet:
         self.k = k
         self.batch_policy = batch_policy or MicroBatchPolicy()
         self.admission = AdmissionController(admission_policy)
-        self.records: RecordRing = RecordRing(retention)
-        self._service_time = service_time
-        self._pending: List[_Pending] = []
+        self._queue = MicroBatchQueue(self.batch_policy, retention, service_time)
+        self.records: RecordRing = self._queue.records
         # Set when a dispatch failed on a fully-dead shard and its batch was
         # requeued: automatic (deadline/size-trigger) dispatching pauses so
         # the poisoned batch cannot wedge unrelated operations; an explicit
         # flush() retries it (e.g. after heal()).
         self._stalled = False
-        self._results: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._result_order: Deque[int] = deque()
         # The rejection ledger is ring-bounded like every other per-request
         # structure: a long-lived fleet under sustained overload must not
         # grow without bound precisely when it is overloaded.
-        self._rejected: Set[int] = set()
-        self._rejected_order: Deque[int] = deque()
-        self._now = 0.0
-        self._server_free_at = 0.0
-        self._next_request_id = 0
-        self._last_arrival: float | None = None
-        self._ewma_gap: float | None = None
+        self._rejected: OrderedDict[int, None] = OrderedDict()
         self._dims = int(self.groups[0].replicas[0].service.backend.dims)
         initial_ids = np.asarray(initial_ids, dtype=np.int64)
         self._id_to_shard: Dict[int, int] = {
@@ -319,12 +304,12 @@ class KNNFleet:
     @property
     def now(self) -> float:
         """Current logical time (max event time seen so far)."""
-        return self._now
+        return self._queue.now
 
     @property
     def n_pending(self) -> int:
         """Requests queued but not yet dispatched."""
-        return len(self._pending)
+        return len(self._queue.pending)
 
     @property
     def closed(self) -> bool:
@@ -364,12 +349,8 @@ class KNNFleet:
         return sum(group.n_live for group in self.groups)
 
     def target_batch_size(self) -> int:
-        """Current micro-batch target under the (possibly adaptive) policy."""
-        policy = self.batch_policy
-        if not policy.adaptive or self._ewma_gap is None or self._ewma_gap <= 0:
-            return policy.max_batch
-        target = int(policy.max_delay_s / self._ewma_gap)
-        return int(np.clip(target, policy.min_batch, policy.max_batch))
+        """Current micro-batch target under the adaptive policy."""
+        return self._queue.target_batch_size()
 
     def stats(self) -> Dict[str, object]:
         """Fleet-wide aggregated statistics.
@@ -442,29 +423,25 @@ class KNNFleet:
         query = np.asarray(query, dtype=np.float64).ravel()
         if query.shape[0] != self._dims:
             raise ValueError(f"query has {query.shape[0]} dims, fleet has {self._dims}")
-        arrival = self._advance(at)
-        self._note_arrival(arrival)
-        request_id = self._next_request_id
-        self._next_request_id += 1
-
-        verdict = self.admission.on_submit(len(self._pending))
+        queue = self._queue
+        request_id, arrival = queue.arrive(query, at, self._advance)
+        verdict = self.admission.on_submit(len(queue.pending))
         if verdict == REJECT:
             self._note_rejected(request_id)
             self.events.emit(
-                "admission_reject", request_id=request_id, queue_depth=len(self._pending)
+                "admission_reject", request_id=request_id, queue_depth=len(queue.pending)
             )
             return request_id
         if verdict == SHED:
-            victim = self._pending.pop(0)
+            victim = queue.pending.pop(0)
             self._note_rejected(victim.request_id)
             self.events.emit(
                 "admission_shed",
                 request_id=victim.request_id,
                 shed_for=request_id,
-                queue_depth=len(self._pending),
+                queue_depth=len(queue.pending),
             )
-        self._pending.append(_Pending(request_id, arrival, k, query))
-        if len(self._pending) >= self.target_batch_size():
+        if queue.enqueue(request_id, arrival, k, query):
             # Quiet on a dead shard: the request was admitted and stays
             # queued (the failed dispatch requeued its batch and latched
             # the stall); the caller must still get the id so the answer
@@ -486,24 +463,20 @@ class KNNFleet:
         misleading still-pending ``KeyError``.
         """
         request_id = self.submit(query, k=k, at=at)
-        if request_id not in self._results and request_id not in self._rejected:
-            self._dispatch(self._now, retry_stalled=True)
+        if not self._queue.answered(request_id) and request_id not in self._rejected:
+            self._dispatch(self._queue.now, retry_stalled=True)
         return self.result(request_id)
 
     def result(self, request_id: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(distances, ids)`` of a completed request.
 
         Raises :class:`RequestRejectedError` for requests refused or shed
-        by admission control, ``KeyError`` when still pending or evicted.
+        by admission control, ``KeyError`` when still pending, or when its
+        answer or rejection was evicted by the retention ring.
         """
         if request_id in self._rejected:
             raise RequestRejectedError(f"request {request_id} was rejected by admission control")
-        if request_id not in self._results:
-            raise KeyError(
-                f"request {request_id} has no result (still pending, or its answer/"
-                f"rejection was evicted by the retention ring of {self.records.capacity})"
-            )
-        return self._results[request_id]
+        return self._queue.result(request_id)
 
     def flush(self, at: float | None = None) -> int:
         """Dispatch everything queued; returns the number dispatched.
@@ -632,24 +605,14 @@ class KNNFleet:
         return healed
 
     # ------------------------------------------------------------------
-    # Internals (same event-driven queue model as KNNService)
+    # Internals
     # ------------------------------------------------------------------
     def _advance(self, at: float | None) -> float:
-        now = max(self._now, self._server_free_at) if at is None else float(at)
-        if now < self._now:
-            raise ValueError(f"time went backwards: {now} < {self._now}")
-        policy = self.batch_policy
-        while self._pending and not self._stalled:
-            deadline = self._pending[0].arrival + policy.max_delay_s
-            if deadline > now:
-                break
-            # Quiet on a dead shard: a poisoned batch must not fail the
-            # unrelated operation that merely advanced the clock (the
-            # stall latch pauses further automatic dispatching; an
-            # explicit flush() surfaces the error).
-            self._dispatch_quietly(deadline)
-        self._now = max(self._now, now)
-        return now
+        # Deadline flushes go out quietly: a poisoned batch must not fail
+        # the unrelated operation that merely advanced the clock (the stall
+        # latch pauses further automatic dispatching; an explicit flush()
+        # surfaces the error).
+        return self._queue.advance(at, self._dispatch_quietly)
 
     def _dispatch_quietly(self, flush_time: float) -> int:
         """Automatic dispatch: a fully-dead shard stalls instead of raising."""
@@ -658,29 +621,15 @@ class KNNFleet:
         except ShardUnavailableError:
             return 0
 
-    def _note_arrival(self, arrival: float) -> None:
-        if self._last_arrival is not None:
-            gap = max(arrival - self._last_arrival, 1e-9)
-            alpha = self.batch_policy.ewma_alpha
-            self._ewma_gap = (
-                gap if self._ewma_gap is None else (1 - alpha) * self._ewma_gap + alpha * gap
-            )
-        self._last_arrival = arrival
-
     def _dispatch(self, flush_time: float, retry_stalled: bool = False) -> int:
         if self._stalled:
             if not retry_stalled:
                 return 0
             self._stalled = False
-        split = 0
-        while split < len(self._pending) and self._pending[split].arrival <= flush_time:
-            split += 1
-        batch = self._pending[:split]
+        queue = self._queue
+        batch = queue.pop_batch(flush_time)
         if not batch:
             return 0
-        self._pending = self._pending[split:]
-
-        dispatch_start = max(flush_time, self._server_free_at)
         trace = self.tracer.start()
         started = self._clock.monotonic()
         if trace is not None:
@@ -689,38 +638,37 @@ class KNNFleet:
                 "admission",
                 "admission",
                 batch=len(batch),
-                queued=len(self._pending),
+                queued=len(queue.pending),
                 admitted=ledger.get("admitted", 0),
                 rejected=ledger.get("rejected", 0),
                 shed=ledger.get("shed", 0),
             )
-        answers: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         stats_before = dataclasses.replace(self.router.stats)
         load_before = {
             (g.shard_id, r.replica_id): r.queries_served
             for g in self.groups
             for r in g.replicas
         }
+
+        def route(queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+            k_mark = trace.mark() if trace is not None else 0
+            k_start = self._clock.monotonic()
+            d, i = self.router.answer(queries, k, at=flush_time, trace=trace)
+            if trace is not None:
+                trace.fold(
+                    k_mark,
+                    f"router k={k}",
+                    "router",
+                    k_start,
+                    self._clock.monotonic(),
+                    k=k,
+                    queries=len(queries),
+                )
+            return d, i
+
         try:
             with phase("fleet.batch"):
-                for k in sorted({r.k for r in batch}):
-                    group = [r for r in batch if r.k == k]
-                    queries = np.stack([r.query for r in group])
-                    k_mark = trace.mark() if trace is not None else 0
-                    k_start = self._clock.monotonic()
-                    d, i = self.router.answer(queries, k, at=flush_time, trace=trace)
-                    if trace is not None:
-                        trace.fold(
-                            k_mark,
-                            f"router k={k}",
-                            "router",
-                            k_start,
-                            self._clock.monotonic(),
-                            k=k,
-                            queries=len(group),
-                        )
-                    for row, r in enumerate(group):
-                        answers[r.request_id] = (d[row], i[row])
+                answers = answer_by_k(batch, route)
         except ShardUnavailableError:
             # A shard went fully dark mid-dispatch: the batch stays queued
             # (in arrival order) so a heal() + flush() can still answer it,
@@ -735,7 +683,7 @@ class KNNFleet:
             for g in self.groups:
                 for r in g.replicas:
                     r.restore_load(load_before[(g.shard_id, r.replica_id)])
-            self._pending = batch + self._pending
+            queue.pending[:0] = batch
             self._stalled = True
             self.tracer.finish(
                 trace,
@@ -747,37 +695,18 @@ class KNNFleet:
             )
             raise
         ended = self._clock.monotonic()
-        elapsed = ended - started
-        if self._service_time is not None:
-            elapsed = float(self._service_time(len(batch)))
-        completion = dispatch_start + elapsed
-        self._server_free_at = completion
-        self._now = max(self._now, flush_time)
-
+        completion = queue.complete(batch, answers, flush_time, ended - started)
         self.tracer.finish(
             trace, "fleet.batch", started, ended, batch=len(batch), flush_time=flush_time
         )
         self._batch_hist.observe(float(len(batch)))
         for r in batch:
             self._latency_hist.observe(completion - r.arrival)
-            self._store_result(r.request_id, answers[r.request_id])
-            self.records.append(
-                RequestRecord(
-                    r.request_id, r.arrival, dispatch_start, completion,
-                    cache_hit=False, batch_size=len(batch),
-                )
-            )
         # Re-evaluate the burn-rate windows while the batch's latency
         # observations are fresh — breaches fire at dispatch time, not at
         # the next scrape.
         self.slo.tick()
         return len(batch)
-
-    def _store_result(self, request_id: int, value: Tuple[np.ndarray, np.ndarray]) -> None:
-        self._results[request_id] = value
-        self._result_order.append(request_id)
-        while len(self._result_order) > self.records.capacity:
-            self._results.pop(self._result_order.popleft(), None)
 
     def _require_alive(self, shards: np.ndarray) -> None:
         """Fail before mutating anything if a target shard is fully dead."""
@@ -786,7 +715,6 @@ class KNNFleet:
                 raise ShardUnavailableError(f"shard {int(shard)}: every replica is dead")
 
     def _note_rejected(self, request_id: int) -> None:
-        self._rejected.add(request_id)
-        self._rejected_order.append(request_id)
-        while len(self._rejected_order) > self.records.capacity:
-            self._rejected.discard(self._rejected_order.popleft())
+        self._rejected[request_id] = None
+        if len(self._rejected) > self.records.capacity:
+            self._rejected.popitem(last=False)

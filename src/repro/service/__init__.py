@@ -6,12 +6,13 @@ query set; this package turns it into a *service*:
 * :mod:`~repro.service.backends` — the indices the service can front: one
   local kd-tree or a distributed :class:`~repro.core.panda.PandaKNN`, both
   behind the same four-method protocol;
+* :mod:`~repro.service.queue` — adaptive size-or-deadline micro-batching
+  with per-request latency accounting, the one queue model of both doors;
 * :mod:`~repro.service.service` — :class:`~repro.service.service.KNNService`
-  itself: adaptive size-or-deadline micro-batching through the vectorised
-  batch query path, an LRU result cache with incremental invalidation,
-  per-request latency accounting, and streaming inserts/deletes with a
-  policy-driven rebuild — foreground, or background with an atomic
-  hot-swap and versioned on-disk snapshots;
+  itself: micro-batches through the vectorised batch query path, an LRU
+  result cache with incremental invalidation, and streaming
+  inserts/deletes with a policy-driven rebuild — foreground, or background
+  with an atomic hot-swap and versioned on-disk snapshots;
 * :mod:`~repro.service.delta` — the brute-force delta buffer and tombstone
   set that make streaming updates exact between rebuilds;
 * :mod:`~repro.service.cache` — the LRU result cache;
@@ -26,14 +27,8 @@ service can come up without rebuilding its index.
 from repro.service.backends import LocalTreeBackend, PandaBackend
 from repro.service.cache import CacheStats, LRUCache
 from repro.service.delta import DeltaBuffer
-from repro.service.service import (
-    KNNService,
-    MicroBatchPolicy,
-    RebuildPolicy,
-    RecordRing,
-    RequestRecord,
-    summarize_records,
-)
+from repro.service.queue import MicroBatchPolicy, RecordRing, RequestRecord
+from repro.service.service import KNNService, RebuildPolicy
 from repro.service.trace import bursty_trace, hotkey_trace, uniform_trace
 
 __all__ = [
@@ -42,7 +37,6 @@ __all__ = [
     "RebuildPolicy",
     "RecordRing",
     "RequestRecord",
-    "summarize_records",
     "LocalTreeBackend",
     "PandaBackend",
     "DeltaBuffer",

@@ -1,25 +1,10 @@
 """Online KNN serving: micro-batched queries over an immutable index.
 
 :class:`KNNService` turns the batch-oriented PANDA index into an online
-front end.  Single queries are not answered one at a time — the whole point
-of the paper's vectorised traversal (and of the buffered kd-tree baseline
-it compares against) is that coalescing queries amortises traversal cost —
-so the service enqueues them and dispatches *micro-batches* under a
-size-or-deadline policy:
-
-* a batch is dispatched as soon as the queue reaches the policy's target
-  size (adaptively sized from the observed arrival rate, so the target
-  approximates "what arrives within one deadline window");
-* a request is never held longer than ``max_delay_s`` — the deadline flush
-  dispatches whatever is queued once the oldest request's deadline passes.
-
-Time is event-driven: callers stamp each request with its arrival time
-(open-loop traces do this from a generator; interactive callers may omit it)
-and the service advances a logical clock through a single-server queue
-model — dispatch happens at ``max(flush time, server free)``, completion at
-dispatch plus the *measured* wall-clock cost of the batch computation.  Per
--request latency is completion minus arrival, so queueing, batching delay
-and compute all show up in the reported percentiles.
+front end.  Single queries are coalesced into size-or-deadline
+micro-batches on an event-driven logical clock; that queue model lives in
+:mod:`repro.service.queue`, shared with the fleet's front door.  A cache
+hit completes at its arrival without queueing.
 
 Streaming updates (:meth:`KNNService.insert` / :meth:`KNNService.delete`)
 are absorbed by a brute-force delta buffer and a tombstone set
@@ -50,10 +35,9 @@ public methods are safe under concurrent callers (one re-entrant lock).
 from __future__ import annotations
 
 import shutil
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -65,49 +49,7 @@ from repro.obs.clock import MONOTONIC, Clock
 from repro.obs.profiler import phase
 from repro.service.cache import CacheStats, LRUCache, query_key
 from repro.service.delta import DeltaBuffer, sorted_member
-
-
-@dataclass(frozen=True)
-class MicroBatchPolicy:
-    """Size-or-deadline micro-batching parameters.
-
-    Attributes
-    ----------
-    max_batch:
-        Hard cap on queries per dispatched batch (and the fixed target when
-        ``adaptive`` is off).
-    min_batch:
-        Lower bound of the adaptive target.
-    max_delay_s:
-        Maximum time a request may wait in the queue before a deadline
-        flush dispatches it.
-    adaptive:
-        When True the target batch size tracks ``arrival_rate x
-        max_delay_s`` (clipped to ``[min_batch, max_batch]``): at low rates
-        requests go out near-immediately in small batches, under load the
-        batches grow toward the cap.
-    ewma_alpha:
-        Smoothing factor of the inter-arrival EWMA behind the adaptive
-        target.
-    """
-
-    max_batch: int = 256
-    min_batch: int = 1
-    max_delay_s: float = 1e-3
-    adaptive: bool = True
-    ewma_alpha: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.max_batch <= 0:
-            raise ValueError(f"max_batch must be positive, got {self.max_batch}")
-        if not 0 < self.min_batch <= self.max_batch:
-            raise ValueError(
-                f"min_batch must be in [1, max_batch], got {self.min_batch} vs {self.max_batch}"
-            )
-        if self.max_delay_s < 0:
-            raise ValueError(f"max_delay_s must be non-negative, got {self.max_delay_s}")
-        if not 0 < self.ewma_alpha <= 1:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
+from repro.service.queue import MicroBatchPolicy, MicroBatchQueue, RecordRing, answer_by_k
 
 
 @dataclass(frozen=True)
@@ -141,153 +83,6 @@ class RebuildPolicy:
             raise ValueError(f"max_tombstones must be positive, got {self.max_tombstones}")
         if self.max_staleness_s <= 0:
             raise ValueError(f"max_staleness_s must be positive, got {self.max_staleness_s}")
-
-
-@dataclass
-class RequestRecord:
-    """Per-request latency accounting."""
-
-    request_id: int
-    arrival: float
-    dispatch: float
-    completion: float
-    cache_hit: bool
-    batch_size: int
-
-    @property
-    def latency(self) -> float:
-        """End-to-end latency: completion minus arrival."""
-        return self.completion - self.arrival
-
-    @property
-    def queue_delay(self) -> float:
-        """Time spent waiting before dispatch."""
-        return self.dispatch - self.arrival
-
-
-class RecordRing(Sequence):
-    """Bounded request-record log: a ring buffer with exact running totals.
-
-    Keeps at most ``capacity`` recent :class:`RequestRecord` entries for
-    inspection and windowed percentiles, while the aggregate statistics
-    (count, mean/max latency, span, cache hits, batch sizes) are accumulated
-    over *every* record ever appended — so :meth:`summary` reports exact
-    aggregates no matter how small the window is.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError(f"retention capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._items: Deque[RequestRecord] = deque(maxlen=capacity)
-        self._n = 0
-        self._latency_sum = 0.0
-        self._latency_max = 0.0
-        self._first_arrival = np.inf
-        self._last_completion = -np.inf
-        self._cache_hits = 0
-        self._batch_sum = 0
-        self._n_batched = 0
-
-    # -- sequence protocol (slices included, so existing callers keep working)
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            # Slicing is a rare introspection path; appends stay O(1).
-            return list(self._items)[index]
-        return self._items[index]
-
-    def __iter__(self):
-        return iter(self._items)
-
-    @property
-    def n_total(self) -> int:
-        """Records ever appended (evicted ones included)."""
-        return self._n
-
-    @property
-    def n_evicted(self) -> int:
-        """Records dropped from the window so far."""
-        return self._n - len(self._items)
-
-    def append(self, record: RequestRecord) -> None:
-        """Add a record, updating exact aggregates and trimming the window."""
-        self._n += 1
-        self._latency_sum += record.latency
-        self._latency_max = max(self._latency_max, record.latency)
-        self._first_arrival = min(self._first_arrival, record.arrival)
-        self._last_completion = max(self._last_completion, record.completion)
-        if record.cache_hit:
-            self._cache_hits += 1
-        else:
-            self._batch_sum += record.batch_size
-            self._n_batched += 1
-        self._items.append(record)  # deque maxlen evicts the oldest in O(1)
-
-    def summary(self) -> Dict[str, float]:
-        """Same shape as :func:`summarize_records`.
-
-        Counts, mean/max latency, QPS, cache hit rate and mean batch size
-        are exact over the full history; the p50/p99 percentiles are
-        computed over the retained window (they are order statistics, so a
-        bounded log cannot reproduce them exactly once records are
-        evicted).
-        """
-        if self._n == 0:
-            return summarize_records([])
-        latencies = np.array([r.latency for r in self._items])
-        span = float(self._last_completion - self._first_arrival)
-        return {
-            "n_requests": float(self._n),
-            "p50_latency_s": float(np.percentile(latencies, 50)),
-            "p99_latency_s": float(np.percentile(latencies, 99)),
-            "mean_latency_s": self._latency_sum / self._n,
-            "max_latency_s": self._latency_max,
-            "qps": float(self._n / span) if span > 0 else float("inf"),
-            "cache_hit_rate": self._cache_hits / self._n,
-            "mean_batch_size": self._batch_sum / self._n_batched if self._n_batched else 0.0,
-        }
-
-
-def summarize_records(records: Sequence[RequestRecord]) -> Dict[str, float]:
-    """p50/p99 latency, QPS and batching statistics of a request log."""
-    if not records:
-        return {
-            "n_requests": 0.0,
-            "p50_latency_s": 0.0,
-            "p99_latency_s": 0.0,
-            "mean_latency_s": 0.0,
-            "max_latency_s": 0.0,
-            "qps": 0.0,
-            "cache_hit_rate": 0.0,
-            "mean_batch_size": 0.0,
-        }
-    latencies = np.array([r.latency for r in records])
-    arrivals = np.array([r.arrival for r in records])
-    completions = np.array([r.completion for r in records])
-    hits = np.array([r.cache_hit for r in records])
-    batch_sizes = np.array([r.batch_size for r in records if not r.cache_hit])
-    span = float(completions.max() - arrivals.min())
-    return {
-        "n_requests": float(len(records)),
-        "p50_latency_s": float(np.percentile(latencies, 50)),
-        "p99_latency_s": float(np.percentile(latencies, 99)),
-        "mean_latency_s": float(latencies.mean()),
-        "max_latency_s": float(latencies.max()),
-        "qps": float(len(records) / span) if span > 0 else float("inf"),
-        "cache_hit_rate": float(hits.mean()),
-        "mean_batch_size": float(batch_sizes.mean()) if batch_sizes.size else 0.0,
-    }
-
-
-@dataclass
-class _Pending:
-    request_id: int
-    arrival: float
-    k: int
-    query: np.ndarray
 
 
 @dataclass
@@ -325,7 +120,7 @@ class KNNService:
         LRU result-cache entries (0 disables caching).
     retention:
         Completed requests retained for inspection: both the
-        :class:`RecordRing` of :class:`RequestRecord` entries and the
+        :class:`~repro.service.queue.RecordRing` of request records and the
         fetchable per-request answers are capped at this many recent
         requests (a long-lived service no longer grows without bound).
         Aggregate latency statistics stay exact across evictions; percentiles
@@ -362,19 +157,11 @@ class KNNService:
         "backend": "_lock",
         "delta": "_lock",
         "cache": "_lock",
-        "records": "_lock",
         "version": "_lock",
         "rebuilds": "_lock",
         "rebuild_seconds": "_lock",
         "refetched_rows": "_lock",
-        "_pending": "_lock",
-        "_results": "_lock",
-        "_result_order": "_lock",
-        "_now": "_lock",
-        "_server_free_at": "_lock",
-        "_next_request_id": "_lock",
-        "_last_arrival": "_lock",
-        "_ewma_gap": "_lock",
+        "_queue": "_lock",
         "_first_dirty_at": "_lock",
         "_bg": "_lock",
         "_backend_ids": "_lock",
@@ -406,7 +193,6 @@ class KNNService:
         self.rebuild_policy = rebuild_policy or RebuildPolicy()
         self.cache = LRUCache(cache_capacity)
         self.delta = DeltaBuffer(backend.dims)
-        self.records: RecordRing = RecordRing(retention)
         self.version = 0
         self.rebuilds = 0
         self.rebuild_seconds = 0.0
@@ -414,18 +200,12 @@ class KNNService:
         self.background_rebuild = background_rebuild
         self.snapshot_root = Path(snapshot_root) if snapshot_root is not None else None
         self._service_time = service_time
-        self._pending: List[_Pending] = []
-        self._results: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._result_order: Deque[int] = deque()
-        self._now = 0.0
-        self._server_free_at = 0.0
-        self._next_request_id = 0
-        self._last_arrival: float | None = None
-        self._ewma_gap: float | None = None
+        self._queue = MicroBatchQueue(self.batch_policy, retention, service_time)
         self._first_dirty_at: float | None = None
         self._bg: _BackgroundRebuild | None = None
         # Immutable after construction (read-only references, not state):
         # deliberately outside GUARDED_BY.
+        self.records: RecordRing = self._queue.records
         self._clock = clock if clock is not None else MONOTONIC
         self.events = events
         self._lock = new_rlock("KNNService._lock")
@@ -470,13 +250,13 @@ class KNNService:
     def now(self) -> float:
         """Current logical time (max event time seen so far)."""
         with self._lock:
-            return self._now
+            return self._queue.now
 
     @property
     def n_pending(self) -> int:
         """Requests queued but not yet dispatched."""
         with self._lock:
-            return len(self._pending)
+            return len(self._queue.pending)
 
     @property
     def n_live(self) -> int:
@@ -506,7 +286,7 @@ class KNNService:
         with self._lock:
             stats = self.cache.stats
             return {
-                "pending": float(len(self._pending)),
+                "pending": float(len(self._queue.pending)),
                 "version": float(self.version),
                 "rebuilds": float(self.rebuilds),
                 "rebuild_seconds": float(self.rebuild_seconds),
@@ -528,14 +308,9 @@ class KNNService:
             }
 
     def target_batch_size(self) -> int:
-        """Current micro-batch target under the (possibly adaptive) policy."""
-        policy = self.batch_policy
+        """Current micro-batch target under the adaptive policy."""
         with self._lock:
-            gap = self._ewma_gap
-        if not policy.adaptive or gap is None or gap <= 0:
-            return policy.max_batch
-        target = int(policy.max_delay_s / gap)
-        return int(np.clip(target, policy.min_batch, policy.max_batch))
+            return self._queue.target_batch_size()
 
     def latency_summary(self) -> Dict[str, float]:
         """Summary statistics over every completed request.
@@ -572,22 +347,14 @@ class KNNService:
         with self._lock:
             if query.shape[0] != self.backend.dims:
                 raise ValueError(f"query has {query.shape[0]} dims, index has {self.backend.dims}")
-            arrival = self._advance(at)
-            self._note_arrival(arrival)
-            request_id = self._next_request_id
-            self._next_request_id += 1
-
+            queue = self._queue
+            request_id, arrival = queue.arrive(query, at, self._advance)
             cached = self.cache.get(query_key(query, k))
             if cached is not None:
                 d, i = cached
-                self._store_result(request_id, (d.copy(), i.copy()))
-                self.records.append(
-                    RequestRecord(request_id, arrival, arrival, arrival, cache_hit=True, batch_size=0)
-                )
+                queue.complete_hit(request_id, arrival, (d.copy(), i.copy()))
                 return request_id
-
-            self._pending.append(_Pending(request_id, arrival, k, query))
-            if len(self._pending) >= self.target_batch_size():
+            if queue.enqueue(request_id, arrival, k, query):
                 self._dispatch(arrival)
             return request_id
 
@@ -600,9 +367,9 @@ class KNNService:
         """Interactive single query: submit, flush, return ``(distances, ids)``."""
         with self._lock:
             request_id = self.submit(query, k=k, at=at)
-            if request_id not in self._results:
-                self._dispatch(self._now)
-            return self.result(request_id)
+            if not self._queue.answered(request_id):
+                self._dispatch(self._queue.now)
+            return self._queue.result(request_id)
 
     def answer_batch(
         self,
@@ -622,6 +389,8 @@ class KNNService:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        if not np.isfinite(queries).all():
+            raise ValueError("queries must have finite coordinates (found nan or inf)")
         with self._lock:
             if queries.shape[1] != self.backend.dims:
                 raise ValueError(
@@ -638,20 +407,7 @@ class KNNService:
         was already evicted by the retention ring.
         """
         with self._lock:
-            if request_id not in self._results:
-                raise KeyError(
-                    f"request {request_id} has no result (still pending, or evicted "
-                    f"by the retention ring of {self.records.capacity})"
-                )
-            return self._results[request_id]
-
-    @requires_lock("_lock")
-    def _store_result(self, request_id: int, value: Tuple[np.ndarray, np.ndarray]) -> None:
-        """Record a completed answer, evicting the oldest beyond retention."""
-        self._results[request_id] = value
-        self._result_order.append(request_id)
-        while len(self._result_order) > self.records.capacity:
-            self._results.pop(self._result_order.popleft(), None)
+            return self._queue.result(request_id)
 
     def flush(self, at: float | None = None) -> int:
         """Dispatch everything queued; returns the number dispatched."""
@@ -766,7 +522,7 @@ class KNNService:
         swap happened."""
         with self._lock:
             if self._bg is not None and at is None:
-                at = max(self._now, self._bg.ready_at)
+                at = max(self._queue.now, self._bg.ready_at)
             before = self.version
             self._advance(at)
             return self.version != before
@@ -842,7 +598,7 @@ class KNNService:
         self.rebuild_seconds += elapsed
         # The single server is busy rebuilding: queries arriving meanwhile
         # queue behind it.
-        self._server_free_at = max(self._server_free_at, now) + elapsed
+        self._queue.occupy(now, elapsed)
         self.delta.clear()
         self._clear_cache_fully()
         self.version += 1
@@ -945,22 +701,9 @@ class KNNService:
     # ------------------------------------------------------------------
     @requires_lock("_lock")
     def _advance(self, at: float | None) -> float:
-        """Move the logical clock to ``at``, firing deadline flushes and
-        staleness rebuilds that were due on the way.
-
-        ``at=None`` models a closed-loop caller: the event happens once the
-        server finished its previous work (open-loop traces always pass
-        explicit arrival timestamps instead).
-        """
-        now = max(self._now, self._server_free_at) if at is None else float(at)
-        if now < self._now:
-            raise ValueError(f"time went backwards: {now} < {self._now}")
-        policy = self.batch_policy
-        while self._pending:
-            deadline = self._pending[0].arrival + policy.max_delay_s
-            if deadline > now:
-                break
-            self._dispatch(deadline)
+        """:meth:`MicroBatchQueue.advance`, then the background-rebuild swap
+        and the staleness rebuild due by the new time."""
+        now = self._queue.advance(at, self._dispatch)
         if self._bg is not None and now >= self._bg.ready_at:
             # The background build finished somewhere in (then, now]: swap
             # it in.  The live set is unchanged by the swap, so ordering
@@ -976,57 +719,25 @@ class KNNService:
             else:
                 self._dispatch(now)
                 self._rebuild_now(now)
-        self._now = max(self._now, now)
         return now
-
-    @requires_lock("_lock")
-    def _note_arrival(self, arrival: float) -> None:
-        if self._last_arrival is not None:
-            gap = max(arrival - self._last_arrival, 1e-9)
-            alpha = self.batch_policy.ewma_alpha
-            self._ewma_gap = gap if self._ewma_gap is None else (1 - alpha) * self._ewma_gap + alpha * gap
-        self._last_arrival = arrival
 
     @exactness_path
     @requires_lock("_lock")
     def _dispatch(self, flush_time: float) -> int:
         """Dispatch every queued request that arrived by ``flush_time``."""
-        split = 0
-        while split < len(self._pending) and self._pending[split].arrival <= flush_time:
-            split += 1
-        batch = self._pending[:split]
+        queue = self._queue
+        batch = queue.pop_batch(flush_time)
         if not batch:
             return 0
-        self._pending = self._pending[split:]
-
-        dispatch_start = max(flush_time, self._server_free_at)
         started = self._clock.monotonic()
-        answers: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         with phase("service.answer"):
-            for k in sorted({r.k for r in batch}):
-                group = [r for r in batch if r.k == k]
-                queries = np.stack([r.query for r in group])
-                d, i = self._answer(queries, k)
-                for row, r in enumerate(group):
-                    answers[r.request_id] = (d[row], i[row])
-        elapsed = self._clock.monotonic() - started
-        if self._service_time is not None:
-            elapsed = float(self._service_time(len(batch)))
-        completion = dispatch_start + elapsed
-        self._server_free_at = completion
-        self._now = max(self._now, flush_time)
+            answers = answer_by_k(batch, self._answer)
+        queue.complete(batch, answers, flush_time, self._clock.monotonic() - started)
         for r in batch:
             d_row, i_row = answers[r.request_id]
-            self._store_result(r.request_id, (d_row, i_row))
             # The cache owns its copies: a caller mutating a returned answer
             # in place must not poison later hits (hits copy on read too).
             self.cache.put(query_key(r.query, r.k), (d_row.copy(), i_row.copy()))
-            self.records.append(
-                RequestRecord(
-                    r.request_id, r.arrival, dispatch_start, completion,
-                    cache_hit=False, batch_size=len(batch),
-                )
-            )
         return len(batch)
 
     @exactness_path

@@ -20,7 +20,7 @@ def slow_fleet(points, policy, max_batch=64):
         n_shards=2,
         k=3,
         admission_policy=policy,
-        batch_policy=MicroBatchPolicy(max_batch=max_batch, max_delay_s=1e9, adaptive=False),
+        batch_policy=MicroBatchPolicy(max_batch=max_batch, min_batch=max_batch, max_delay_s=1e9),
         service_time=lambda n: 1000.0,
     )
 

@@ -12,9 +12,9 @@ everywhere in this codebase.
 import numpy as np
 import pytest
 
-from repro.fleet import KNNFleet
+from repro.fleet import AdmissionPolicy, KNNFleet
 from repro.kdtree.query import brute_force_knn
-from repro.service import KNNService, LocalTreeBackend, RebuildPolicy
+from repro.service import KNNService, LocalTreeBackend, MicroBatchPolicy, RebuildPolicy
 
 
 class LiveSetReference:
@@ -144,6 +144,30 @@ def test_non_finite_insert_rejected_before_any_shard_is_touched(base, bad):
         # Round-robin and auto-id counters did not move: the next insert
         # gets the ids the rejected one would have had.
         assert fleet.insert(points[:4] + 0.5, at=2.0).tolist() == list(range(2000, 2004))
+
+
+@pytest.mark.parametrize("call", ["submit", "query"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_rejected_before_anything_moves(base, call, bad):
+    points, ids = base
+    with KNNFleet.build(
+        points, ids=ids, n_shards=3, k=5,
+        batch_policy=MicroBatchPolicy(max_batch=100, max_delay_s=10.0),
+        admission_policy=AdmissionPolicy(max_pending=2, mode="reject"),
+    ) as fleet:
+        fleet.submit(points[0], at=1.0)
+        fleet.submit(points[1], at=1.5)
+        target = fleet.target_batch_size()
+        query = points[2].copy()
+        query[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            getattr(fleet, call)(query, at=2.5)
+        assert fleet.now == 1.5 and fleet.n_pending == 2
+        assert fleet.target_batch_size() == target
+        assert fleet.stats()["admission"]["rejected"] == 0
+        assert fleet.router.stats.queries == 0  # nothing reached a shard
+        # The request-id counter did not move either.
+        assert fleet.submit(points[3], at=3.0) == 2
 
 
 def test_exact_during_in_flight_background_rebuild(base):

@@ -15,7 +15,7 @@ from repro.fleet import KNNFleet
 from repro.fleet.admission import AdmissionPolicy
 from repro.obs.prometheus import parse_prometheus_text
 from repro.obs.server import METRICS_CONTENT_TYPE, OpsServer, readiness_reasons
-from repro.service.service import MicroBatchPolicy
+from repro.service import MicroBatchPolicy
 
 
 def _get(url):
@@ -173,7 +173,7 @@ class TestReadinessFlips:
             rng.normal(size=(300, 3)),
             n_shards=2,
             admission_policy=AdmissionPolicy(max_pending=4, mode="reject"),
-            batch_policy=MicroBatchPolicy(max_batch=64, adaptive=False),
+            batch_policy=MicroBatchPolicy(max_batch=64, min_batch=64),
         )
         server = fleet.serve_ops()
         try:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.fleet import KNNFleet
 from repro.fleet.admission import AdmissionPolicy
-from repro.service.service import MicroBatchPolicy
+from repro.service import MicroBatchPolicy
 from repro.obs.clock import ManualClock
 from repro.obs.events import EventLog
 from repro.obs.prometheus import parse_prometheus_text, render_text
@@ -230,9 +230,9 @@ class TestFleetSLOs:
             rng.normal(size=(200, 3)),
             n_shards=2,
             admission_policy=AdmissionPolicy(max_pending=4, mode="shed"),
-            # non-adaptive large target: submits queue up instead of
+            # fixed large target: submits queue up instead of
             # dispatching immediately, so the burst overflows max_pending
-            batch_policy=MicroBatchPolicy(max_batch=64, adaptive=False),
+            batch_policy=MicroBatchPolicy(max_batch=64, min_batch=64),
             clock=clock,
             slo_windows=((2.0, 1.0), (8.0, 0.5)),
         )

@@ -10,7 +10,7 @@ from repro.service import (
     LRUCache,
     MicroBatchPolicy,
     RebuildPolicy,
-    summarize_records,
+    RecordRing,
 )
 from repro.service.cache import query_key
 from repro.service.delta import DeltaBuffer
@@ -114,7 +114,7 @@ class TestDeltaBuffer:
 
 class TestMicroBatching:
     def test_size_trigger_dispatches_full_batch(self, backend, small_points):
-        policy = MicroBatchPolicy(max_batch=8, max_delay_s=10.0, adaptive=False)
+        policy = MicroBatchPolicy(max_batch=8, min_batch=8, max_delay_s=10.0)
         service = make_service(backend, batch_policy=policy, cache_capacity=0)
         for j in range(8):
             service.submit(small_points[j], at=float(j) * 1e-4)
@@ -122,7 +122,7 @@ class TestMicroBatching:
         assert all(r.batch_size == 8 for r in service.records)
 
     def test_deadline_flush(self, backend, small_points):
-        policy = MicroBatchPolicy(max_batch=100, max_delay_s=0.01, adaptive=False)
+        policy = MicroBatchPolicy(max_batch=100, min_batch=100, max_delay_s=0.01)
         service = make_service(backend, batch_policy=policy, cache_capacity=0)
         service.submit(small_points[0], at=0.0)
         service.submit(small_points[1], at=0.001)
@@ -134,7 +134,7 @@ class TestMicroBatching:
         assert all(r.dispatch == pytest.approx(0.01) for r in first_two)
 
     def test_deadline_flush_excludes_later_arrivals(self, backend, small_points):
-        policy = MicroBatchPolicy(max_batch=100, max_delay_s=0.01, adaptive=False)
+        policy = MicroBatchPolicy(max_batch=100, min_batch=100, max_delay_s=0.01)
         service = make_service(backend, batch_policy=policy, cache_capacity=0)
         service.submit(small_points[0], at=0.0)
         service.submit(small_points[1], at=0.02)  # deadline of q0 passed at 0.01
@@ -178,18 +178,38 @@ class TestMicroBatching:
             service.submit(small_points[1], at=4.0)
 
     def test_pending_result_unavailable(self, backend, small_points):
-        policy = MicroBatchPolicy(max_batch=100, max_delay_s=10.0, adaptive=False)
+        policy = MicroBatchPolicy(max_batch=100, min_batch=100, max_delay_s=10.0)
         service = make_service(backend, batch_policy=policy)
         rid = service.submit(small_points[0], at=0.0)
         with pytest.raises(KeyError):
             service.result(rid)
+
+    @pytest.mark.parametrize("call", ["submit", "query", "answer_batch"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected_before_anything_moves(
+        self, backend, small_points, call, bad
+    ):
+        policy = MicroBatchPolicy(max_batch=100, max_delay_s=10.0)
+        service = make_service(backend, batch_policy=policy, cache_capacity=16)
+        service.submit(small_points[0], at=1.0)
+        service.submit(small_points[1], at=1.5)
+        target = service.target_batch_size()
+        query = small_points[2].copy()
+        query[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            getattr(service, call)(query, at=2.5)
+        assert service.now == 1.5 and service.n_pending == 2
+        assert service.target_batch_size() == target
+        assert service.cache_stats.misses == 2 and len(service.cache) == 0
+        # The request-id counter did not move either.
+        assert service.submit(small_points[3], at=3.0) == 2
 
 
 class TestLatencyAccounting:
     def test_single_server_queueing(self, backend, small_points):
         # Each batch takes 1 ms; three size-1 batches arriving at once must
         # serialise: completions at 1, 2 and 3 ms.
-        policy = MicroBatchPolicy(max_batch=1, max_delay_s=10.0, adaptive=False)
+        policy = MicroBatchPolicy(max_batch=1, min_batch=1, max_delay_s=10.0)
         service = make_service(backend, batch_policy=policy, cache_capacity=0)
         for _ in range(3):
             service.submit(small_points[0], at=0.0)
@@ -216,7 +236,7 @@ class TestLatencyAccounting:
         assert 0.0 <= summary["cache_hit_rate"] <= 1.0
 
     def test_empty_summary(self):
-        summary = summarize_records([])
+        summary = RecordRing(1).summary()
         assert summary["n_requests"] == 0.0
         assert summary["qps"] == 0.0
 
