@@ -323,7 +323,7 @@ def main() -> None:
 
     stream = run_streaming(points, size)
     print(
-        f"  streaming: {stream['rebuilds']:.0f} background rebuild hot-swaps, "
+        f"  streaming: {stream['rebuilds']:.0f} background shard builds, "
         f"{stream['n_live']:.0f} live points   [exactness verified]"
     )
 

@@ -84,7 +84,8 @@ def main() -> None:
 
         # 3. Streaming inserts drive background rebuild hot-swaps: the old
         #    indices keep serving while fresh ones build, then swap in and
-        #    leave a versioned snapshot trail.
+        #    leave a versioned snapshot trail.  A shard builds once; its
+        #    replicas join that build and share one snapshot per version.
         t += 10.0
         fresh = points[rng.choice(points.shape[0], 2_400, replace=False)] + rng.normal(
             scale=0.05, size=(2_400, 3)
@@ -95,15 +96,16 @@ def main() -> None:
             t += 1e-2
             fleet.query(fresh[lo], at=t)  # keep traffic flowing mid-rebuild
         rebuilds = sum(g.rebuilds for g in fleet.groups)
-        roots = sorted((Path(tmp) / "fleet_snapshots").glob("shard*/replica*"))
+        joins = sum(e.to_dict()["joined"] for e in fleet.events.snapshot("rebuild_begin"))
+        roots = sorted((Path(tmp) / "fleet_snapshots").glob("shard*"))
         versions = sum(len(list_snapshot_versions(root)) for root in roots)
         # CURRENT is promoted at swap time, which may still be pending for a
-        # replica whose build outlasted the logical trace.
+        # build that outlasted the logical trace.
         current = current_version_dir(roots[0])
         serving = current.name if current is not None else "the fitted index (swap pending)"
-        print(f"streaming: {rebuilds} background hot-swaps across the fleet, "
-              f"{versions} versioned snapshots on disk "
-              f"(shard00/replica0 now serves {serving})")
+        print(f"streaming: {rebuilds} background shard builds, joined {joins} times "
+              f"by peer replicas, {versions} versioned snapshots on disk "
+              f"(shard00 now serves {serving})")
 
         # 4. Verify the final live set against brute force.
         live_pts = np.concatenate([points, fresh], axis=0)

@@ -116,6 +116,8 @@ class PandaKNN:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if points.shape[0] == 0:
             raise ValueError("cannot fit an index over an empty point set")
+        if not np.isfinite(points).all():
+            raise ValueError("points must have finite coordinates (found nan or inf)")
         self.cluster.distribute_block(points, ids)
         self.global_tree = build_global_tree(self.cluster, self.config)
         build_local_trees(self.cluster, self.config)

@@ -18,10 +18,12 @@ counts and measured fan-out.
 
 Streaming mutations route to the owning shard (by region, id hash, or
 round-robin, matching the plan) and are applied to every live replica of
-its group.  Rebuilds are *background* per replica: the shard keeps serving
-from the old index while the fresh one builds, then hot-swaps — with an
-optional versioned snapshot trail under ``snapshot_root``
-(``shardNN/replicaM/vNNNN`` + ``CURRENT`` pointers).
+its group.  Rebuilds are *background* and per shard, not per replica: the
+write that trips the rebuild policy refits the shard once, every live
+replica joins that one build, and each keeps serving from its old index
+until the shared fresh one hot-swaps in — with an optional versioned
+snapshot trail under ``snapshot_root``, one version per shard build
+(``shardNN/vNNNN`` + a ``CURRENT`` pointer per shard).
 
 Every shard call runs synchronously through the fleet's one
 :class:`~repro.fleet.dispatch.SerialDispatcher`
@@ -195,9 +197,10 @@ class KNNFleet:
         """Plan, shard, replicate and wire a fleet over ``points``.
 
         Every replica service runs with ``background_rebuild=True`` (the
-        old index serves during policy-triggered rebuilds) and, when
-        ``snapshot_root`` is given, writes versioned snapshots under
-        ``snapshot_root/shardNN/replicaM/``.
+        old index serves during policy-triggered rebuilds).  When
+        ``snapshot_root`` is given, each shard build is written once, as a
+        versioned snapshot under ``snapshot_root/shardNN/`` that the
+        shard's replicas share.
 
         ``clock`` / ``tracer`` / ``events`` inject the observability
         plane (see :mod:`repro.obs`): one monotonic clock threaded through
@@ -208,6 +211,8 @@ class KNNFleet:
         if n_replicas <= 0:
             raise ValueError(f"n_replicas must be positive, got {n_replicas}")
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if not np.isfinite(points).all():
+            raise ValueError("points must have finite coordinates (found nan or inf)")
         n = points.shape[0]
         ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
         if ids.size and int(ids.min()) < 0:
@@ -225,20 +230,15 @@ class KNNFleet:
         groups: List[ReplicaGroup] = []
         for shard in range(n_shards):
             mask = plan.assignment == shard
-            # One deterministic build per shard; replicas wrap the same
-            # immutable tree (every mutation path refits into a NEW backend,
-            # so sharing the initial tree is safe and cuts build cost by
-            # the replica factor).
+            # One deterministic build per shard, served by every replica, as
+            # every later build of the shard is (backends are immutable:
+            # each mutation path refits into a NEW backend).
             shard_backend = LocalTreeBackend.fit(points[mask], ids=ids[mask], config=config)
+            root = Path(snapshot_root) / f"shard{shard:02d}" if snapshot_root is not None else None
             replicas = []
             for r in range(n_replicas):
-                root = (
-                    Path(snapshot_root) / f"shard{shard:02d}" / f"replica{r}"
-                    if snapshot_root is not None
-                    else None
-                )
                 service = KNNService(
-                    shard_backend if r == 0 else LocalTreeBackend(shard_backend.tree),
+                    shard_backend,
                     k=k,
                     rebuild_policy=rebuild_policy,
                     # Replicas answer through the router, not their own
@@ -357,7 +357,10 @@ class KNNFleet:
 
         One flat latency summary (p50/p99/mean/max, QPS — same keys as
         :meth:`KNNService.latency_summary`) plus the admission ledger, the
-        router's measured fan-out, and a per-shard health row.
+        router's measured fan-out, and a per-shard health row.  A row's
+        ``rebuilds`` counts builds of the shard (one per build its replicas
+        share); ``repro_service_rebuilds_total{shard,replica}`` counts each
+        replica's swaps.
         """
         summary: Dict[str, object] = dict(self.records.summary())
         # The retained-window order statistics are replaced by histogram
@@ -567,7 +570,8 @@ class KNNFleet:
             del self._id_to_shard[point_id]
 
     def begin_rebuild(self, shard: int | None = None, at: float | None = None) -> None:
-        """Kick a background rebuild on every replica of one/all shards.
+        """Kick one background build of one/all shards, held by every live
+        replica of the shard.
 
         The shards keep serving from their old indices; the fresh builds
         hot-swap in once their logical completion times pass.
@@ -575,9 +579,8 @@ class KNNFleet:
         now = self._advance(at)
         targets = self.groups if shard is None else [self.groups[shard]]
         for group in targets:
-            for replica in group.replicas:
-                if replica.alive:
-                    replica.service.begin_background_rebuild(at=now)
+            if group.n_alive:
+                group.begin_rebuild(at=now)
 
     # ------------------------------------------------------------------
     # Failure injection / repair

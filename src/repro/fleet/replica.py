@@ -3,11 +3,16 @@
 Each shard of the fleet is a :class:`ReplicaGroup` of identical
 :class:`~repro.service.service.KNNService` instances over the same shard
 point set.  Reads go to the least-loaded live replica; mutations go to
-every live replica so the group stays bit-identical.  Failures are
-injected deliberately (tests and chaos drills): a replica can be killed
-outright or armed to die *mid-query*, in which case the group transparently
-retries the batch on the next-least-loaded peer — answers never change,
-only the load accounting does.
+every live replica so the group holds one live set.  Rebuilds are per
+shard, not per replica: a mutation goes to the first live replica first,
+and when it starts a background build there, every other live replica
+joins that build before taking the same mutation — one refit, one
+snapshot and one backend object per shard version, swapped in by each
+replica against its own state.  Failures are injected deliberately (tests
+and chaos drills): a replica can be killed outright or armed to die
+*mid-query*, in which case the group transparently retries the batch on
+the next-least-loaded peer — answers never change, only the load
+accounting does.
 
 Liveness and load state are lock-guarded: the serving path is one
 synchronous caller, but the ops server and the profiler read the same
@@ -16,7 +21,7 @@ fields from other threads.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -181,8 +186,10 @@ class ReplicaGroup:
 
     @property
     def rebuilds(self) -> int:
-        """Total rebuilds across the group's replicas."""
-        return sum(r.service.rebuilds for r in self.replicas)
+        """Index builds of this shard: a build its replicas share counts
+        once.  Swaps are counted per replica by ``KNNService.rebuilds``
+        (``repro_service_rebuilds_total{shard,replica}``)."""
+        return sum(r.service.builds for r in self.replicas)
 
     def primary(self) -> Replica:
         """The least-loaded live replica (lowest id on ties)."""
@@ -263,7 +270,7 @@ class ReplicaGroup:
             self.events.emit(kind, **fields)
 
     # ------------------------------------------------------------------
-    # Mutation (applied to every live replica, keeping them identical)
+    # Mutation (applied to every live replica, one build per shard)
     # ------------------------------------------------------------------
     def insert(self, points: np.ndarray, ids: np.ndarray, at: float | None = None) -> None:
         """Insert into every live replica; loud when none is left.
@@ -271,19 +278,38 @@ class ReplicaGroup:
         A mutation against a fully-dead shard must fail, not silently drop
         the data (there would be no peer to heal from).
         """
-        if self.n_alive == 0:
-            raise ShardUnavailableError(f"shard {self.shard_id}: every replica is dead")
-        for replica in self.replicas:
-            if replica.alive:
-                replica.service.insert(points, ids=ids, at=at)
+        self._apply(lambda service: service.insert(points, ids=ids, at=at), at)
 
     def delete(self, ids: np.ndarray, at: float | None = None) -> None:
         """Delete from every live replica; loud when none is left."""
-        if self.n_alive == 0:
+        self._apply(lambda service: service.delete(ids, at=at), at)
+
+    def begin_rebuild(self, at: float | None = None) -> None:
+        """Start one background build of the shard, held by every live replica."""
+        self._apply(lambda service: service.begin_background_rebuild(at=at), at)
+
+    def _apply(self, mutate: Callable[[KNNService], object], at: float | None) -> None:
+        """Run ``mutate`` on every live replica, the first one first, so
+        that the shard builds at most once.
+
+        Before a peer takes the mutation it joins a build the first
+        replica started (its own rebuild policy then finds the build in
+        flight and starts none).  A build a peer's own policy starts is
+        joined by the first replica, and then by the peers before it.
+        """
+        live = [r.service for r in self.replicas if r.alive]
+        if not live:
             raise ShardUnavailableError(f"shard {self.shard_id}: every replica is dead")
-        for replica in self.replicas:
-            if replica.alive:
-                replica.service.delete(ids, at=at)
+        first, *peers = live
+        mutate(first)
+        for service in peers:
+            service.join_rebuild(first, at=at)
+            mutate(service)
+            # A peer's policy can fire where the first one's did not: a
+            # healed replica counts its updates from the heal.
+            first.join_rebuild(service, at=at)
+        for service in peers[:-1]:
+            service.join_rebuild(first, at=at)
 
     # ------------------------------------------------------------------
     # Repair
@@ -292,11 +318,15 @@ class ReplicaGroup:
         """Re-seed every dead replica from a healthy peer; returns count.
 
         The donor's *live* arrays (tree minus tombstones plus delta) are
-        refit into a fresh service carrying the dead replica's policies —
-        a healed replica serves exactly the shard's live set from the first
-        query on (its refit tree scans points in another order than a
-        peer's tree plus delta buffer, so among exactly-tied k-th
-        neighbours, kept in scan order, it may return a different one).
+        refit into a fresh service carrying the dead replica's policies and
+        snapshot root — a healed replica serves exactly the shard's live
+        set from the first query on (its refit tree scans points in another
+        order than a peer's tree plus delta buffer, so among exactly-tied
+        k-th neighbours, kept in scan order, it may return a different
+        one).  It joins the shard's next build like any live replica, and
+        from that build's swap on it serves the same index as its peers.
+        A dead replica's share of an in-flight build is dropped; the
+        build's snapshot stays for the peers still holding it.
         """
         donor = self.primary()  # raises when the whole group is dead
         points, ids = donor.service.live_arrays()

@@ -198,6 +198,9 @@ def _coerce_inputs(
     n, dims = points.shape
     if dims == 0:
         raise ValueError("points must have at least one dimension")
+    if not np.isfinite(points).all():
+        # No query could ever reach such a point.
+        raise ValueError("points must have finite coordinates (found nan or inf)")
     if ids is None:
         ids = np.arange(n, dtype=np.int64)
     ids = np.asarray(ids, dtype=np.int64)

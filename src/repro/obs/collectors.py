@@ -198,7 +198,8 @@ def _shard_families(fleet) -> List[MetricFamily]:
 _SERVICE_COUNTERS = {
     "rebuilds": (
         "repro_service_rebuilds_total",
-        "Index rebuilds completed per replica service.",
+        "Index swaps completed per replica service (a shard build its "
+        "replicas share counts once per replica).",
     ),
     "rebuild_seconds": (
         "repro_service_rebuild_seconds_total",

@@ -26,7 +26,10 @@ atomically and the delta buffer is reconciled against it — updates that
 arrived mid-build survive the swap exactly.  With a ``snapshot_root`` every
 background build is also persisted as a versioned on-disk snapshot
 (``v0001``, ``v0002``, ...) whose ``CURRENT`` pointer is promoted at swap
-time (:mod:`repro.core.snapshot`).
+time (:mod:`repro.core.snapshot`).  A service holding the same live set as
+a peer can join the peer's in-flight build instead of running its own
+(:meth:`KNNService.join_rebuild`): one refit, one snapshot, one backend
+object, swapped in by each holder against its own state.
 
 Micro-batches are answered synchronously in the calling thread.  All
 public methods are safe under concurrent callers (one re-entrant lock).
@@ -42,7 +45,7 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.annotations import exactness_path, requires_lock
-from repro.analysis.runtime import guarded, new_rlock
+from repro.analysis.runtime import guarded, new_lock, new_rlock
 from repro.core.snapshot import allocate_version_dir, promote_version
 from repro.kdtree.heap import merge_topk_rows
 from repro.obs.clock import MONOTONIC, Clock
@@ -85,7 +88,7 @@ class RebuildPolicy:
             raise ValueError(f"max_staleness_s must be positive, got {self.max_staleness_s}")
 
 
-@dataclass
+@guarded
 class _BackgroundRebuild:
     """An index build running 'off to the side' of the serving path.
 
@@ -93,13 +96,54 @@ class _BackgroundRebuild:
     is real compute), but logically it completes at ``ready_at`` — until
     then the service keeps answering from the old backend, exactly as a
     real background worker would let it.
+
+    One build can be held by several services (:meth:`KNNService.join_rebuild`):
+    the backend, ready time, snapshot directory and sorted id column are
+    shared and never change.  Only the holder count moves, so that the
+    first holder to swap promotes the snapshot and the directory is
+    removed only when every holder cancelled before any swapped.
     """
 
-    started_at: float
-    ready_at: float
-    elapsed: float
-    backend: object
-    snapshot_dir: Path | None
+    GUARDED_BY = {"_holders": "_lock", "_promoted": "_lock"}
+
+    def __init__(
+        self, started_at: float, elapsed: float, backend, snapshot_dir: Path | None
+    ) -> None:
+        self.started_at = started_at
+        self.ready_at = started_at + elapsed
+        self.elapsed = elapsed
+        self.backend = backend
+        self.snapshot_dir = snapshot_dir
+        # Sorted once per build; every holder's swap and id index reuse it.
+        _, ids = backend.all_points()
+        self.order = np.argsort(ids)
+        self.sorted_ids = ids[self.order]
+        self._holders = 1
+        self._promoted = False
+        self._lock = new_lock("_BackgroundRebuild._lock")
+
+    def join(self) -> bool:
+        """Count one more holder; False once the build was abandoned."""
+        with self._lock:
+            if self._holders == 0 and not self._promoted:
+                return False
+            self._holders += 1
+            return True
+
+    def swapped(self) -> bool:
+        """Release a holder that installed the build; True for the first
+        (which promotes the snapshot)."""
+        with self._lock:
+            self._holders -= 1
+            first, self._promoted = not self._promoted, True
+            return first
+
+    def abandoned(self) -> bool:
+        """Release a holder that cancelled the build; True once no holder
+        is left and none swapped (nothing will ever serve it)."""
+        with self._lock:
+            self._holders -= 1
+            return self._holders == 0 and not self._promoted
 
 
 @guarded
@@ -148,9 +192,14 @@ class KNNService:
     events:
         Optional structured ops event sink (an
         :class:`~repro.obs.events.EventLog` or a ``.scoped(...)`` view of
-        one).  When set, the service emits ``rebuild_begin`` /
-        ``rebuild_swap`` / ``cache_full_clear`` events; ``None`` (default)
-        emits nothing.
+        one).  When set, the service emits ``rebuild_begin`` (with the
+        build's ``refit_s`` and ``snapshot_s``, and ``joined=True`` on a
+        joined build, which reports 0 s for both) / ``rebuild_swap`` (with
+        ``swap_s``) / ``cache_full_clear`` events; ``None`` (default) emits
+        nothing.
+
+    ``rebuilds`` counts index swaps this service completed, joined builds
+    included; ``builds`` counts the refits it ran itself.
     """
 
     GUARDED_BY = {
@@ -159,6 +208,7 @@ class KNNService:
         "cache": "_lock",
         "version": "_lock",
         "rebuilds": "_lock",
+        "builds": "_lock",
         "rebuild_seconds": "_lock",
         "refetched_rows": "_lock",
         "_queue": "_lock",
@@ -195,6 +245,7 @@ class KNNService:
         self.delta = DeltaBuffer(backend.dims)
         self.version = 0
         self.rebuilds = 0
+        self.builds = 0
         self.rebuild_seconds = 0.0
         self.refetched_rows = 0
         self.background_rebuild = background_rebuild
@@ -503,7 +554,7 @@ class KNNService:
             self._rebuild_now(now)
 
     def begin_background_rebuild(self, at: float | None = None) -> float:
-        """Start (or join) a background rebuild; returns its ready time.
+        """Start a background rebuild; returns its ready time.
 
         The replacement index is built over the live set as of now, while
         the current index keeps serving — the server is *not* blocked.
@@ -515,6 +566,46 @@ class KNNService:
         with self._lock:
             now = self._advance(at)
             return self._begin_background(now)
+
+    def join_rebuild(self, peer: "KNNService", at: float | None = None) -> bool:
+        """Hold ``peer``'s in-flight background build as this service's
+        own instead of running one; returns True when joined.
+
+        Unless ``peer`` has no build in flight, the clock first advances to
+        ``at`` (swapping or starting whatever is due by then).  The build is
+        joined only if this service then has none in flight, and the build
+        began at this service's current logical time and is not due yet.
+        So a caller applying one mutation to both services, joining in
+        between, hands over a build of the live set they share; the
+        mutation lands here before the swap, which reconciles by id against
+        this service's own tree, tombstones and buffer.  Backend object,
+        ready time and snapshot directory are shared; the first holder to
+        swap promotes the snapshot.
+        """
+        with peer._lock:
+            build = peer._bg
+        if build is None:
+            return False
+        with self._lock:
+            now = self._advance(at)
+            if (
+                self._bg is not None
+                or build.started_at != now
+                or build.ready_at <= now
+                or not build.join()
+            ):
+                return False
+            self._bg = build
+            self._emit(
+                "rebuild_begin",
+                mode="background",
+                points=int(build.backend.n_points),
+                ready_at=build.ready_at,
+                refit_s=0.0,
+                snapshot_s=0.0,
+                joined=True,
+            )
+            return True
 
     def finish_rebuild(self, at: float | None = None) -> bool:
         """Advance the clock to ``at`` (default: the build's ready time) and
@@ -548,13 +639,14 @@ class KNNService:
     def _cancel_background(self) -> None:
         """Abandon an in-flight background build.
 
-        Its un-promoted version directory is removed (it would otherwise
-        sit on disk forever, indistinguishable from crash leftovers), and
-        any pooled-executor shutdown responsibility the refit handed to the
+        Once no service holds the build and none swapped it, its
+        un-promoted version directory is removed (it would otherwise sit on
+        disk forever, indistinguishable from crash leftovers), and any
+        pooled-executor shutdown responsibility the refit handed to the
         abandoned backend is passed back to the one that keeps serving.
         """
         bg, self._bg = self._bg, None
-        if bg is None:
+        if bg is None or not bg.abandoned():
             return
         if bg.snapshot_dir is not None:
             shutil.rmtree(bg.snapshot_dir, ignore_errors=True)
@@ -588,12 +680,22 @@ class KNNService:
         points, ids = self.live_arrays()
         if points.shape[0] == 0:
             raise RuntimeError("cannot rebuild over an empty live set")
-        self._emit("rebuild_begin", mode="foreground", points=int(points.shape[0]))
         started = self._clock.monotonic()
         self.backend = self.backend.refit(points, ids)
-        elapsed = self._clock.monotonic() - started
+        swap_started = self._clock.monotonic()
+        refit_s = swap_started - started
+        self._emit(
+            "rebuild_begin",
+            mode="foreground",
+            points=int(points.shape[0]),
+            refit_s=refit_s,
+            snapshot_s=0.0,
+            joined=False,
+        )
+        elapsed = refit_s
         if self._service_time is not None:
             elapsed = float(self._service_time(points.shape[0]))
+        self.builds += 1
         self.rebuilds += 1
         self.rebuild_seconds += elapsed
         # The single server is busy rebuilding: queries arriving meanwhile
@@ -602,9 +704,14 @@ class KNNService:
         self.delta.clear()
         self._clear_cache_fully()
         self.version += 1
-        self._emit("rebuild_swap", mode="foreground", version=self.version)
         self._first_dirty_at = None
         self._reindex_ids()
+        self._emit(
+            "rebuild_swap",
+            mode="foreground",
+            version=self.version,
+            swap_s=self._clock.monotonic() - swap_started,
+        )
 
     @requires_lock("_lock")
     def _begin_background(self, now: float) -> float:
@@ -615,25 +722,26 @@ class KNNService:
             raise RuntimeError("cannot rebuild over an empty live set")
         started = self._clock.monotonic()
         fresh = self.backend.refit(points, ids)
-        elapsed = self._clock.monotonic() - started
+        refit_s = self._clock.monotonic() - started
+        elapsed = refit_s
         if self._service_time is not None:
             elapsed = float(self._service_time(points.shape[0]))
-        snapshot_dir = None
+        snapshot_dir, snapshot_s = None, 0.0
         if self.snapshot_root is not None:
+            started = self._clock.monotonic()
             snapshot_dir = allocate_version_dir(self.snapshot_root)
             fresh.save(snapshot_dir / "index")
-        self._bg = _BackgroundRebuild(
-            started_at=now,
-            ready_at=now + elapsed,
-            elapsed=elapsed,
-            backend=fresh,
-            snapshot_dir=snapshot_dir,
-        )
+            snapshot_s = self._clock.monotonic() - started
+        self._bg = _BackgroundRebuild(now, elapsed, fresh, snapshot_dir)
+        self.builds += 1
         self._emit(
             "rebuild_begin",
             mode="background",
             points=int(points.shape[0]),
             ready_at=self._bg.ready_at,
+            refit_s=refit_s,
+            snapshot_s=snapshot_s,
+            joined=False,
         )
         return self._bg.ready_at
 
@@ -656,12 +764,12 @@ class KNNService:
         The live set is unchanged by the swap, so answers before and after
         are identical — which is what the fleet exactness tests assert.
         """
+        started = self._clock.monotonic()
         bg = self._bg
         self._bg = None
-        t_points, t_ids = bg.backend.all_points()
+        t_points, _ = bg.backend.all_points()
         buf_points, buf_ids = self.delta.live_arrays()
-        order = np.argsort(t_ids)
-        new_ids = t_ids[order]
+        order, new_ids = bg.order, bg.sorted_ids
 
         # Live now: in the old tree and not tombstoned, or buffered.
         old_live = self._backend_ids[~self.delta.dead_mask(self._backend_ids)]
@@ -684,9 +792,10 @@ class KNNService:
         self.rebuild_seconds += bg.elapsed
         self._clear_cache_fully()
         self.version += 1
-        self._emit("rebuild_swap", mode="background", version=self.version)
-        if bg.snapshot_dir is not None:
-            promote_version(self.snapshot_root, bg.snapshot_dir)
+        # Only the build's first holder to swap promotes it: a later swap of
+        # the same version must not move CURRENT back from a newer one.
+        if bg.swapped() and bg.snapshot_dir is not None:
+            promote_version(bg.snapshot_dir.parent, bg.snapshot_dir)
         # Any update surviving the swap arrived after the build began; the
         # pre-build dirty timestamp would make the staleness policy fire an
         # immediate (pointless) extra rebuild.
@@ -694,7 +803,13 @@ class KNNService:
             self._first_dirty_at if self._first_dirty_at is not None else bg.started_at,
             bg.started_at,
         )
-        self._reindex_ids()
+        self._reindex_ids(new_ids)
+        self._emit(
+            "rebuild_swap",
+            mode="background",
+            version=self.version,
+            swap_s=self._clock.monotonic() - started,
+        )
 
     # ------------------------------------------------------------------
     # Internals
@@ -870,12 +985,14 @@ class KNNService:
                 self._rebuild_now(now)
 
     @requires_lock("_lock")
-    def _reindex_ids(self) -> None:
-        _, ids = self.backend.all_points()
+    def _reindex_ids(self, sorted_ids: np.ndarray | None = None) -> None:
+        """Index the backend's ids; ``sorted_ids`` passes them already sorted."""
+        if sorted_ids is None:
+            sorted_ids = np.sort(self.backend.all_points()[1])
         # One ascending array: whole-batch searchsorted membership for
         # insert/delete and the swap, no Python object per indexed id.
-        self._backend_ids = np.sort(ids)
+        self._backend_ids = sorted_ids
         # Auto ids only ever move forward: an id freed by a delete + rebuild
         # must not be reassigned to a different point.
-        floor = int(ids.max()) + 1 if ids.size else 0
+        floor = int(sorted_ids[-1]) + 1 if sorted_ids.size else 0
         self._next_auto_id = max(getattr(self, "_next_auto_id", 0), floor)

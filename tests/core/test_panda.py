@@ -25,6 +25,16 @@ class TestPandaKNN:
         with pytest.raises(ValueError):
             PandaKNN(n_ranks=2).fit(np.empty((0, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_fit_rejected_before_distribution(self, small_points, bad):
+        points = small_points.copy()
+        points[3, 0] = bad
+        index = PandaKNN(n_ranks=2)
+        with pytest.raises(ValueError, match="finite"):
+            index.fit(points)
+        assert not index.is_fitted
+        assert index.cluster.total_points() == 0
+
     def test_default_k_from_config(self, small_points, small_queries):
         index = PandaKNN(n_ranks=2, config=PandaConfig(k=7)).fit(small_points)
         report = index.query(small_queries[:10])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.fleet import AdmissionPolicy, KNNFleet
+from repro.fleet.planner import ShardPlanner
 from repro.kdtree.query import brute_force_knn
 from repro.service import KNNService, LocalTreeBackend, MicroBatchPolicy, RebuildPolicy
 
@@ -129,6 +130,20 @@ def test_randomized_interleavings_match_single_service(base, n_shards, n_replica
     # Final sweep.
     queries = rng.uniform(lo, hi, size=(15, points.shape[1]))
     assert_fleet_exact(fleet, single, reference, queries, 5, t)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_build_rejected_before_planning(base, bad, monkeypatch):
+    points, ids = base
+    points = points.copy()
+    points[11, 2] = bad
+
+    def plan(*args, **kwargs):
+        raise AssertionError("the planner ran on a non-finite point set")
+
+    monkeypatch.setattr(ShardPlanner, "plan", plan)
+    with pytest.raises(ValueError, match="finite"):
+        KNNFleet.build(points, ids=ids, n_shards=3, n_replicas=2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -291,6 +291,32 @@ def test_background_rebuild_events_through_fleet():
         assert "shard" in fields and "replica" in fields
 
 
+def test_one_unjoined_rebuild_begin_per_shard_build():
+    # Every replica reports the build it holds; exactly one report per
+    # build ran the refit, the others joined it and spent nothing.
+    with KNNFleet.build(
+        _points(),
+        n_shards=2,
+        n_replicas=3,
+        rebuild_policy=RebuildPolicy(max_inserts=4),
+        service_time=lambda n: 1.0,
+    ) as fleet:
+        rng = np.random.default_rng(5)
+        for step in range(6):
+            fleet.insert(rng.normal(size=(8, 3)), at=10.0 * step)
+        begins = [dict(e.fields) for e in fleet.events.snapshot("rebuild_begin")]
+        for group in fleet.groups:
+            mine = [b for b in begins if b["shard"] == group.shard_id]
+            built = [b for b in mine if not b["joined"]]
+            joined = [b for b in mine if b["joined"]]
+            assert len(built) == group.rebuilds > 0
+            assert len(joined) == 2 * len(built)
+            assert all(b["refit_s"] > 0.0 for b in built)
+            assert all(b["refit_s"] == b["snapshot_s"] == 0.0 for b in joined)
+        swaps = [dict(e.fields) for e in fleet.events.snapshot("rebuild_swap")]
+        assert swaps and all(s["swap_s"] >= 0.0 for s in swaps)
+
+
 def test_ops_events_exported_in_metrics():
     with KNNFleet.build(_points(), n_shards=2, n_replicas=2) as fleet:
         fleet.kill_replica(0, 1)

@@ -1,0 +1,164 @@
+"""A shard builds once: its replicas join one background rebuild.
+
+The write that trips a shard's rebuild policy refits the shard on its
+first live replica; every other live replica joins that build before
+taking the same write.  So a shard version is one refit, one snapshot
+directory and one backend object, and replicas that swapped it answer
+byte for byte alike, ids included.
+"""
+
+from collections import Counter
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.snapshot import current_version_dir, list_snapshot_versions
+from repro.fleet import KNNFleet
+from repro.kdtree.query import brute_force_knn
+from repro.obs import ManualClock
+from repro.service import LocalTreeBackend, RebuildPolicy
+
+DIMS = 3
+BUILD_S = 3.5e-3  # a build stays in flight for three ops
+
+
+def _draw(rng, n):
+    # A coarse grid, so duplicates and exact ties are common.
+    return rng.integers(0, 4, size=(n, DIMS)).astype(np.float64)
+
+
+def _one_backend(group) -> bool:
+    """Whether every live replica serves the same backend object."""
+    return len({id(r.service.backend) for r in group.replicas if r.alive}) == 1
+
+
+OPS = st.lists(
+    st.tuples(
+        # Writes twice as likely as the rest, so builds trip within a run.
+        st.sampled_from(["insert", "insert", "delete", "delete", "query", "finish", "kill", "heal"]),
+        st.integers(0, 2**16),
+    ),
+    min_size=20,
+    max_size=60,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=OPS, seed=st.integers(0, 2**16))
+# Kill the replica that ran a shard's in-flight build (its peer still holds
+# it), heal it, then trip the shard's next build.
+@example(
+    ops=[("delete", 3), ("delete", 7), ("delete", 11), ("kill", 1), ("heal", 0)]
+    + [("delete", 5)] * 4
+    + [("finish", 0), ("query", 2)],
+    seed=1,
+)
+def test_every_answer_exact_and_shared_builds_answer_alike(ops, seed):
+    rng = np.random.default_rng(seed)
+    initial = _draw(rng, 60)
+    model = dict(enumerate(initial))
+    fleet = KNNFleet.build(
+        initial,
+        n_shards=2,
+        n_replicas=2,
+        k=3,
+        rebuild_policy=RebuildPolicy(max_inserts=16, max_tombstones=8),
+        service_time=lambda n: BUILD_S,
+        clock=ManualClock(),
+    )
+
+    def check(queries, k):
+        ids = np.fromiter(model, dtype=np.int64, count=len(model))
+        live = np.stack([model[j] for j in ids]) if model else np.empty((0, DIMS))
+        ref_d, _ = brute_force_knn(live, ids, queries, k)
+        for row, query in enumerate(queries):
+            d, i = fleet.query(query, k=k, at=t)
+            assert np.array_equal(d, ref_d[row])
+            found = i[i >= 0]
+            assert found.size == np.isfinite(ref_d[row]).sum() == np.unique(found).size
+            mine = np.array([np.sqrt(((model[j] - query) ** 2).sum()) for j in found])
+            assert np.allclose(mine, d[: found.size], rtol=1e-12)
+        for group in fleet.groups:
+            if not _one_backend(group):
+                continue
+            answers = [r.service.answer_batch(queries, k=k) for r in group.replicas if r.alive]
+            for d, i in answers[1:]:
+                assert np.array_equal(d, answers[0][0]) and np.array_equal(i, answers[0][1])
+
+    t = 0.0
+    for kind, arg in ops:
+        t += 1e-3
+        rng = np.random.default_rng(arg)
+        k = 1 + arg % 5
+        if kind == "insert":
+            fresh = _draw(rng, 1 + arg % 8)
+            model.update(zip(fleet.insert(fresh, at=t).tolist(), fresh))
+        elif kind == "delete" and model:
+            doomed = rng.choice(list(model), size=min(len(model), 1 + arg % 6), replace=False)
+            fleet.delete(doomed, at=t)
+            for point_id in doomed.tolist():
+                del model[point_id]
+        elif kind == "query":
+            check(_draw(rng, 1 + arg % 4) + 0.5 * (arg % 2), k)
+        elif kind == "finish":
+            # Every build in flight comes due, on every live replica.
+            t += BUILD_S
+            for group in fleet.groups:
+                for replica in group.replicas:
+                    if replica.alive:
+                        replica.service.finish_rebuild(at=t)
+        elif kind == "kill":
+            group = fleet.groups[arg % 2]
+            if group.n_alive > 1:
+                fleet.kill_replica(group.shard_id, arg // 2 % 2)
+        elif kind == "heal":
+            fleet.heal(at=t)
+    t += 1e-3
+    check(_draw(np.random.default_rng(seed), 8), 3)
+    assert fleet.n_live == len(model)
+    fleet.close()
+
+
+def test_one_refit_and_one_version_per_shard_per_round(small_points, tmp_path, monkeypatch):
+    refits = []
+    refit = LocalTreeBackend.refit
+
+    def spy(self, points, ids):
+        refits.append(shard_of[int(ids[0])])
+        return refit(self, points, ids)
+
+    monkeypatch.setattr(LocalTreeBackend, "refit", spy)
+    fleet = KNNFleet.build(
+        small_points,
+        n_shards=2,
+        n_replicas=2,
+        k=4,
+        rebuild_policy=RebuildPolicy(max_tombstones=8),
+        snapshot_root=tmp_path,
+        service_time=lambda n: 1.0,
+        clock=ManualClock(),
+    )
+    shard_of = dict(zip(range(small_points.shape[0]), fleet.plan.assignment.tolist()))
+    victims = {s: [i for i, owner in shard_of.items() if owner == s] for s in (0, 1)}
+    queries = small_points[:20] + 0.01
+    for round_ in range(1, 3):
+        del refits[:]
+        at = 10.0 * round_
+        # Eight deletes per shard: the write trips both shards' policy.
+        doomed = [victims[s].pop() for s in (0, 1) for _ in range(8)]
+        fleet.delete(np.array(doomed), at=at)
+        assert Counter(refits) == {0: 1, 1: 1}
+        for group in fleet.groups:
+            for replica in group.replicas:
+                replica.service.finish_rebuild(at=at + 5.0)
+            root = tmp_path / f"shard{group.shard_id:02d}"
+            assert [v for v, _ in list_snapshot_versions(root)] == list(range(1, round_ + 1))
+            assert current_version_dir(root).name == f"v{round_:04d}"
+            assert _one_backend(group)
+            a, b = (r.service.answer_batch(queries, k=4) for r in group.replicas)
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    shards = fleet.stats()["shards"]
+    assert [row["rebuilds"] for row in shards] == [2, 2]
+    assert all(r.service.rebuilds == 2 for g in fleet.groups for r in g.replicas)
+    fleet.close()

@@ -47,6 +47,13 @@ class TestBuildBasics:
         with pytest.raises(ValueError):
             build_kdtree(np.zeros((10, 0)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, small_points, bad):
+        points = small_points.copy()
+        points[7, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            build_kdtree(points)
+
     def test_invalid_threads_rejected(self, small_points):
         with pytest.raises(ValueError):
             build_kdtree(small_points, threads=0)

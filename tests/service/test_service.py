@@ -264,6 +264,15 @@ class TestStreamingUpdates:
             service.delete([5])
             service.delete([5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_fit_and_refit_rejected(self, backend, small_points, bad):
+        points = small_points[:50].copy()
+        points[4, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LocalTreeBackend.fit(points)
+        with pytest.raises(ValueError, match="finite"):
+            backend.refit(points, np.arange(50))
+
     def test_colliding_insert_id_rejected(self, backend, small_points):
         service = make_service(backend)
         with pytest.raises(ValueError):
