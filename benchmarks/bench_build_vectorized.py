@@ -4,7 +4,10 @@ Times :func:`repro.kdtree.build.build_kdtree` (whole-frontier lockstep
 construction) against :func:`repro.kdtree.build.build_kdtree_scalar` (one
 Python iteration per node) on the same points, checks the vectorised tree
 validates clean, and — under a deterministic strategy — that both builders
-produce byte-identical leaf contents.
+produce byte-identical leaf contents.  A second A/B prices a streaming
+rebuild: :func:`repro.kdtree.repack.repack_kdtree` (re-pack under the kept
+split planes) against a refit over the same 50k-point live set after 256
+deletes and 256 inserts, with distances asserted bit-equal.
 
 Run under the pytest-benchmark harness like the figure benchmarks, or
 directly for a quick reading::
@@ -20,6 +23,8 @@ import time
 import numpy as np
 
 from repro.kdtree.build import build_kdtree, build_kdtree_scalar
+from repro.kdtree.query import batch_knn
+from repro.kdtree.repack import repack_kdtree
 from repro.kdtree.tree import KDTreeConfig
 from repro.kdtree.validate import check_tree_invariants
 
@@ -87,6 +92,51 @@ def run_comparison(n_points: int, dims: int, bucket_size: int, seed: int = 1):
     return {"speedup": speedup, "vectorized_s": vectorized_s, "scalar_s": scalar_s, "text": text}
 
 
+#: Streaming-rebuild A/B: the ``RebuildPolicy`` tombstone budget of deletes.
+REPACK_SIZE = dict(n_points=50_000, dims=3, n_deleted=256, n_inserted=256, n_queries=1_000)
+
+
+def run_repack_comparison(
+    n_points: int, dims: int, n_deleted: int, n_inserted: int, n_queries: int, seed: int = 2
+):
+    """Fold deletes and inserts into a tree by re-packing vs by refitting."""
+    rng = np.random.default_rng(seed)
+    points = rng.random((n_points, dims))
+    tree = build_kdtree(points)
+    keep = np.ones(n_points, dtype=bool)
+    keep[rng.choice(n_points, size=n_deleted, replace=False)] = False
+    fresh = rng.random((n_inserted, dims))
+    fresh_ids = np.arange(n_points, n_points + n_inserted)
+    live_points = np.concatenate([tree.points[keep], fresh])
+    live_ids = np.concatenate([tree.ids[keep], fresh_ids])
+
+    repack_s = refit_s = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        repacked = repack_kdtree(tree, keep, fresh, fresh_ids)
+        repack_s = min(repack_s, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        refit = build_kdtree(live_points, ids=live_ids, config=tree.config)
+        refit_s = min(refit_s, time.perf_counter() - t0)
+
+    check_tree_invariants(repacked)
+    queries = rng.random((n_queries, dims))
+    d_repack, _, _ = batch_knn(repacked, queries, 8)
+    d_refit, _, _ = batch_knn(refit, queries, 8)
+    assert np.array_equal(d_repack, d_refit), "re-packed tree answers differ from the refit"
+    text = "\n".join(
+        [
+            f"streaming rebuild: {n_points} points, -{n_deleted} +{n_inserted}, {dims}-D",
+            f"  repack_kdtree (fold)     : {repack_s * 1e3:9.2f} ms",
+            f"  build_kdtree (refit)     : {refit_s * 1e3:9.2f} ms",
+            f"  speedup                  : {refit_s / repack_s:9.1f} x",
+            f"  nodes repack / refit     : {repacked.n_nodes} / {refit.n_nodes}",
+            f"  distances, k=8           : bit-equal over {n_queries} queries",
+        ]
+    )
+    return {"speedup": refit_s / repack_s, "repack_s": repack_s, "refit_s": refit_s, "text": text}
+
+
 def test_build_vectorized_speedup(benchmark, record_result):
     from conftest import run_once
 
@@ -115,6 +165,7 @@ def main() -> None:
 
     result = run_comparison(**size)
     print(result["text"])
+    print(run_repack_comparison(**REPACK_SIZE)["text"])
     if not args.smoke and result["speedup"] < 5.0:
         raise SystemExit(f"speedup {result['speedup']:.1f}x below the 5x acceptance floor")
 

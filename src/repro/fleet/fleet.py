@@ -19,7 +19,8 @@ counts and measured fan-out.
 Streaming mutations route to the owning shard (by region, id hash, or
 round-robin, matching the plan) and are applied to every live replica of
 its group.  Rebuilds are *background* and per shard, not per replica: the
-write that trips the rebuild policy refits the shard once, every live
+write that trips the rebuild policy folds the shard's updates into its
+tree once (a re-pack under the tree's split planes), every live
 replica joins that one build, and each keeps serving from its old index
 until the shared fresh one hot-swaps in — with an optional versioned
 snapshot trail under ``snapshot_root``, one version per shard build
@@ -232,7 +233,7 @@ class KNNFleet:
             mask = plan.assignment == shard
             # One deterministic build per shard, served by every replica, as
             # every later build of the shard is (backends are immutable:
-            # each mutation path refits into a NEW backend).
+            # each rebuild folds into a NEW backend).
             shard_backend = LocalTreeBackend.fit(points[mask], ids=ids[mask], config=config)
             root = Path(snapshot_root) / f"shard{shard:02d}" if snapshot_root is not None else None
             replicas = []

@@ -6,7 +6,7 @@ point set.  Reads go to the least-loaded live replica; mutations go to
 every live replica so the group holds one live set.  Rebuilds are per
 shard, not per replica: a mutation goes to the first live replica first,
 and when it starts a background build there, every other live replica
-joins that build before taking the same mutation — one refit, one
+joins that build before taking the same mutation — one fold, one
 snapshot and one backend object per shard version, swapped in by each
 replica against its own state.  Failures are injected deliberately (tests
 and chaos drills): a replica can be killed outright or armed to die

@@ -8,6 +8,8 @@ This package implements the single-node building blocks of PANDA:
 * :mod:`~repro.kdtree.median` — the approximate median estimator built from
   a non-uniform-bin histogram over sampled interval points, including the
   32-stride sub-interval accelerated binning described in Section III-A1;
+* :mod:`~repro.kdtree.repack` — re-packing a built tree around deleted and
+  inserted points under its existing split planes (streaming rebuilds);
 * :mod:`~repro.kdtree.build` — breadth-first ("data parallel") +
   depth-first ("thread parallel") construction with leaf buckets packed
   contiguously ("SIMD packing"), as a level-synchronous vectorised build
@@ -46,6 +48,7 @@ from repro.kdtree.splitters import (
 from repro.kdtree.leafblocks import gather_columns_sq, scan_columns_sq
 from repro.kdtree.tree import KDTree, KDTreeConfig, TreeBuildStats
 from repro.kdtree.build import build_kdtree, build_kdtree_scalar
+from repro.kdtree.repack import repack_kdtree
 from repro.kdtree.query import (
     KNNResult,
     QueryStats,
@@ -81,6 +84,7 @@ __all__ = [
     "TreeBuildStats",
     "build_kdtree",
     "build_kdtree_scalar",
+    "repack_kdtree",
     "KNNResult",
     "QueryStats",
     "batch_knn",

@@ -220,6 +220,8 @@ def knn_search(
         raise ValueError(f"k must be positive, got {k}")
     _check_radii(radius)
     query = np.asarray(query, dtype=np.float64).ravel()
+    if not np.isfinite(query).all():
+        raise ValueError("query must have finite coordinates (found nan or inf)")
     if tree.n_points and query.shape[0] != tree.dims:
         raise ValueError(f"query has {query.shape[0]} dims, tree has {tree.dims}")
     if tree.n_points:
@@ -383,6 +385,8 @@ def _answer(engine, tree, queries, k, radii, stats):
         raise ValueError(f"k must be positive, got {k}")
     _check_radii(radii)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must have finite coordinates (found nan or inf)")
     n_queries = queries.shape[0]
     if tree.n_points == 0 or n_queries == 0:
         agg = QueryStats(queries=n_queries)

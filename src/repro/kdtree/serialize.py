@@ -72,6 +72,8 @@ def stats_to_dict(stats: TreeBuildStats) -> dict:
         "data_parallel_levels": stats.data_parallel_levels,
         "thread_parallel_subtrees": stats.thread_parallel_subtrees,
         "forced_leaves": stats.forced_leaves,
+        "grafted_leaves": stats.grafted_leaves,
+        "collapsed_nodes": stats.collapsed_nodes,
         "phase_counters": {
             name: counters.as_dict() for name, counters in stats.phase_counters.items()
         },

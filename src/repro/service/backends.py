@@ -1,16 +1,20 @@
 """Index backends the online service can sit on top of.
 
 :class:`~repro.service.service.KNNService` only needs four things from an
-index: answer a query batch, enumerate its points (for rebuilds), refit
-itself over a new point set, and round-trip through a snapshot.  Two
-backends provide them:
+index: answer a query batch, enumerate its points, rebuild itself, and
+round-trip through a snapshot.  Rebuilding comes in two forms: ``fold``
+drops tombstoned ids and adds buffered points (the service's rebuilds),
+``refit`` starts over from a given point set (a healed fleet replica).
+Two backends provide them:
 
 * :class:`LocalTreeBackend` — one in-process kd-tree queried through the
   vectorised :func:`~repro.kdtree.query.batch_knn`; the single-node serving
-  configuration.
+  configuration.  It folds by re-packing the tree under its existing split
+  planes (:func:`~repro.kdtree.repack.repack_kdtree`).
 * :class:`PandaBackend` — a fitted :class:`~repro.core.panda.PandaKNN`
   queried through the five-step distributed protocol; the scale-out
-  configuration (micro-batches become the protocol's query batches).
+  configuration (micro-batches become the protocol's query batches).  It
+  folds by gathering its live set and refitting.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 from repro.core.panda import PandaKNN
 from repro.kdtree.build import build_kdtree
 from repro.kdtree.query import batch_knn
+from repro.kdtree.repack import repack_kdtree
 from repro.kdtree.serialize import load_kdtree, save_kdtree
 from repro.kdtree.tree import KDTree, KDTreeConfig
 
@@ -65,6 +70,17 @@ class LocalTreeBackend:
     def refit(self, points: np.ndarray, ids: np.ndarray) -> "LocalTreeBackend":
         """Fresh backend over a new point set, same construction config."""
         return LocalTreeBackend(build_kdtree(points, ids=ids, config=self.tree.config))
+
+    def fold(self, dead_ids: np.ndarray, points: np.ndarray, ids: np.ndarray) -> "LocalTreeBackend":
+        """Fresh backend over this tree minus ``dead_ids`` plus ``points``,
+        re-packed under the tree's split planes."""
+        keep = np.isin(self.tree.ids, dead_ids, invert=True)
+        return LocalTreeBackend(repack_kdtree(self.tree, keep, points, ids))
+
+    def fold_edits(self) -> Tuple[int, int]:
+        """``(grafted_leaves, collapsed_nodes)`` of the fold that made this
+        backend (zeros for a fresh build)."""
+        return self.tree.stats.grafted_leaves, self.tree.stats.collapsed_nodes
 
     def close(self) -> None:
         """Nothing pooled to release (protocol uniformity with PandaBackend)."""
@@ -145,6 +161,19 @@ class PandaBackend:
         self.index.cluster.transfer_executor_ownership(fresh.cluster)
         return PandaBackend(fresh.fit(points, ids))
 
+    def fold(self, dead_ids: np.ndarray, points: np.ndarray, ids: np.ndarray) -> "PandaBackend":
+        """Fresh distributed index over this one's points minus ``dead_ids``
+        plus ``points`` (gathered and refit: the global tree is rebuilt)."""
+        tree_points, tree_ids = self.all_points()
+        keep = np.isin(tree_ids, dead_ids, invert=True)
+        return self.refit(
+            np.concatenate([tree_points[keep], points]), np.concatenate([tree_ids[keep], ids])
+        )
+
+    def fold_edits(self) -> Tuple[int, int]:
+        """A refit makes no structural edit: always ``(0, 0)``."""
+        return 0, 0
+
     def comm_totals(self) -> dict:
         """Executor byte/message accounting, aggregated over all ranks.
 
@@ -168,10 +197,11 @@ class PandaBackend:
     def transfer_executor_ownership_to(self, other: "PandaBackend") -> None:
         """Hand pooled-executor shutdown responsibility to ``other``.
 
-        The inverse of what :meth:`refit` does implicitly: a service that
-        abandons a freshly refit backend (a cancelled background rebuild)
-        must pass ownership back to the backend that keeps serving, or no
-        live cluster would ever shut the shared pool down.
+        The inverse of what :meth:`refit` (and so :meth:`fold`) does
+        implicitly: a service that abandons a freshly folded backend (a
+        cancelled background rebuild) must pass ownership back to the
+        backend that keeps serving, or no live cluster would ever shut the
+        shared pool down.
         """
         self.index.cluster.transfer_executor_ownership(other.index.cluster)
 

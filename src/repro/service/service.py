@@ -11,10 +11,13 @@ are absorbed by a brute-force delta buffer and a tombstone set
 (:mod:`repro.service.delta`): a read asks the tree for ``k``, goes back
 only for the rows a dead id touched, and fuses one delta scan per batch; a
 :class:`RebuildPolicy` folds both into a fresh index before either grows
-enough to hurt.  Mutations invalidate the LRU result cache *selectively*:
-only entries whose stored k-th-distance ball can intersect the mutated
-points are dropped, so unrelated hot keys keep hitting — and every
-surviving entry is still exact against the current live set.
+enough to hurt.  The fold is the backend's: a local kd-tree re-packs its
+points under its existing split planes, paying for what changed rather
+than for a build over the whole live set.  Mutations invalidate the LRU
+result cache *selectively*: only entries whose stored k-th-distance ball
+can intersect the mutated points are dropped, so unrelated hot keys keep
+hitting — and every surviving entry is still exact against the current
+live set.
 
 Rebuilds come in two disciplines.  The default foreground
 :meth:`KNNService.rebuild` blocks the single server (queries arriving
@@ -28,7 +31,7 @@ background build is also persisted as a versioned on-disk snapshot
 (``v0001``, ``v0002``, ...) whose ``CURRENT`` pointer is promoted at swap
 time (:mod:`repro.core.snapshot`).  A service holding the same live set as
 a peer can join the peer's in-flight build instead of running its own
-(:meth:`KNNService.join_rebuild`): one refit, one snapshot, one backend
+(:meth:`KNNService.join_rebuild`): one fold, one snapshot, one backend
 object, swapped in by each holder against its own state.
 
 Micro-batches are answered synchronously in the calling thread.  All
@@ -58,6 +61,10 @@ from repro.service.queue import MicroBatchPolicy, MicroBatchQueue, RecordRing, a
 @dataclass(frozen=True)
 class RebuildPolicy:
     """When to fold the delta buffer and tombstones into a fresh index.
+
+    A fold costs what it changes (``backend.fold``): the local kd-tree
+    drops the tombstoned rows, routes the buffered points down its split
+    planes and re-packs, rebuilding only a leaf the inserts overflowed.
 
     Attributes
     ----------
@@ -155,7 +162,8 @@ class KNNService:
     backend:
         A :class:`~repro.service.backends.LocalTreeBackend` or
         :class:`~repro.service.backends.PandaBackend` (anything with
-        ``kneighbors`` / ``all_points`` / ``refit`` / ``dims``).
+        ``kneighbors`` / ``all_points`` / ``fold`` / ``fold_edits`` /
+        ``dims``).
     k:
         Default neighbours per query.
     batch_policy, rebuild_policy:
@@ -193,13 +201,15 @@ class KNNService:
         Optional structured ops event sink (an
         :class:`~repro.obs.events.EventLog` or a ``.scoped(...)`` view of
         one).  When set, the service emits ``rebuild_begin`` (with the
-        build's ``refit_s`` and ``snapshot_s``, and ``joined=True`` on a
-        joined build, which reports 0 s for both) / ``rebuild_swap`` (with
+        build's ``refit_s``, which times the fold, ``snapshot_s``, the
+        fold's ``grafted_leaves`` and ``collapsed_nodes``, and
+        ``joined=True`` on a joined build, which reports zeros for all
+        four) / ``rebuild_swap`` (with
         ``swap_s``) / ``cache_full_clear`` events; ``None`` (default) emits
         nothing.
 
     ``rebuilds`` counts index swaps this service completed, joined builds
-    included; ``builds`` counts the refits it ran itself.
+    included; ``builds`` counts the folds it ran itself.
     """
 
     GUARDED_BY = {
@@ -267,7 +277,7 @@ class KNNService:
         """Release backend resources (pooled executor workers, if owned).
 
         An in-flight background rebuild is cancelled — its backend may
-        hold the pool-shutdown responsibility (refit transfers it), so
+        hold the pool-shutdown responsibility (a fold transfers it), so
         dropping it unclosed would leak the worker pool.
         """
         with self._lock:
@@ -604,6 +614,8 @@ class KNNService:
                 refit_s=0.0,
                 snapshot_s=0.0,
                 joined=True,
+                grafted_leaves=0,
+                collapsed_nodes=0,
             )
             return True
 
@@ -622,8 +634,8 @@ class KNNService:
         """Dense ``(points, ids)`` of the current live set (tree minus
         tombstones plus delta buffer).
 
-        This is the state a rebuild folds; the fleet layer also uses it to
-        re-seed a dead replica from a healthy peer.
+        This is the state a rebuild folds into the index; the fleet layer
+        uses it to re-seed a dead replica from a healthy peer.
         """
         with self._lock:
             tree_points, tree_ids = self.backend.all_points()
@@ -642,7 +654,7 @@ class KNNService:
         Once no service holds the build and none swapped it, its
         un-promoted version directory is removed (it would otherwise sit on
         disk forever, indistinguishable from crash leftovers), and any
-        pooled-executor shutdown responsibility the refit handed to the
+        pooled-executor shutdown responsibility the fold handed to the
         abandoned backend is passed back to the one that keeps serving.
         """
         bg, self._bg = self._bg, None
@@ -677,24 +689,19 @@ class KNNService:
         # A foreground rebuild folds the freshest live set: an in-flight
         # background build would swap an older snapshot over it, so drop it.
         self._cancel_background()
-        points, ids = self.live_arrays()
-        if points.shape[0] == 0:
+        n_live = self.n_live
+        if n_live == 0:
             raise RuntimeError("cannot rebuild over an empty live set")
         started = self._clock.monotonic()
-        self.backend = self.backend.refit(points, ids)
+        self.backend = self._fold()
         swap_started = self._clock.monotonic()
         refit_s = swap_started - started
-        self._emit(
-            "rebuild_begin",
-            mode="foreground",
-            points=int(points.shape[0]),
-            refit_s=refit_s,
-            snapshot_s=0.0,
-            joined=False,
+        self._emit_begin(
+            self.backend, mode="foreground", points=n_live, refit_s=refit_s, snapshot_s=0.0
         )
         elapsed = refit_s
         if self._service_time is not None:
-            elapsed = float(self._service_time(points.shape[0]))
+            elapsed = float(self._service_time(n_live))
         self.builds += 1
         self.rebuilds += 1
         self.rebuild_seconds += elapsed
@@ -717,15 +724,15 @@ class KNNService:
     def _begin_background(self, now: float) -> float:
         if self._bg is not None:
             return self._bg.ready_at
-        points, ids = self.live_arrays()
-        if points.shape[0] == 0:
+        n_live = self.n_live
+        if n_live == 0:
             raise RuntimeError("cannot rebuild over an empty live set")
         started = self._clock.monotonic()
-        fresh = self.backend.refit(points, ids)
+        fresh = self._fold()
         refit_s = self._clock.monotonic() - started
         elapsed = refit_s
         if self._service_time is not None:
-            elapsed = float(self._service_time(points.shape[0]))
+            elapsed = float(self._service_time(n_live))
         snapshot_dir, snapshot_s = None, 0.0
         if self.snapshot_root is not None:
             started = self._clock.monotonic()
@@ -734,16 +741,31 @@ class KNNService:
             snapshot_s = self._clock.monotonic() - started
         self._bg = _BackgroundRebuild(now, elapsed, fresh, snapshot_dir)
         self.builds += 1
-        self._emit(
-            "rebuild_begin",
+        self._emit_begin(
+            fresh,
             mode="background",
-            points=int(points.shape[0]),
+            points=n_live,
             ready_at=self._bg.ready_at,
             refit_s=refit_s,
             snapshot_s=snapshot_s,
-            joined=False,
         )
         return self._bg.ready_at
+
+    @requires_lock("_lock")
+    def _fold(self):
+        """The backend with tombstones and buffered inserts folded in."""
+        return self.backend.fold(self.delta.tombstone_array(), *self.delta.live_arrays())
+
+    def _emit_begin(self, fresh, **fields) -> None:
+        """The ``rebuild_begin`` event of a fold this service ran itself."""
+        grafted, collapsed = fresh.fold_edits()
+        self._emit(
+            "rebuild_begin",
+            joined=False,
+            grafted_leaves=grafted,
+            collapsed_nodes=collapsed,
+            **fields,
+        )
 
     @requires_lock("_lock")
     def _complete_swap(self, now: float) -> None:

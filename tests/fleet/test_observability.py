@@ -20,6 +20,8 @@ import pytest
 
 from repro.fleet.admission import AdmissionPolicy
 from repro.fleet.fleet import KNNFleet
+from repro.kdtree.build import build_kdtree
+from repro.kdtree.tree import KDTreeConfig
 from repro.obs import EventLog, ManualClock, Tracer, parse_prometheus_text
 from repro.service.backends import LocalTreeBackend
 from repro.service.service import KNNService, RebuildPolicy
@@ -267,6 +269,34 @@ def test_rebuild_and_cache_clear_events_foreground_service():
     assert dict(clear.fields)["entries"] >= 1
 
 
+def test_rebuild_begin_reports_the_folds_structural_edits():
+    # 64 grid points, bucket 4: every leaf holds 4 points.
+    xs, ys = np.meshgrid(np.arange(8.0), np.arange(8.0))
+    points = np.column_stack([xs.ravel(), ys.ravel()])
+    backend = LocalTreeBackend(build_kdtree(points, config=KDTreeConfig(bucket_size=4)))
+    events = EventLog(clock=ManualClock())
+    service = KNNService(backend, k=3, events=events)
+    tree = backend.tree
+    leaf = int(tree.leaf_nodes()[0])
+    s, c = int(tree.start[leaf]), int(tree.count[leaf])
+    # Ten points inside one leaf's cell overflow it: one graft.
+    weights = np.random.default_rng(0).dirichlet(np.ones(c), size=10)
+    service.insert(weights @ tree.points[s : s + c], at=1.0)
+    service.rebuild(at=2.0)
+    # Deleting a whole leaf of the fresh tree collapses its parent.
+    tree = service.backend.tree
+    leaf = int(tree.leaf_nodes()[-1])
+    s, c = int(tree.start[leaf]), int(tree.count[leaf])
+    service.delete(tree.ids[s : s + c], at=3.0)
+    service.rebuild(at=4.0)
+    grafted, collapsed = (
+        [dict(e.fields)[name] for e in events.snapshot("rebuild_begin")]
+        for name in ("grafted_leaves", "collapsed_nodes")
+    )
+    assert grafted == [1, 0]
+    assert collapsed == [0, 1]
+
+
 def test_background_rebuild_events_through_fleet():
     with KNNFleet.build(
         _points(),
@@ -313,6 +343,9 @@ def test_one_unjoined_rebuild_begin_per_shard_build():
             assert len(joined) == 2 * len(built)
             assert all(b["refit_s"] > 0.0 for b in built)
             assert all(b["refit_s"] == b["snapshot_s"] == 0.0 for b in joined)
+            # A fold's structural edits are reported by the replica that ran it.
+            assert all(b["grafted_leaves"] >= 0 and b["collapsed_nodes"] >= 0 for b in built)
+            assert all(b["grafted_leaves"] == b["collapsed_nodes"] == 0 for b in joined)
         swaps = [dict(e.fields) for e in fleet.events.snapshot("rebuild_swap")]
         assert swaps and all(s["swap_s"] >= 0.0 for s in swaps)
 

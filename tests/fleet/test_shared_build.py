@@ -1,9 +1,10 @@
 """A shard builds once: its replicas join one background rebuild.
 
-The write that trips a shard's rebuild policy refits the shard on its
-first live replica; every other live replica joins that build before
-taking the same write.  So a shard version is one refit, one snapshot
-directory and one backend object, and replicas that swapped it answer
+The write that trips a shard's rebuild policy folds the shard's updates
+into its tree on its first live replica; every other live replica joins
+that build before taking the same write.  So a shard version is one fold
+(a re-pack, never a build over the whole shard), one snapshot directory
+and one backend object, and replicas that swapped it answer
 byte for byte alike, ids included.
 """
 
@@ -15,9 +16,13 @@ from hypothesis import strategies as st
 
 from repro.core.snapshot import current_version_dir, list_snapshot_versions
 from repro.fleet import KNNFleet
+from repro.kdtree import repack
+from repro.kdtree.build import build_kdtree
 from repro.kdtree.query import brute_force_knn
+from repro.kdtree.tree import KDTreeConfig
+from repro.kdtree.validate import check_tree_invariants
 from repro.obs import ManualClock
-from repro.service import LocalTreeBackend, RebuildPolicy
+from repro.service import LocalTreeBackend, RebuildPolicy, backends
 
 DIMS = 3
 BUILD_S = 3.5e-3  # a build stays in flight for three ops
@@ -120,15 +125,20 @@ def test_every_answer_exact_and_shared_builds_answer_alike(ops, seed):
     fleet.close()
 
 
-def test_one_refit_and_one_version_per_shard_per_round(small_points, tmp_path, monkeypatch):
-    refits = []
-    refit = LocalTreeBackend.refit
+def test_one_fold_and_one_version_per_shard_per_round(small_points, tmp_path, monkeypatch):
+    folds, builds = [], []
+    fold = LocalTreeBackend.fold
 
-    def spy(self, points, ids):
-        refits.append(shard_of[int(ids[0])])
-        return refit(self, points, ids)
+    def fold_spy(self, dead_ids, points, ids):
+        folds.append(
+            next(g.shard_id for g in fleet.groups for r in g.replicas if r.service.backend is self)
+        )
+        return fold(self, dead_ids, points, ids)
 
-    monkeypatch.setattr(LocalTreeBackend, "refit", spy)
+    def build_spy(points, *args, **kwargs):
+        builds.append(len(points))
+        return build_kdtree(points, *args, **kwargs)
+
     fleet = KNNFleet.build(
         small_points,
         n_shards=2,
@@ -139,19 +149,28 @@ def test_one_refit_and_one_version_per_shard_per_round(small_points, tmp_path, m
         service_time=lambda n: 1.0,
         clock=ManualClock(),
     )
+    monkeypatch.setattr(LocalTreeBackend, "fold", fold_spy)
+    monkeypatch.setattr(repack, "build_kdtree", build_spy)
+    monkeypatch.setattr(backends, "build_kdtree", build_spy)
     shard_of = dict(zip(range(small_points.shape[0]), fleet.plan.assignment.tolist()))
     victims = {s: [i for i, owner in shard_of.items() if owner == s] for s in (0, 1)}
     queries = small_points[:20] + 0.01
-    for round_ in range(1, 3):
-        del refits[:]
+    rng = np.random.default_rng(3)
+    for round_ in range(1, 4):
+        del folds[:], builds[:]
         at = 10.0 * round_
-        # Eight deletes per shard: the write trips both shards' policy.
+        # Inserts buffer on both shards; then eight deletes per shard trip
+        # both shards' policy in one write.
+        fleet.insert(rng.normal(size=(60, 3)) * np.array([3.0, 1.0, 0.5]), at=at)
         doomed = [victims[s].pop() for s in (0, 1) for _ in range(8)]
-        fleet.delete(np.array(doomed), at=at)
-        assert Counter(refits) == {0: 1, 1: 1}
+        fleet.delete(np.array(doomed), at=at + 1e-3)
+        assert Counter(folds) == {0: 1, 1: 1}
+        # No shard is rebuilt whole: only leaves that inserts overflowed.
+        assert all(n < 4 * KDTreeConfig().bucket_size for n in builds)
         for group in fleet.groups:
             for replica in group.replicas:
                 replica.service.finish_rebuild(at=at + 5.0)
+                check_tree_invariants(replica.service.backend.tree)
             root = tmp_path / f"shard{group.shard_id:02d}"
             assert [v for v, _ in list_snapshot_versions(root)] == list(range(1, round_ + 1))
             assert current_version_dir(root).name == f"v{round_:04d}"
@@ -159,6 +178,6 @@ def test_one_refit_and_one_version_per_shard_per_round(small_points, tmp_path, m
             a, b = (r.service.answer_batch(queries, k=4) for r in group.replicas)
             assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     shards = fleet.stats()["shards"]
-    assert [row["rebuilds"] for row in shards] == [2, 2]
-    assert all(r.service.rebuilds == 2 for g in fleet.groups for r in g.replicas)
+    assert [row["rebuilds"] for row in shards] == [3, 3]
+    assert all(r.service.rebuilds == 3 for g in fleet.groups for r in g.replicas)
     fleet.close()

@@ -231,6 +231,26 @@ class TestRadiusValidation:
         assert np.isfinite(d).sum(axis=1).tolist() == [1, 3]
 
 
+class TestNonFiniteQueries:
+    """A NaN query row used to come back all ``inf`` / ``-1``, and an
+    infinite single query empty, as if the tree held no point."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_single_query_rejects(self, tree_and_points, bad):
+        tree, _ = tree_and_points
+        with pytest.raises(ValueError, match="finite"):
+            knn_search(tree, [bad, 0.0, 0.0], 3)
+
+    @pytest.mark.parametrize("engine", [batch_knn, batch_knn_scalar, _batch_knn_lockstep])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_batch_rejects(self, tree_and_points, engine, bad):
+        tree, points = tree_and_points
+        queries = points[:3].copy()
+        queries[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            engine(tree, queries, 3)
+
+
 class TestBatchKnn:
     def test_shapes_and_padding(self):
         rng = np.random.default_rng(4)
