@@ -11,8 +11,8 @@ sharded fleet of the same size is run as the no-geometry control: it
 broadcasts every query to every shard by construction.
 
 A built-in exactness spot-check compares sampled fleet answers against
-brute force, and a streaming section pushes inserts through a background
-rebuild hot-swap mid-trace.
+brute force, and a streaming section pushes inserts through foreground
+folds mid-trace, one per shard build, shared by the shard's replicas.
 
 Results are written as a perf-trajectory artifact — ``BENCH_fleet.json``
 at the repo root (the deterministic location CI asserts), with a copy
@@ -115,16 +115,17 @@ def run_shard_sweep(points: np.ndarray, size: dict, seed: int = 7) -> list:
 
 
 def run_streaming(points: np.ndarray, size: dict, seed: int = 11) -> dict:
-    """Inserts through a background rebuild hot-swap, exactness sampled."""
+    """Inserts through foreground folds, exactness sampled."""
     rng = np.random.default_rng(seed)
     k = size["k"]
     n_shards = size["shard_counts"][-1]
     fleet = KNNFleet.build(
         points,
         n_shards=n_shards,
+        n_replicas=2,
         k=k,
         # Inserts spread across shards; scale the per-shard trigger down so
-        # the trace actually drives every shard through a hot-swap.
+        # the trace actually drives every shard through a fold.
         rebuild_policy=RebuildPolicy(max_inserts=max(size["stream_buffer"] // (2 * n_shards), 8)),
     )
     fresh = points[rng.choice(points.shape[0], size["n_stream"], replace=False)] + rng.normal(
@@ -146,6 +147,9 @@ def run_streaming(points: np.ndarray, size: dict, seed: int = 11) -> dict:
         t += 1e-3
         d, _ = fleet.query(q, k=k, at=t)
         assert np.allclose(d, ref_d[row]), "fleet diverges from brute force mid-stream"
+    for group in fleet.groups:
+        first, peer = (r.service for r in group.replicas)
+        assert peer.backend is first.backend, "a shard's replicas must share its one fold"
     rebuilds = sum(g.rebuilds for g in fleet.groups)
     return {"rebuilds": float(rebuilds), "n_live": float(fleet.n_live)}
 
@@ -323,7 +327,7 @@ def main() -> None:
 
     stream = run_streaming(points, size)
     print(
-        f"  streaming: {stream['rebuilds']:.0f} background shard builds, "
+        f"  streaming: {stream['rebuilds']:.0f} shard folds, "
         f"{stream['n_live']:.0f} live points   [exactness verified]"
     )
 

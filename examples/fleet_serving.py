@@ -1,4 +1,4 @@
-"""Sharded serving fleet: region routing, replication, chaos, hot-swap.
+"""Sharded serving fleet: region routing, replication, chaos, rebuilds.
 
 Run with::
 
@@ -8,8 +8,8 @@ The script cuts a clustered dataset into region shards, serves it from a
 replicated :class:`~repro.fleet.fleet.KNNFleet`, and walks through the
 fleet's whole repertoire: pruned scatter-gather queries (watch the mean
 fan-out stay near 1 while the shard count is 4), a replica dying mid-query
-and being retried transparently, streaming inserts that trigger background
-rebuild hot-swaps with a versioned snapshot trail on disk, and admission
+and being retried transparently, streaming inserts that trigger one fold
+per shard with a versioned snapshot trail on disk, and admission
 control shedding load when the queue fills — all with answers verified
 against brute force along the way. It finishes on the observability
 plane: a strict-parsed Prometheus metrics scrape, the structured ops
@@ -82,10 +82,9 @@ def main() -> None:
               "answers unchanged")
         print(f"heal: re-seeded {fleet.heal(at=t + 3.0)} replica from a live peer")
 
-        # 3. Streaming inserts drive background rebuild hot-swaps: the old
-        #    indices keep serving while fresh ones build, then swap in and
-        #    leave a versioned snapshot trail.  A shard builds once; its
-        #    replicas join that build and share one snapshot per version.
+        # 3. Streaming inserts trip the rebuild policy: a shard folds them
+        #    into its tree once, in the write that tripped it, and leaves a
+        #    versioned snapshot trail.  Its replicas adopt that one index.
         t += 10.0
         fresh = points[rng.choice(points.shape[0], 2_400, replace=False)] + rng.normal(
             scale=0.05, size=(2_400, 3)
@@ -94,18 +93,19 @@ def main() -> None:
             t += 1e-2
             fleet.insert(fresh[lo : lo + 200], at=t)
             t += 1e-2
-            fleet.query(fresh[lo], at=t)  # keep traffic flowing mid-rebuild
-        rebuilds = sum(g.rebuilds for g in fleet.groups)
-        joins = sum(e.to_dict()["joined"] for e in fleet.events.snapshot("rebuild_begin"))
+            fleet.query(fresh[lo], at=t)  # keep traffic flowing between rebuilds
+        builds = [g.rebuilds for g in fleet.groups]
+        fold_ms = 1e3 * sum(e.to_dict()["fold_s"] for e in fleet.events.snapshot("rebuild"))
+        shared = all(
+            len({id(r.service.backend) for r in g.replicas if r.alive}) == 1 for g in fleet.groups
+        )
         roots = sorted((Path(tmp) / "fleet_snapshots").glob("shard*"))
         versions = sum(len(list_snapshot_versions(root)) for root in roots)
-        # CURRENT is promoted at swap time, which may still be pending for a
-        # build that outlasted the logical trace.
         current = current_version_dir(roots[0])
-        serving = current.name if current is not None else "the fitted index (swap pending)"
-        print(f"streaming: {rebuilds} background shard builds, joined {joins} times "
-              f"by peer replicas, {versions} versioned snapshots on disk "
-              f"(shard00 now serves {serving})")
+        serving = current.name if current is not None else "the fitted index"
+        print(f"streaming: {sum(builds)} shard builds {builds} ({fold_ms:.1f} ms folding), "
+              f"replicas share one index per shard: {shared}, {versions} versioned "
+              f"snapshots on disk (shard00 now serves {serving})")
 
         # 4. Verify the final live set against brute force.
         live_pts = np.concatenate([points, fresh], axis=0)

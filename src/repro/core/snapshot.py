@@ -315,7 +315,7 @@ def _file_tree_loader(root: Path, rank: int):
 
 
 # ----------------------------------------------------------------------
-# Versioned snapshot directories (background rebuild hot-swap)
+# Versioned snapshot directories (one per service rebuild)
 # ----------------------------------------------------------------------
 #: File naming the currently promoted version inside a versioned root.
 CURRENT_POINTER = "CURRENT"
@@ -347,9 +347,9 @@ def allocate_version_dir(root: str | Path) -> Path:
 
     Version numbers grow one past the largest version currently on disk, so
     a *promoted* version is never shadowed by a later build of the same
-    name while it exists.  A build that was cancelled before promotion (its
-    directory removed, never pointed at by ``CURRENT``, never observable
-    through :func:`current_version_dir`) may have its number reused.
+    name while it exists.  A directory removed before promotion (never
+    pointed at by ``CURRENT``, never observable through
+    :func:`current_version_dir`) may have its number reused.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -365,8 +365,7 @@ def promote_version(root: str | Path, version_dir: str | Path) -> Path:
 
     The pointer is written to a temporary file and renamed over the old one
     (atomic on POSIX), so a reader never observes a half-written pointer:
-    it sees either the previous version or the new one — the on-disk
-    equivalent of the in-memory hot swap.
+    it sees either the previous version or the new one.
     """
     root = Path(root)
     version_dir = Path(version_dir)

@@ -20,8 +20,8 @@ applied one level up, to a fleet of online services:
   a :class:`ShardCall` the :class:`SerialDispatcher` runs synchronously,
   counts and (on a traced batch) records as a span;
 * :mod:`~repro.fleet.fleet` — :class:`KNNFleet`, the front door tying the
-  above together with micro-batching, background rebuild hot-swap per
-  replica, and fleet-wide aggregated statistics.
+  above together with micro-batching, one foreground fold per shard
+  shared by its replicas, and fleet-wide aggregated statistics.
 
 Fleet answers are exact: identical distances to one unsharded
 :class:`~repro.service.service.KNNService` over the same live set.  Among

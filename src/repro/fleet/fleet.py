@@ -18,13 +18,13 @@ counts and measured fan-out.
 
 Streaming mutations route to the owning shard (by region, id hash, or
 round-robin, matching the plan) and are applied to every live replica of
-its group.  Rebuilds are *background* and per shard, not per replica: the
-write that trips the rebuild policy folds the shard's updates into its
-tree once (a re-pack under the tree's split planes), every live
-replica joins that one build, and each keeps serving from its old index
-until the shared fresh one hot-swaps in — with an optional versioned
-snapshot trail under ``snapshot_root``, one version per shard build
-(``shardNN/vNNNN`` + a ``CURRENT`` pointer per shard).
+its group.  Rebuilds are per shard, not per replica: the write that trips
+the rebuild policy folds the shard's updates into its tree once, in the
+foreground on the first live replica (a re-pack under the tree's split
+planes), and every other live replica adopts that index — one backend
+object per shard version, with an optional versioned snapshot trail under
+``snapshot_root``, one version per shard build (``shardNN/vNNNN`` + a
+``CURRENT`` pointer per shard).
 
 Every shard call runs synchronously through the fleet's one
 :class:`~repro.fleet.dispatch.SerialDispatcher`
@@ -107,7 +107,7 @@ class KNNFleet:
         self.events = events if events is not None else EventLog(clock=self._clock)
         # Pre-assembled groups/replicas that came without an event sink get
         # shard/replica-scoped views of the fleet log (replica deaths,
-        # heals, rebuild swaps all land in one stream).
+        # heals, rebuilds all land in one stream).
         for group in self.groups:
             if group.events is None:
                 group.events = self.events.scoped(shard=group.shard_id)
@@ -197,11 +197,9 @@ class KNNFleet:
     ) -> "KNNFleet":
         """Plan, shard, replicate and wire a fleet over ``points``.
 
-        Every replica service runs with ``background_rebuild=True`` (the
-        old index serves during policy-triggered rebuilds).  When
-        ``snapshot_root`` is given, each shard build is written once, as a
-        versioned snapshot under ``snapshot_root/shardNN/`` that the
-        shard's replicas share.
+        When ``snapshot_root`` is given, each shard build is written
+        once, as a versioned snapshot under ``snapshot_root/shardNN/``
+        that the shard's replicas share.
 
         ``clock`` / ``tracer`` / ``events`` inject the observability
         plane (see :mod:`repro.obs`): one monotonic clock threaded through
@@ -247,7 +245,6 @@ class KNNFleet:
                     # would never be consulted: disable it.
                     cache_capacity=0,
                     service_time=service_time,
-                    background_rebuild=True,
                     snapshot_root=root,
                     clock=clock,
                 )
@@ -359,9 +356,9 @@ class KNNFleet:
         One flat latency summary (p50/p99/mean/max, QPS — same keys as
         :meth:`KNNService.latency_summary`) plus the admission ledger, the
         router's measured fan-out, and a per-shard health row.  A row's
-        ``rebuilds`` counts builds of the shard (one per build its replicas
-        share); ``repro_service_rebuilds_total{shard,replica}`` counts each
-        replica's swaps.
+        ``rebuilds`` counts folds of the shard (one per build its replicas
+        share); ``repro_service_rebuilds_total{shard,replica}`` counts the
+        folds each replica ran itself.
         """
         summary: Dict[str, object] = dict(self.records.summary())
         # The retained-window order statistics are replaced by histogram
@@ -514,6 +511,8 @@ class KNNFleet:
             raise ValueError(f"points have {points.shape[1]} dims, fleet has {self._dims}")
         if not np.isfinite(points).all():
             raise ValueError("points must have finite coordinates (found nan or inf)")
+        if ids is not None and np.asarray(ids).shape != (points.shape[0],):
+            raise ValueError("ids length must match number of points")
         now = self._advance(at)
         # Quiet flush: a batch stalled on a dead shard must not block a
         # mutation whose own target shards are healthy (the stuck queries
@@ -570,18 +569,14 @@ class KNNFleet:
         for point_id in id_list:
             del self._id_to_shard[point_id]
 
-    def begin_rebuild(self, shard: int | None = None, at: float | None = None) -> None:
-        """Kick one background build of one/all shards, held by every live
-        replica of the shard.
-
-        The shards keep serving from their old indices; the fresh builds
-        hot-swap in once their logical completion times pass.
-        """
+    def rebuild(self, shard: int | None = None, at: float | None = None) -> None:
+        """Fold one/all shards' updates into their indices now: one fold per
+        shard, served by every live replica of the shard."""
         now = self._advance(at)
         targets = self.groups if shard is None else [self.groups[shard]]
         for group in targets:
             if group.n_alive:
-                group.begin_rebuild(at=now)
+                group.rebuild(at=now)
 
     # ------------------------------------------------------------------
     # Failure injection / repair

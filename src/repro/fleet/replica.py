@@ -5,14 +5,14 @@ Each shard of the fleet is a :class:`ReplicaGroup` of identical
 point set.  Reads go to the least-loaded live replica; mutations go to
 every live replica so the group holds one live set.  Rebuilds are per
 shard, not per replica: a mutation goes to the first live replica first,
-and when it starts a background build there, every other live replica
-joins that build before taking the same mutation — one fold, one
-snapshot and one backend object per shard version, swapped in by each
-replica against its own state.  Failures are injected deliberately (tests
-and chaos drills): a replica can be killed outright or armed to die
-*mid-query*, in which case the group transparently retries the batch on
-the next-least-loaded peer — answers never change, only the load
-accounting does.
+and when it folds there, every other live replica adopts that index
+instead of taking the mutation — one fold, one snapshot and one backend
+object per shard version.  A dead replica heals the same way, by adopting
+a live peer.  Failures are injected deliberately (tests and chaos
+drills): a replica can be killed outright or armed to die *mid-query*, in
+which case the group transparently retries the batch on the
+next-least-loaded peer — answers never change, only the load accounting
+does.
 
 Liveness and load state are lock-guarded: the serving path is one
 synchronous caller, but the ops server and the profiler read the same
@@ -186,10 +186,10 @@ class ReplicaGroup:
 
     @property
     def rebuilds(self) -> int:
-        """Index builds of this shard: a build its replicas share counts
-        once.  Swaps are counted per replica by ``KNNService.rebuilds``
-        (``repro_service_rebuilds_total{shard,replica}``)."""
-        return sum(r.service.builds for r in self.replicas)
+        """Folds of this shard: its replicas share each one, and only the
+        replica that ran it counts it (``KNNService.rebuilds``,
+        ``repro_service_rebuilds_total{shard,replica}``)."""
+        return sum(r.service.rebuilds for r in self.replicas)
 
     def primary(self) -> Replica:
         """The least-loaded live replica (lowest id on ties)."""
@@ -278,24 +278,24 @@ class ReplicaGroup:
         A mutation against a fully-dead shard must fail, not silently drop
         the data (there would be no peer to heal from).
         """
-        self._apply(lambda service: service.insert(points, ids=ids, at=at), at)
+        self._apply(lambda service: service.insert(points, ids=ids, at=at))
 
     def delete(self, ids: np.ndarray, at: float | None = None) -> None:
         """Delete from every live replica; loud when none is left."""
-        self._apply(lambda service: service.delete(ids, at=at), at)
+        self._apply(lambda service: service.delete(ids, at=at))
 
-    def begin_rebuild(self, at: float | None = None) -> None:
-        """Start one background build of the shard, held by every live replica."""
-        self._apply(lambda service: service.begin_background_rebuild(at=at), at)
+    def rebuild(self, at: float | None = None) -> None:
+        """Fold the shard's updates once, served by every live replica."""
+        self._apply(lambda service: service.rebuild(at=at))
 
-    def _apply(self, mutate: Callable[[KNNService], object], at: float | None) -> None:
-        """Run ``mutate`` on every live replica, the first one first, so
-        that the shard builds at most once.
+    def _apply(self, mutate: Callable[[KNNService], object]) -> None:
+        """Run ``mutate`` on the first live replica, then bring every other
+        live replica to the same state, so that the shard folds at most once.
 
-        Before a peer takes the mutation it joins a build the first
-        replica started (its own rebuild policy then finds the build in
-        flight and starts none).  A build a peer's own policy starts is
-        joined by the first replica, and then by the peers before it.
+        A peer serving the first replica's index takes the mutation
+        itself.  A peer serving another one adopts the first replica's: it
+        folded just now, or a read's ``at`` fired a staleness fold on one
+        replica alone since the last write, and the group converges here.
         """
         live = [r.service for r in self.replicas if r.alive]
         if not live:
@@ -303,13 +303,10 @@ class ReplicaGroup:
         first, *peers = live
         mutate(first)
         for service in peers:
-            service.join_rebuild(first, at=at)
-            mutate(service)
-            # A peer's policy can fire where the first one's did not: a
-            # healed replica counts its updates from the heal.
-            first.join_rebuild(service, at=at)
-        for service in peers[:-1]:
-            service.join_rebuild(first, at=at)
+            if service.backend is first.backend:
+                mutate(service)
+            else:
+                service.adopt(first)
 
     # ------------------------------------------------------------------
     # Repair
@@ -317,51 +314,38 @@ class ReplicaGroup:
     def heal(self, at: float | None = None) -> int:
         """Re-seed every dead replica from a healthy peer; returns count.
 
-        The donor's *live* arrays (tree minus tombstones plus delta) are
-        refit into a fresh service carrying the dead replica's policies and
-        snapshot root — a healed replica serves exactly the shard's live
-        set from the first query on (its refit tree scans points in another
-        order than a peer's tree plus delta buffer, so among exactly-tied
-        k-th neighbours, kept in scan order, it may return a different
-        one).  It joins the shard's next build like any live replica, and
-        from that build's swap on it serves the same index as its peers.
-        A dead replica's share of an in-flight build is dropped; the
-        build's snapshot stays for the peers still holding it.
+        A fresh service carrying the dead replica's policies and snapshot
+        root adopts the donor: same backend object, a copy of its delta
+        buffer and tombstones.  Nothing is refit, so a healed replica
+        answers byte for byte like its peers, ids included, from its first
+        query on.  The dead service's backend is closed only when no live
+        replica still serves it.
         """
         donor = self.primary()  # raises when the whole group is dead
-        points, ids = donor.service.live_arrays()
         healed = 0
         for replica in self.replicas:
             if replica.alive:
                 continue
             dead = replica.service
-            # Cancel any in-flight background rebuild FIRST: its backend may
-            # hold pooled-executor ownership (refit transfers it), and the
-            # ownership must flow dead-bg -> dead.backend -> healed backend
-            # before dead.close() runs, or the close would shut the pool
-            # under the healed replica.
-            dead.cancel_background()
             service = KNNService(
-                dead.backend.refit(points, ids),
+                donor.service.backend,
                 k=dead.k,
                 batch_policy=dead.batch_policy,
                 rebuild_policy=dead.rebuild_policy,
                 cache_capacity=dead.cache.capacity,
                 retention=dead.records.capacity,
                 service_time=dead._service_time,
-                background_rebuild=dead.background_rebuild,
                 snapshot_root=dead.snapshot_root,
                 clock=dead._clock,
                 events=dead.events,
             )
+            service.adopt(donor.service)
             if at is not None:
                 # flush() on an empty queue is exactly a locked clock
                 # advance (nothing is pending on a fresh service).
                 service.flush(at)
-            # The dead service's backend already transferred any pooled
-            # executor ownership through refit above; closing it now only
-            # releases what it still owns.
-            dead.close()
+            if all(dead.backend is not r.service.backend for r in self.replicas if r.alive):
+                dead.close()
             # Swap service and flip liveness atomically: a concurrent
             # attempt either sees (dead, old service) and raises, or
             # (alive, healed service) — never a half-healed replica.
@@ -374,6 +358,6 @@ class ReplicaGroup:
                 "replica_heal",
                 replica=replica.replica_id,
                 donor=donor.replica_id,
-                points=int(np.asarray(ids).size),
+                points=service.n_live,
             )
         return healed

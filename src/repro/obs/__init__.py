@@ -9,7 +9,7 @@ Three independent layers, all dependency-free and thread-safe:
   through the dispatch plane (``REPRO_OBS`` controls sampling, default
   off), exported as JSON-lines or Chrome trace-event JSON for Perfetto.
 * :mod:`repro.obs.events` — a ring-buffered structured ops event log
-  (replica death/heal, rebuild begin/swap, admission reject/shed, cache
+  (replica death/heal, rebuild, admission reject/shed, cache
   full-clear).
 
 :mod:`repro.obs.clock` supplies the injectable monotonic clock every

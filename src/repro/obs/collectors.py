@@ -198,8 +198,8 @@ def _shard_families(fleet) -> List[MetricFamily]:
 _SERVICE_COUNTERS = {
     "rebuilds": (
         "repro_service_rebuilds_total",
-        "Index swaps completed per replica service (a shard build its "
-        "replicas share counts once per replica).",
+        "Folds run per replica service (a shard build its replicas share "
+        "counts once, on the replica that ran it).",
     ),
     "rebuild_seconds": (
         "repro_service_rebuild_seconds_total",
@@ -217,7 +217,7 @@ _SERVICE_COUNTERS = {
     ),
     "cache_full_clears": (
         "repro_service_cache_full_clears_total",
-        "Whole-cache invalidations (rebuild swaps).",
+        "Whole-cache invalidations (a new index: rebuild or adoption).",
     ),
     "cache_keys_dropped": (
         "repro_service_cache_keys_dropped_total",
@@ -227,10 +227,6 @@ _SERVICE_COUNTERS = {
 
 _SERVICE_GAUGES = {
     "version": ("repro_service_version", "Index version per replica service."),
-    "rebuilding": (
-        "repro_service_rebuilding",
-        "1 while a background rebuild is in flight.",
-    ),
     "delta_inserts": (
         "repro_service_delta_inserts",
         "Streamed inserts pending the next rebuild.",

@@ -1,7 +1,7 @@
 """Ring-buffered structured ops event log.
 
 Captures the operationally interesting moments of the serving fleet —
-replica death/heal, rebuild begin/swap, admission reject/shed, cache
+replica death/heal, rebuild, admission reject/shed, cache
 full-clear — as typed records in a bounded ring, cheap
 enough to leave on in production.
 

@@ -11,8 +11,8 @@ query set; this package turns it into a *service*:
 * :mod:`~repro.service.service` — :class:`~repro.service.service.KNNService`
   itself: micro-batches through the vectorised batch query path, an LRU
   result cache with incremental invalidation, and streaming
-  inserts/deletes with a policy-driven rebuild — foreground, or background
-  with an atomic hot-swap and versioned on-disk snapshots;
+  inserts/deletes with a policy-driven foreground fold and versioned
+  on-disk snapshots;
 * :mod:`~repro.service.delta` — the brute-force delta buffer and tombstone
   set that make streaming updates exact between rebuilds;
 * :mod:`~repro.service.cache` — the LRU result cache;

@@ -2,10 +2,9 @@
 
 :class:`~repro.service.service.KNNService` only needs four things from an
 index: answer a query batch, enumerate its points, rebuild itself, and
-round-trip through a snapshot.  Rebuilding comes in two forms: ``fold``
-drops tombstoned ids and adds buffered points (the service's rebuilds),
-``refit`` starts over from a given point set (a healed fleet replica).
-Two backends provide them:
+round-trip through a snapshot.  Rebuilding has one form, ``fold``: a new
+backend without the tombstoned ids and with the buffered points (the old
+one keeps serving whoever still holds it).  Two backends provide it:
 
 * :class:`LocalTreeBackend` — one in-process kd-tree queried through the
   vectorised :func:`~repro.kdtree.query.batch_knn`; the single-node serving
@@ -66,10 +65,6 @@ class LocalTreeBackend:
     def all_points(self) -> Tuple[np.ndarray, np.ndarray]:
         """Every indexed ``(point, id)`` pair (used by rebuilds)."""
         return self.tree.points, self.tree.ids
-
-    def refit(self, points: np.ndarray, ids: np.ndarray) -> "LocalTreeBackend":
-        """Fresh backend over a new point set, same construction config."""
-        return LocalTreeBackend(build_kdtree(points, ids=ids, config=self.tree.config))
 
     def fold(self, dead_ids: np.ndarray, points: np.ndarray, ids: np.ndarray) -> "LocalTreeBackend":
         """Fresh backend over this tree minus ``dead_ids`` plus ``points``,
@@ -143,12 +138,16 @@ class PandaBackend:
         self.index.local_trees()
         return self.index.cluster.gather_points(), self.index.cluster.gather_ids()
 
-    def refit(self, points: np.ndarray, ids: np.ndarray) -> "PandaBackend":
-        """Fresh distributed index over a new point set, same cluster shape.
+    def fold(self, dead_ids: np.ndarray, points: np.ndarray, ids: np.ndarray) -> "PandaBackend":
+        """Fresh distributed index over this one's points minus ``dead_ids``
+        plus ``points``, same cluster shape (gathered and refit: the global
+        tree is rebuilt).
 
         The rank executor (and its pooled workers) carries over, so a
         rebuild under a process executor does not respawn the pool.
         """
+        tree_points, tree_ids = self.all_points()
+        keep = np.isin(tree_ids, dead_ids, invert=True)
         fresh = PandaKNN(
             n_ranks=self.index.n_ranks,
             machine=self.index.cluster.machine,
@@ -156,18 +155,13 @@ class PandaBackend:
             config=self.index.config,
             executor=self.index.cluster.executor,
         )
-        # Shutdown responsibility follows the live index down the refit
+        # Shutdown responsibility follows the live index down the fold
         # chain; the retired cluster's close() leaves the shared pool alone.
         self.index.cluster.transfer_executor_ownership(fresh.cluster)
-        return PandaBackend(fresh.fit(points, ids))
-
-    def fold(self, dead_ids: np.ndarray, points: np.ndarray, ids: np.ndarray) -> "PandaBackend":
-        """Fresh distributed index over this one's points minus ``dead_ids``
-        plus ``points`` (gathered and refit: the global tree is rebuilt)."""
-        tree_points, tree_ids = self.all_points()
-        keep = np.isin(tree_ids, dead_ids, invert=True)
-        return self.refit(
-            np.concatenate([tree_points[keep], points]), np.concatenate([tree_ids[keep], ids])
+        return PandaBackend(
+            fresh.fit(
+                np.concatenate([tree_points[keep], points]), np.concatenate([tree_ids[keep], ids])
+            )
         )
 
     def fold_edits(self) -> Tuple[int, int]:
@@ -193,17 +187,6 @@ class PandaBackend:
     def close(self) -> None:
         """Release the index's executor workers/shared memory (if owned)."""
         self.index.close()
-
-    def transfer_executor_ownership_to(self, other: "PandaBackend") -> None:
-        """Hand pooled-executor shutdown responsibility to ``other``.
-
-        The inverse of what :meth:`refit` (and so :meth:`fold`) does
-        implicitly: a service that abandons a freshly folded backend (a
-        cancelled background rebuild) must pass ownership back to the
-        backend that keeps serving, or no live cluster would ever shut the
-        shared pool down.
-        """
-        self.index.cluster.transfer_executor_ownership(other.index.cluster)
 
     def save(self, path, layout: str = "files") -> Path:
         """Snapshot the index; see :meth:`repro.core.panda.PandaKNN.snapshot`."""

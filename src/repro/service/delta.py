@@ -134,6 +134,20 @@ class DeltaBuffer:
         self._tombstones.update(np.asarray(point_ids, dtype=np.int64).ravel().tolist())
         self._tomb_sorted = None
 
+    def copy(self) -> "DeltaBuffer":
+        """An independent buffer holding the same inserts and tombstones.
+
+        The point and id blocks (and the derived arrays) are shared: no
+        mutation writes into one, they are only ever replaced.
+        """
+        other = DeltaBuffer(self.dims)
+        other._points, other._ids = list(self._points), list(self._ids)
+        other._id_set, other._tombstones = set(self._id_set), set(self._tombstones)
+        other._dense, other._columns, other._tomb_sorted = (
+            self._dense, self._columns, self._tomb_sorted
+        )
+        return other
+
     def clear(self) -> None:
         """Drop all buffered state (after a rebuild absorbed it)."""
         self._points.clear()

@@ -74,7 +74,7 @@ class MicroBatchPolicy:
             raise ValueError(
                 f"min_batch must be in [1, max_batch], got {self.min_batch} vs {self.max_batch}"
             )
-        if self.max_delay_s < 0:
+        if not self.max_delay_s >= 0:  # NaN fails this too
             raise ValueError(f"max_delay_s must be non-negative, got {self.max_delay_s}")
 
 

@@ -19,20 +19,15 @@ can intersect the mutated points are dropped, so unrelated hot keys keep
 hitting — and every surviving entry is still exact against the current
 live set.
 
-Rebuilds come in two disciplines.  The default foreground
-:meth:`KNNService.rebuild` blocks the single server (queries arriving
-meanwhile queue behind it).  With ``background_rebuild=True`` (or an
-explicit :meth:`KNNService.begin_background_rebuild`) the fresh index is
-built off to the side while the *old* snapshot keeps serving; once the
-build's logical completion time passes, the new index is swapped in
-atomically and the delta buffer is reconciled against it — updates that
-arrived mid-build survive the swap exactly.  With a ``snapshot_root`` every
-background build is also persisted as a versioned on-disk snapshot
-(``v0001``, ``v0002``, ...) whose ``CURRENT`` pointer is promoted at swap
-time (:mod:`repro.core.snapshot`).  A service holding the same live set as
-a peer can join the peer's in-flight build instead of running its own
-(:meth:`KNNService.join_rebuild`): one fold, one snapshot, one backend
-object, swapped in by each holder against its own state.
+A rebuild is one fold in the foreground: the write (or the clock advance)
+that trips the policy folds the buffer into a new backend, and the single
+server is busy for the fold, so queries arriving meanwhile queue behind
+it.  With a ``snapshot_root`` every rebuild is also persisted as a
+versioned on-disk snapshot (``v0001``, ``v0002``, ...) whose ``CURRENT``
+pointer is promoted as the new index goes live (:mod:`repro.core.snapshot`).
+A service holding the same live set as a peer need not fold at all: it
+can serve the peer's index (:meth:`KNNService.adopt`), so replicas of one
+shard share one fold, one snapshot and one backend object.
 
 Micro-batches are answered synchronously in the calling thread.  All
 public methods are safe under concurrent callers (one re-entrant lock).
@@ -40,7 +35,6 @@ public methods are safe under concurrent callers (one re-entrant lock).
 
 from __future__ import annotations
 
-import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Sequence, Tuple
@@ -48,7 +42,7 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.annotations import exactness_path, requires_lock
-from repro.analysis.runtime import guarded, new_lock, new_rlock
+from repro.analysis.runtime import guarded, new_rlock
 from repro.core.snapshot import allocate_version_dir, promote_version
 from repro.kdtree.heap import merge_topk_rows
 from repro.obs.clock import MONOTONIC, Clock
@@ -87,70 +81,12 @@ class RebuildPolicy:
     max_staleness_s: float = np.inf
 
     def __post_init__(self) -> None:
-        if self.max_inserts <= 0:
-            raise ValueError(f"max_inserts must be positive, got {self.max_inserts}")
-        if self.max_tombstones <= 0:
-            raise ValueError(f"max_tombstones must be positive, got {self.max_tombstones}")
-        if self.max_staleness_s <= 0:
-            raise ValueError(f"max_staleness_s must be positive, got {self.max_staleness_s}")
-
-
-@guarded
-class _BackgroundRebuild:
-    """An index build running 'off to the side' of the serving path.
-
-    The replacement backend is fully materialised at begin time (the build
-    is real compute), but logically it completes at ``ready_at`` — until
-    then the service keeps answering from the old backend, exactly as a
-    real background worker would let it.
-
-    One build can be held by several services (:meth:`KNNService.join_rebuild`):
-    the backend, ready time, snapshot directory and sorted id column are
-    shared and never change.  Only the holder count moves, so that the
-    first holder to swap promotes the snapshot and the directory is
-    removed only when every holder cancelled before any swapped.
-    """
-
-    GUARDED_BY = {"_holders": "_lock", "_promoted": "_lock"}
-
-    def __init__(
-        self, started_at: float, elapsed: float, backend, snapshot_dir: Path | None
-    ) -> None:
-        self.started_at = started_at
-        self.ready_at = started_at + elapsed
-        self.elapsed = elapsed
-        self.backend = backend
-        self.snapshot_dir = snapshot_dir
-        # Sorted once per build; every holder's swap and id index reuse it.
-        _, ids = backend.all_points()
-        self.order = np.argsort(ids)
-        self.sorted_ids = ids[self.order]
-        self._holders = 1
-        self._promoted = False
-        self._lock = new_lock("_BackgroundRebuild._lock")
-
-    def join(self) -> bool:
-        """Count one more holder; False once the build was abandoned."""
-        with self._lock:
-            if self._holders == 0 and not self._promoted:
-                return False
-            self._holders += 1
-            return True
-
-    def swapped(self) -> bool:
-        """Release a holder that installed the build; True for the first
-        (which promotes the snapshot)."""
-        with self._lock:
-            self._holders -= 1
-            first, self._promoted = not self._promoted, True
-            return first
-
-    def abandoned(self) -> bool:
-        """Release a holder that cancelled the build; True once no holder
-        is left and none swapped (nothing will ever serve it)."""
-        with self._lock:
-            self._holders -= 1
-            return self._holders == 0 and not self._promoted
+        # ``not x > 0`` rather than ``x <= 0``: a NaN fails every comparison,
+        # and would otherwise silently disable its trigger.
+        for name in ("max_inserts", "max_tombstones", "max_staleness_s"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @guarded
@@ -182,16 +118,10 @@ class KNNService:
         wall-clock batch cost — injected by tests that need a
         deterministic logical clock.  ``None`` (default) measures real
         compute time.
-    background_rebuild:
-        When True, policy-triggered rebuilds run in the background: the old
-        index keeps serving until the fresh build's logical completion time
-        passes, then the new index hot-swaps in (the fleet layer serves
-        every replica this way).  Foreground :meth:`rebuild` stays available
-        either way.
     snapshot_root:
         Directory receiving one versioned snapshot (``v0001``, ``v0002``,
-        ...) per background rebuild; the ``CURRENT`` pointer is promoted
-        atomically at swap time.  ``None`` disables persistence.
+        ...) per rebuild; the ``CURRENT`` pointer is promoted atomically
+        once it is written.  ``None`` disables persistence.
     clock:
         Injectable monotonic clock (:class:`~repro.obs.clock.Clock`) all
         wall-time measurements read through — real ``perf_counter`` by
@@ -200,16 +130,13 @@ class KNNService:
     events:
         Optional structured ops event sink (an
         :class:`~repro.obs.events.EventLog` or a ``.scoped(...)`` view of
-        one).  When set, the service emits ``rebuild_begin`` (with the
-        build's ``refit_s``, which times the fold, ``snapshot_s``, the
-        fold's ``grafted_leaves`` and ``collapsed_nodes``, and
-        ``joined=True`` on a joined build, which reports zeros for all
-        four) / ``rebuild_swap`` (with
-        ``swap_s``) / ``cache_full_clear`` events; ``None`` (default) emits
-        nothing.
+        one).  When set, the service emits ``rebuild`` (with ``points``,
+        the new ``version``, ``fold_s``, ``snapshot_s`` and the fold's
+        ``grafted_leaves`` and ``collapsed_nodes``) / ``cache_full_clear``
+        events; ``None`` (default) emits nothing.
 
-    ``rebuilds`` counts index swaps this service completed, joined builds
-    included; ``builds`` counts the folds it ran itself.
+    ``rebuilds`` counts the folds this service ran; an index it adopted
+    from a peer (:meth:`adopt`) is not counted.
     """
 
     GUARDED_BY = {
@@ -218,12 +145,10 @@ class KNNService:
         "cache": "_lock",
         "version": "_lock",
         "rebuilds": "_lock",
-        "builds": "_lock",
         "rebuild_seconds": "_lock",
         "refetched_rows": "_lock",
         "_queue": "_lock",
         "_first_dirty_at": "_lock",
-        "_bg": "_lock",
         "_backend_ids": "_lock",
         "_next_auto_id": "_lock",
         "_closed": "_lock",
@@ -238,7 +163,6 @@ class KNNService:
         cache_capacity: int = 4096,
         retention: int = 65536,
         service_time: Callable[[int], float] | None = None,
-        background_rebuild: bool = False,
         snapshot_root: str | Path | None = None,
         clock: Clock | None = None,
         events=None,
@@ -255,15 +179,12 @@ class KNNService:
         self.delta = DeltaBuffer(backend.dims)
         self.version = 0
         self.rebuilds = 0
-        self.builds = 0
         self.rebuild_seconds = 0.0
         self.refetched_rows = 0
-        self.background_rebuild = background_rebuild
         self.snapshot_root = Path(snapshot_root) if snapshot_root is not None else None
         self._service_time = service_time
         self._queue = MicroBatchQueue(self.batch_policy, retention, service_time)
         self._first_dirty_at: float | None = None
-        self._bg: _BackgroundRebuild | None = None
         # Immutable after construction (read-only references, not state):
         # deliberately outside GUARDED_BY.
         self.records: RecordRing = self._queue.records
@@ -274,29 +195,17 @@ class KNNService:
         self._reindex_ids()
 
     def close(self) -> None:
-        """Release backend resources (pooled executor workers, if owned).
-
-        An in-flight background rebuild is cancelled — its backend may
-        hold the pool-shutdown responsibility (a fold transfers it), so
-        dropping it unclosed would leak the worker pool.
-        """
+        """Release backend resources (pooled executor workers, if owned)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._cancel_background()
             closer = getattr(self.backend, "close", None)
         # Teardown of owned resources happens outside the lock: pool
         # shutdown can block on worker completion, and no service state is
         # touched past this point (the _closed flag already bars re-entry).
         if closer is not None:
             closer()
-
-    def cancel_background(self) -> None:
-        """Discard any in-flight background rebuild and keep serving the
-        old index.  Safe to call when no rebuild is in flight."""
-        with self._lock:
-            self._cancel_background()
 
     def __enter__(self) -> "KNNService":
         return self
@@ -331,12 +240,6 @@ class KNNService:
         with self._lock:
             return self.cache.stats
 
-    @property
-    def rebuilding(self) -> bool:
-        """True while a background rebuild is in flight (old index serving)."""
-        with self._lock:
-            return self._bg is not None
-
     def obs_snapshot(self) -> Dict[str, float]:
         """One consistent flat snapshot of every service-level stat.
 
@@ -351,7 +254,6 @@ class KNNService:
                 "version": float(self.version),
                 "rebuilds": float(self.rebuilds),
                 "rebuild_seconds": float(self.rebuild_seconds),
-                "rebuilding": 1.0 if self._bg is not None else 0.0,
                 "n_live": float(
                     self.backend.n_points
                     - self.delta.n_tombstones
@@ -444,7 +346,7 @@ class KNNService:
         queueing, no result cache, no per-request latency accounting — just
         the exact live-set answer (tree, dead rows re-fetched, delta fused).
         Passing ``at`` advances the logical clock first, firing deadline
-        flushes and background-rebuild swaps that were due by then.
+        flushes and a staleness rebuild that were due by then.
         """
         k = self.k if k is None else k
         if k <= 0:
@@ -551,120 +453,36 @@ class KNNService:
             self._maybe_rebuild(now)
 
     def rebuild(self, at: float | None = None) -> None:
-        """Fold tombstones and the delta buffer into a freshly built index.
+        """Fold tombstones and the delta buffer into a fresh index.
 
-        This is the *foreground* discipline: the single server is busy for
-        the duration of the build, so queries arriving meanwhile queue
-        behind it.  An in-flight background rebuild is cancelled (the
-        foreground build folds a strictly newer live set).
+        The single server is busy for the duration of the fold (and the
+        snapshot, with a ``snapshot_root``), so queries arriving meanwhile
+        queue behind it.
         """
         with self._lock:
             now = self._advance(at)
             self._dispatch(now)
             self._rebuild_now(now)
 
-    def begin_background_rebuild(self, at: float | None = None) -> float:
-        """Start a background rebuild; returns its ready time.
+    def adopt(self, peer: "KNNService") -> None:
+        """Serve ``peer``'s index and live set as this service's own.
 
-        The replacement index is built over the live set as of now, while
-        the current index keeps serving — the server is *not* blocked.
-        Once the logical clock passes the returned ready time, the next
-        event hot-swaps the new index in and reconciles the delta buffer
-        against it (updates that arrived mid-build survive exactly).  If a
-        build is already in flight its ready time is returned unchanged.
-        """
-        with self._lock:
-            now = self._advance(at)
-            return self._begin_background(now)
-
-    def join_rebuild(self, peer: "KNNService", at: float | None = None) -> bool:
-        """Hold ``peer``'s in-flight background build as this service's
-        own instead of running one; returns True when joined.
-
-        Unless ``peer`` has no build in flight, the clock first advances to
-        ``at`` (swapping or starting whatever is due by then).  The build is
-        joined only if this service then has none in flight, and the build
-        began at this service's current logical time and is not due yet.
-        So a caller applying one mutation to both services, joining in
-        between, hands over a build of the live set they share; the
-        mutation lands here before the swap, which reconciles by id against
-        this service's own tree, tombstones and buffer.  Backend object,
-        ready time and snapshot directory are shared; the first holder to
-        swap promotes the snapshot.
+        Takes the peer's backend object, version and id index, plus a copy
+        of its delta buffer, tombstones and dirty time, and clears this
+        service's cache.  Nothing is folded: a fleet shard's replicas serve
+        one index this way, and answer byte for byte alike, ids included.
         """
         with peer._lock:
-            build = peer._bg
-        if build is None:
-            return False
+            backend, version, sorted_ids = peer.backend, peer.version, peer._backend_ids
+            delta, dirty_at, next_id = peer.delta.copy(), peer._first_dirty_at, peer._next_auto_id
         with self._lock:
-            now = self._advance(at)
-            if (
-                self._bg is not None
-                or build.started_at != now
-                or build.ready_at <= now
-                or not build.join()
-            ):
-                return False
-            self._bg = build
-            self._emit(
-                "rebuild_begin",
-                mode="background",
-                points=int(build.backend.n_points),
-                ready_at=build.ready_at,
-                refit_s=0.0,
-                snapshot_s=0.0,
-                joined=True,
-                grafted_leaves=0,
-                collapsed_nodes=0,
-            )
-            return True
-
-    def finish_rebuild(self, at: float | None = None) -> bool:
-        """Advance the clock to ``at`` (default: the build's ready time) and
-        swap in the background rebuild if one is due; returns True if a
-        swap happened."""
-        with self._lock:
-            if self._bg is not None and at is None:
-                at = max(self._queue.now, self._bg.ready_at)
-            before = self.version
-            self._advance(at)
-            return self.version != before
-
-    def live_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense ``(points, ids)`` of the current live set (tree minus
-        tombstones plus delta buffer).
-
-        This is the state a rebuild folds into the index; the fleet layer
-        uses it to re-seed a dead replica from a healthy peer.
-        """
-        with self._lock:
-            tree_points, tree_ids = self.backend.all_points()
-            if self.delta.n_tombstones:
-                live = ~self.delta.dead_mask(tree_ids)
-                tree_points, tree_ids = tree_points[live], tree_ids[live]
-            delta_points, delta_ids = self.delta.live_arrays()
-            points = np.concatenate([tree_points, delta_points], axis=0)
-            ids = np.concatenate([tree_ids, delta_ids])
-            return points, ids
-
-    @requires_lock("_lock")
-    def _cancel_background(self) -> None:
-        """Abandon an in-flight background build.
-
-        Once no service holds the build and none swapped it, its
-        un-promoted version directory is removed (it would otherwise sit on
-        disk forever, indistinguishable from crash leftovers), and any
-        pooled-executor shutdown responsibility the fold handed to the
-        abandoned backend is passed back to the one that keeps serving.
-        """
-        bg, self._bg = self._bg, None
-        if bg is None or not bg.abandoned():
-            return
-        if bg.snapshot_dir is not None:
-            shutil.rmtree(bg.snapshot_dir, ignore_errors=True)
-        transfer = getattr(bg.backend, "transfer_executor_ownership_to", None)
-        if transfer is not None:
-            transfer(self.backend)
+            self.backend = backend
+            self.version = version
+            self.delta = delta
+            self._first_dirty_at = dirty_at
+            self._next_auto_id = max(self._next_auto_id, next_id)
+            self._reindex_ids(sorted_ids)
+            self._clear_cache_fully()
 
     def _emit(self, kind: str, **fields) -> None:
         """Emit a structured ops event; a no-op without an event sink.
@@ -678,7 +496,7 @@ class KNNService:
 
     @requires_lock("_lock")
     def _clear_cache_fully(self) -> None:
-        """Whole-cache invalidation (rebuild swap), with an ops event."""
+        """Whole-cache invalidation (new index), with an ops event."""
         entries = len(self.cache)
         if entries:
             self._emit("cache_full_clear", entries=entries)
@@ -686,23 +504,24 @@ class KNNService:
 
     @requires_lock("_lock")
     def _rebuild_now(self, now: float) -> None:
-        # A foreground rebuild folds the freshest live set: an in-flight
-        # background build would swap an older snapshot over it, so drop it.
-        self._cancel_background()
+        """Fold, snapshot and go live with the new index, in the foreground."""
         n_live = self.n_live
         if n_live == 0:
             raise RuntimeError("cannot rebuild over an empty live set")
         started = self._clock.monotonic()
-        self.backend = self._fold()
-        swap_started = self._clock.monotonic()
-        refit_s = swap_started - started
-        self._emit_begin(
-            self.backend, mode="foreground", points=n_live, refit_s=refit_s, snapshot_s=0.0
-        )
-        elapsed = refit_s
+        backend = self.backend.fold(self.delta.tombstone_array(), *self.delta.live_arrays())
+        fold_s = self._clock.monotonic() - started
+        snapshot_s = 0.0
+        if self.snapshot_root is not None:
+            started = self._clock.monotonic()
+            version_dir = allocate_version_dir(self.snapshot_root)
+            backend.save(version_dir / "index")
+            promote_version(self.snapshot_root, version_dir)
+            snapshot_s = self._clock.monotonic() - started
+        elapsed = fold_s + snapshot_s
         if self._service_time is not None:
             elapsed = float(self._service_time(n_live))
-        self.builds += 1
+        self.backend = backend
         self.rebuilds += 1
         self.rebuild_seconds += elapsed
         # The single server is busy rebuilding: queries arriving meanwhile
@@ -713,124 +532,15 @@ class KNNService:
         self.version += 1
         self._first_dirty_at = None
         self._reindex_ids()
+        grafted, collapsed = backend.fold_edits()
         self._emit(
-            "rebuild_swap",
-            mode="foreground",
-            version=self.version,
-            swap_s=self._clock.monotonic() - swap_started,
-        )
-
-    @requires_lock("_lock")
-    def _begin_background(self, now: float) -> float:
-        if self._bg is not None:
-            return self._bg.ready_at
-        n_live = self.n_live
-        if n_live == 0:
-            raise RuntimeError("cannot rebuild over an empty live set")
-        started = self._clock.monotonic()
-        fresh = self._fold()
-        refit_s = self._clock.monotonic() - started
-        elapsed = refit_s
-        if self._service_time is not None:
-            elapsed = float(self._service_time(n_live))
-        snapshot_dir, snapshot_s = None, 0.0
-        if self.snapshot_root is not None:
-            started = self._clock.monotonic()
-            snapshot_dir = allocate_version_dir(self.snapshot_root)
-            fresh.save(snapshot_dir / "index")
-            snapshot_s = self._clock.monotonic() - started
-        self._bg = _BackgroundRebuild(now, elapsed, fresh, snapshot_dir)
-        self.builds += 1
-        self._emit_begin(
-            fresh,
-            mode="background",
+            "rebuild",
             points=n_live,
-            ready_at=self._bg.ready_at,
-            refit_s=refit_s,
+            version=self.version,
+            fold_s=fold_s,
             snapshot_s=snapshot_s,
-        )
-        return self._bg.ready_at
-
-    @requires_lock("_lock")
-    def _fold(self):
-        """The backend with tombstones and buffered inserts folded in."""
-        return self.backend.fold(self.delta.tombstone_array(), *self.delta.live_arrays())
-
-    def _emit_begin(self, fresh, **fields) -> None:
-        """The ``rebuild_begin`` event of a fold this service ran itself."""
-        grafted, collapsed = fresh.fold_edits()
-        self._emit(
-            "rebuild_begin",
-            joined=False,
             grafted_leaves=grafted,
             collapsed_nodes=collapsed,
-            **fields,
-        )
-
-    @requires_lock("_lock")
-    def _complete_swap(self, now: float) -> None:
-        """Atomically install the background-rebuilt index.
-
-        The new tree holds the live set as captured at begin time; any
-        update that arrived during the build window is reconciled here:
-
-        * a new-tree point that is no longer live becomes a tombstone;
-        * a buffered insert absorbed by the build (same id, bit-identical
-          coordinates) leaves the buffer;
-        * a buffered insert whose id is in the new tree with *different*
-          coordinates (delete + re-insert during the window) stays
-          authoritative in the buffer and the stale tree copy is
-          tombstoned;
-        * everything else buffered stays buffered.
-
-        The live set is unchanged by the swap, so answers before and after
-        are identical — which is what the fleet exactness tests assert.
-        """
-        started = self._clock.monotonic()
-        bg = self._bg
-        self._bg = None
-        t_points, _ = bg.backend.all_points()
-        buf_points, buf_ids = self.delta.live_arrays()
-        order, new_ids = bg.order, bg.sorted_ids
-
-        # Live now: in the old tree and not tombstoned, or buffered.
-        old_live = self._backend_ids[~self.delta.dead_mask(self._backend_ids)]
-        live_now = sorted_member(old_live, new_ids) | sorted_member(np.sort(buf_ids), new_ids)
-
-        in_tree = sorted_member(new_ids, buf_ids)
-        rows = order[np.searchsorted(new_ids, buf_ids[in_tree])]
-        same = np.all(t_points[rows] == buf_points[in_tree], axis=1)
-        # Absorbed verbatim -> leave the buffer; stale tree copy -> keep the
-        # buffer's coordinates and kill the tree's.
-        keep_buffer = np.ones(buf_ids.shape[0], dtype=bool)
-        keep_buffer[np.flatnonzero(in_tree)[same]] = False
-
-        self.backend = bg.backend
-        self.delta = DeltaBuffer(self.backend.dims)
-        if keep_buffer.any():
-            self.delta.insert(buf_points[keep_buffer], buf_ids[keep_buffer])
-        self.delta.add_tombstones(np.concatenate([new_ids[~live_now], buf_ids[in_tree][~same]]))
-        self.rebuilds += 1
-        self.rebuild_seconds += bg.elapsed
-        self._clear_cache_fully()
-        self.version += 1
-        # Only the build's first holder to swap promotes it: a later swap of
-        # the same version must not move CURRENT back from a newer one.
-        if bg.swapped() and bg.snapshot_dir is not None:
-            promote_version(bg.snapshot_dir.parent, bg.snapshot_dir)
-        # Any update surviving the swap arrived after the build began; the
-        # pre-build dirty timestamp would make the staleness policy fire an
-        # immediate (pointless) extra rebuild.
-        self._first_dirty_at = None if self.delta.n_updates == 0 else max(
-            self._first_dirty_at if self._first_dirty_at is not None else bg.started_at,
-            bg.started_at,
-        )
-        self._reindex_ids(new_ids)
-        self._emit(
-            "rebuild_swap",
-            mode="background",
-            version=self.version,
-            swap_s=self._clock.monotonic() - started,
         )
 
     # ------------------------------------------------------------------
@@ -838,24 +548,16 @@ class KNNService:
     # ------------------------------------------------------------------
     @requires_lock("_lock")
     def _advance(self, at: float | None) -> float:
-        """:meth:`MicroBatchQueue.advance`, then the background-rebuild swap
-        and the staleness rebuild due by the new time."""
+        """:meth:`MicroBatchQueue.advance`, then the staleness rebuild due
+        by the new time."""
         now = self._queue.advance(at, self._dispatch)
-        if self._bg is not None and now >= self._bg.ready_at:
-            # The background build finished somewhere in (then, now]: swap
-            # it in.  The live set is unchanged by the swap, so ordering
-            # against the deadline flushes above is answer-invisible.
-            self._complete_swap(now)
         if (
             self._first_dirty_at is not None
             and now - self._first_dirty_at >= self.rebuild_policy.max_staleness_s
             and self.n_live > 0
         ):
-            if self.background_rebuild:
-                self._begin_background(now)
-            else:
-                self._dispatch(now)
-                self._rebuild_now(now)
+            self._dispatch(now)
+            self._rebuild_now(now)
         return now
 
     @exactness_path
@@ -1001,10 +703,7 @@ class KNNService:
             self.delta.n_inserted >= policy.max_inserts
             or self.delta.n_tombstones >= policy.max_tombstones
         ):
-            if self.background_rebuild:
-                self._begin_background(now)
-            else:
-                self._rebuild_now(now)
+            self._rebuild_now(now)
 
     @requires_lock("_lock")
     def _reindex_ids(self, sorted_ids: np.ndarray | None = None) -> None:
@@ -1012,7 +711,7 @@ class KNNService:
         if sorted_ids is None:
             sorted_ids = np.sort(self.backend.all_points()[1])
         # One ascending array: whole-batch searchsorted membership for
-        # insert/delete and the swap, no Python object per indexed id.
+        # insert/delete, no Python object per indexed id.
         self._backend_ids = sorted_ids
         # Auto ids only ever move forward: an id freed by a delete + rebuild
         # must not be reassigned to a different point.

@@ -62,6 +62,18 @@ class TestInsertAtomicity:
         assert fleet.n_live == n_before + 2
         fleet.delete([9000, 9001])
 
+    @pytest.mark.parametrize("n_ids", [1, 3])
+    def test_ids_length_mismatch_mutates_no_shard(self, points, n_ids):
+        # Rejected like KNNService.insert rejects it, before any shard (or
+        # the fleet's clock) moves.
+        fleet = KNNFleet.build(points, n_shards=2, k=3)
+        n_before = fleet.n_live
+        with pytest.raises(ValueError, match="ids length must match"):
+            fleet.insert(points[:2] + 0.5, ids=np.arange(9000, 9000 + n_ids), at=1.0)
+        assert fleet.n_live == n_before and fleet.now == 0.0
+        fleet.insert(points[:2] + 0.5, ids=np.array([9000, 9001]), at=1.0)
+        assert fleet.n_live == n_before + 2
+
 
 class TestRejectMode:
     def test_overflow_rejects_newest(self, points):

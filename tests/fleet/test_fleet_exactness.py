@@ -1,8 +1,8 @@
 """Fleet exactness guard: fleet answers vs a single KNNService vs brute force.
 
 The acceptance bar of the fleet subsystem: for every tested configuration
-(1-8 shards, 1-3 replicas, injected replica failures, during an in-flight
-background rebuild) the fleet's answer distances are byte-identical to a
+(1-8 shards, 1-3 replicas, injected replica failures, across a fleet-wide
+rebuild) the fleet's answer distances are byte-identical to a
 single unsharded :class:`KNNService` over the same live set — and both
 match brute force.  Ids are compared tie-tolerantly, because which of
 several points exactly tied at the k-th distance is kept is unspecified
@@ -97,7 +97,6 @@ def test_randomized_interleavings_match_single_service(base, n_shards, n_replica
         k=4,
         cache_capacity=0,
         rebuild_policy=rebuild_policy,
-        background_rebuild=True,  # same discipline as the fleet's replicas
     )
     reference = LiveSetReference(points, ids)
     lo, hi = points.min(axis=0), points.max(axis=0)
@@ -185,9 +184,9 @@ def test_non_finite_query_rejected_before_anything_moves(base, call, bad):
         assert fleet.submit(points[3], at=3.0) == 2
 
 
-def test_exact_during_in_flight_background_rebuild(base):
-    # Queries answered while every shard is mid-rebuild (old snapshots
-    # serving), and again after the hot swap, are byte-identical.
+def test_exact_across_a_fleet_rebuild(base):
+    # Queries answered over the buffered inserts, and again after every
+    # shard folded them in, are byte-identical.
     points, ids = base
     rng = np.random.default_rng(77)
     fleet = KNNFleet.build(
@@ -199,22 +198,16 @@ def test_exact_during_in_flight_background_rebuild(base):
     fresh = rng.normal(size=(20, points.shape[1]))
     reference.insert(fresh, fleet.insert(fresh, at=1.0))
     single.insert(fresh, ids=np.arange(2000, 2020, dtype=np.int64), at=1.0)
-    fleet.begin_rebuild(at=2.0)
-    assert all(
-        r.service.rebuilding for g in fleet.groups for r in g.replicas
-    )
     queries = points[rng.choice(points.shape[0], 10, replace=False)] + 0.02
-    t = assert_fleet_exact(fleet, single, reference, queries, 5, 3.0)  # mid-rebuild
-    # Routed queries only advance the shards they touch; finish the swap on
-    # every replica explicitly before checking the folded state.
+    t = assert_fleet_exact(fleet, single, reference, queries, 5, 2.0)  # buffered
+    fleet.rebuild(at=t)
+    assert [g.rebuilds for g in fleet.groups] == [1, 1, 1, 1]
     for group in fleet.groups:
-        for replica in group.replicas:
-            replica.service.finish_rebuild()
-    t = max(t, 60.0)
-    t = assert_fleet_exact(fleet, single, reference, queries, 5, t)  # post-swap
-    assert all(g.rebuilds > 0 for g in fleet.groups)
-    # The swap folded the buffered inserts into the shard trees.
+        first, peer = (r.service for r in group.replicas)
+        assert peer.backend is first.backend and peer.version == first.version == 1
+    # The fold absorbed the buffered inserts into the shard trees.
     assert all(r.service.delta.n_updates == 0 for g in fleet.groups for r in g.replicas)
+    assert_fleet_exact(fleet, single, reference, queries, 5, t)  # folded
 
 
 def test_replica_failures_never_change_answers(base):

@@ -9,7 +9,7 @@ The acceptance bar of the observability plane:
   (retries included) → merges, and exports in Chrome trace-event form;
 * answers are byte-identical with observability fully on vs fully off,
   with replica failures in the mix;
-* every operational moment (death, heal, rebuild begin/swap, cache
+* every operational moment (death, heal, rebuild, cache
   full-clear, admission reject/shed) lands in the event log.
 """
 
@@ -260,16 +260,16 @@ def test_rebuild_and_cache_clear_events_foreground_service():
     service.query(np.zeros(3), at=1.0)
     service.rebuild(at=2.0)
     kinds = events.counts()
-    assert kinds.get("rebuild_begin") == 1
-    assert kinds.get("rebuild_swap") == 1
+    assert kinds.get("rebuild") == 1
     assert kinds.get("cache_full_clear") == 1
-    begin = events.snapshot("rebuild_begin")[0]
-    assert dict(begin.fields)["mode"] == "foreground"
+    rebuild = dict(events.snapshot("rebuild")[0].fields)
+    assert rebuild["points"] == 64 and rebuild["version"] == 1
+    assert rebuild["fold_s"] >= 0.0 and rebuild["snapshot_s"] == 0.0  # no snapshot_root
     clear = events.snapshot("cache_full_clear")[0]
     assert dict(clear.fields)["entries"] >= 1
 
 
-def test_rebuild_begin_reports_the_folds_structural_edits():
+def test_rebuild_event_reports_the_folds_structural_edits():
     # 64 grid points, bucket 4: every leaf holds 4 points.
     xs, ys = np.meshgrid(np.arange(8.0), np.arange(8.0))
     points = np.column_stack([xs.ravel(), ys.ravel()])
@@ -290,14 +290,14 @@ def test_rebuild_begin_reports_the_folds_structural_edits():
     service.delete(tree.ids[s : s + c], at=3.0)
     service.rebuild(at=4.0)
     grafted, collapsed = (
-        [dict(e.fields)[name] for e in events.snapshot("rebuild_begin")]
+        [dict(e.fields)[name] for e in events.snapshot("rebuild")]
         for name in ("grafted_leaves", "collapsed_nodes")
     )
     assert grafted == [1, 0]
     assert collapsed == [0, 1]
 
 
-def test_background_rebuild_events_through_fleet():
+def test_rebuild_events_through_fleet():
     with KNNFleet.build(
         _points(),
         n_shards=2,
@@ -310,44 +310,35 @@ def test_background_rebuild_events_through_fleet():
             fleet.insert(rng.normal(size=(4, 3)), at=t)
             t += 1e-3
             fleet.query(rng.normal(size=3), at=t)
-        # Push logical time far enough for every pending swap to land.
-        fleet.query(rng.normal(size=3), at=t + 10.0)
-        counts = fleet.events.counts()
-        assert counts.get("rebuild_begin", 0) >= 1
-        assert counts.get("rebuild_swap", 0) >= 1
-        begin = fleet.events.snapshot("rebuild_begin")[0]
-        fields = dict(begin.fields)
-        assert fields["mode"] == "background"
+        rebuilds = fleet.events.snapshot("rebuild")
+        assert len(rebuilds) == sum(g.rebuilds for g in fleet.groups) >= 1
+        fields = dict(rebuilds[0].fields)
         assert "shard" in fields and "replica" in fields
+        assert {"points", "version", "fold_s", "snapshot_s"} <= set(fields)
 
 
-def test_one_unjoined_rebuild_begin_per_shard_build():
-    # Every replica reports the build it holds; exactly one report per
-    # build ran the refit, the others joined it and spent nothing.
+def test_one_rebuild_event_per_shard_build(tmp_path):
+    # The first live replica of a shard folds and snapshots; its peers
+    # adopt that index and report nothing.
     with KNNFleet.build(
         _points(),
         n_shards=2,
         n_replicas=3,
         rebuild_policy=RebuildPolicy(max_inserts=4),
+        snapshot_root=tmp_path,
         service_time=lambda n: 1.0,
     ) as fleet:
         rng = np.random.default_rng(5)
         for step in range(6):
             fleet.insert(rng.normal(size=(8, 3)), at=10.0 * step)
-        begins = [dict(e.fields) for e in fleet.events.snapshot("rebuild_begin")]
+        events = [dict(e.fields) for e in fleet.events.snapshot("rebuild")]
         for group in fleet.groups:
-            mine = [b for b in begins if b["shard"] == group.shard_id]
-            built = [b for b in mine if not b["joined"]]
-            joined = [b for b in mine if b["joined"]]
-            assert len(built) == group.rebuilds > 0
-            assert len(joined) == 2 * len(built)
-            assert all(b["refit_s"] > 0.0 for b in built)
-            assert all(b["refit_s"] == b["snapshot_s"] == 0.0 for b in joined)
-            # A fold's structural edits are reported by the replica that ran it.
-            assert all(b["grafted_leaves"] >= 0 and b["collapsed_nodes"] >= 0 for b in built)
-            assert all(b["grafted_leaves"] == b["collapsed_nodes"] == 0 for b in joined)
-        swaps = [dict(e.fields) for e in fleet.events.snapshot("rebuild_swap")]
-        assert swaps and all(s["swap_s"] >= 0.0 for s in swaps)
+            mine = [e for e in events if e["shard"] == group.shard_id]
+            assert len(mine) == group.rebuilds > 0
+            assert {e["replica"] for e in mine} == {0}
+            assert [e["version"] for e in mine] == list(range(1, len(mine) + 1))
+            assert all(e["fold_s"] > 0.0 and e["snapshot_s"] > 0.0 for e in mine)
+            assert all(e["grafted_leaves"] >= 0 and e["collapsed_nodes"] >= 0 for e in mine)
 
 
 def test_ops_events_exported_in_metrics():
@@ -387,7 +378,7 @@ def test_service_obs_snapshot_keys():
     service.query(np.zeros(3), at=0.0)
     snap = service.obs_snapshot()
     expected = {
-        "pending", "version", "rebuilds", "rebuild_seconds", "rebuilding",
+        "pending", "version", "rebuilds", "rebuild_seconds",
         "n_live", "delta_inserts", "tombstones", "cache_hits", "cache_misses",
         "cache_evictions", "cache_full_clears", "cache_keys_dropped", "cache_size",
     }

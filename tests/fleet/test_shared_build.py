@@ -1,11 +1,11 @@
-"""A shard builds once: its replicas join one background rebuild.
+"""A shard builds once: its replicas adopt one foreground fold.
 
 The write that trips a shard's rebuild policy folds the shard's updates
-into its tree on its first live replica; every other live replica joins
-that build before taking the same write.  So a shard version is one fold
+into its tree on its first live replica; every other live replica adopts
+that index instead of taking the write.  So a shard version is one fold
 (a re-pack, never a build over the whole shard), one snapshot directory
-and one backend object, and replicas that swapped it answer
-byte for byte alike, ids included.
+and one backend object, and replicas serving it answer byte for byte
+alike, ids included.  A healed replica adopts a live peer the same way.
 """
 
 from collections import Counter
@@ -25,7 +25,7 @@ from repro.obs import ManualClock
 from repro.service import LocalTreeBackend, RebuildPolicy, backends
 
 DIMS = 3
-BUILD_S = 3.5e-3  # a build stays in flight for three ops
+BUILD_S = 3.5e-3  # a rebuild keeps a replica busy for three ops
 
 
 def _draw(rng, n):
@@ -33,15 +33,21 @@ def _draw(rng, n):
     return rng.integers(0, 4, size=(n, DIMS)).astype(np.float64)
 
 
-def _one_backend(group) -> bool:
-    """Whether every live replica serves the same backend object."""
-    return len({id(r.service.backend) for r in group.replicas if r.alive}) == 1
+def _assert_alike(group, queries, k):
+    """Every live replica serves one backend object, and they answer byte
+    for byte alike, ids included."""
+    live = [r.service for r in group.replicas if r.alive]
+    assert all(service.backend is live[0].backend for service in live)
+    d0, i0 = live[0].answer_batch(queries, k=k)
+    for service in live[1:]:
+        d, i = service.answer_batch(queries, k=k)
+        assert np.array_equal(d, d0) and np.array_equal(i, i0)
 
 
 OPS = st.lists(
     st.tuples(
         # Writes twice as likely as the rest, so builds trip within a run.
-        st.sampled_from(["insert", "insert", "delete", "delete", "query", "finish", "kill", "heal"]),
+        st.sampled_from(["insert", "insert", "delete", "delete", "query", "kill", "heal"]),
         st.integers(0, 2**16),
     ),
     min_size=20,
@@ -51,12 +57,12 @@ OPS = st.lists(
 
 @settings(max_examples=40, deadline=None)
 @given(ops=OPS, seed=st.integers(0, 2**16))
-# Kill the replica that ran a shard's in-flight build (its peer still holds
-# it), heal it, then trip the shard's next build.
+# Kill the replica that ran a shard's last fold, heal it from the peer that
+# adopted it, then trip the shard's next fold.
 @example(
     ops=[("delete", 3), ("delete", 7), ("delete", 11), ("kill", 1), ("heal", 0)]
     + [("delete", 5)] * 4
-    + [("finish", 0), ("query", 2)],
+    + [("query", 2)],
     seed=1,
 )
 def test_every_answer_exact_and_shared_builds_answer_alike(ops, seed):
@@ -85,11 +91,7 @@ def test_every_answer_exact_and_shared_builds_answer_alike(ops, seed):
             mine = np.array([np.sqrt(((model[j] - query) ** 2).sum()) for j in found])
             assert np.allclose(mine, d[: found.size], rtol=1e-12)
         for group in fleet.groups:
-            if not _one_backend(group):
-                continue
-            answers = [r.service.answer_batch(queries, k=k) for r in group.replicas if r.alive]
-            for d, i in answers[1:]:
-                assert np.array_equal(d, answers[0][0]) and np.array_equal(i, answers[0][1])
+            _assert_alike(group, queries, k)
 
     t = 0.0
     for kind, arg in ops:
@@ -106,19 +108,16 @@ def test_every_answer_exact_and_shared_builds_answer_alike(ops, seed):
                 del model[point_id]
         elif kind == "query":
             check(_draw(rng, 1 + arg % 4) + 0.5 * (arg % 2), k)
-        elif kind == "finish":
-            # Every build in flight comes due, on every live replica.
-            t += BUILD_S
-            for group in fleet.groups:
-                for replica in group.replicas:
-                    if replica.alive:
-                        replica.service.finish_rebuild(at=t)
         elif kind == "kill":
             group = fleet.groups[arg % 2]
             if group.n_alive > 1:
                 fleet.kill_replica(group.shard_id, arg // 2 % 2)
         elif kind == "heal":
             fleet.heal(at=t)
+            # Healed by adoption: from its first answer on, a healed replica
+            # answers like its peers, ids included.
+            for group in fleet.groups:
+                _assert_alike(group, _draw(rng, 6) + 0.5, k)
     t += 1e-3
     check(_draw(np.random.default_rng(seed), 8), 3)
     assert fleet.n_live == len(model)
@@ -164,20 +163,80 @@ def test_one_fold_and_one_version_per_shard_per_round(small_points, tmp_path, mo
         fleet.insert(rng.normal(size=(60, 3)) * np.array([3.0, 1.0, 0.5]), at=at)
         doomed = [victims[s].pop() for s in (0, 1) for _ in range(8)]
         fleet.delete(np.array(doomed), at=at + 1e-3)
+        # One fold per shard...
         assert Counter(folds) == {0: 1, 1: 1}
-        # No shard is rebuilt whole: only leaves that inserts overflowed.
+        # ...never a rebuild of the whole shard, only of overflowed leaves.
         assert all(n < 4 * KDTreeConfig().bucket_size for n in builds)
         for group in fleet.groups:
-            for replica in group.replicas:
-                replica.service.finish_rebuild(at=at + 5.0)
-                check_tree_invariants(replica.service.backend.tree)
+            first, peer = (r.service for r in group.replicas)
+            check_tree_invariants(first.backend.tree)
+            # ...one version directory...
             root = tmp_path / f"shard{group.shard_id:02d}"
             assert [v for v, _ in list_snapshot_versions(root)] == list(range(1, round_ + 1))
             assert current_version_dir(root).name == f"v{round_:04d}"
-            assert _one_backend(group)
-            a, b = (r.service.answer_batch(queries, k=4) for r in group.replicas)
+            # ...and one backend object, served by both replicas.
+            assert peer.backend is first.backend
+            assert peer.version == first.version == round_
+            assert peer.delta.n_updates == first.delta.n_updates == 0
+            a, b = first.answer_batch(queries, k=4), peer.answer_batch(queries, k=4)
             assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     shards = fleet.stats()["shards"]
     assert [row["rebuilds"] for row in shards] == [3, 3]
-    assert all(r.service.rebuilds == 3 for g in fleet.groups for r in g.replicas)
+    assert [[r.service.rebuilds for r in g.replicas] for g in fleet.groups] == [[3, 0], [3, 0]]
+    fleet.close()
+
+
+def test_heal_answers_like_its_peers_ids_included():
+    # Duplicate points, buffered inserts that duplicate tree points and
+    # tombstones: which of several exactly tied points an answer keeps
+    # depends on the index, so only an adopted index answers alike.
+    rng = np.random.default_rng(0)
+    initial = _draw(rng, 48)
+    fleet = KNNFleet.build(
+        initial,
+        n_shards=1,
+        n_replicas=2,
+        k=3,
+        rebuild_policy=RebuildPolicy(max_inserts=1000, max_tombstones=1000),
+        clock=ManualClock(),
+    )
+    fleet.insert(initial[:24].copy(), at=1.0)
+    fleet.delete(np.arange(24, 30), at=2.0)
+    fleet.kill_replica(0, 1)
+    assert fleet.heal(at=3.0) == 1
+    first, healed = (r.service for r in fleet.groups[0].replicas)
+    queries = np.concatenate([initial, _draw(rng, 32) + 0.5])
+    for k in (1, 3, 8):
+        d0, i0 = first.answer_batch(queries, k=k)
+        d1, i1 = healed.answer_batch(queries, k=k)
+        assert np.array_equal(d0, d1)
+        assert np.array_equal(i0, i1)
+    assert healed.backend is first.backend and healed.version == first.version
+    assert healed.n_live == first.n_live and healed.rebuilds == 0
+    fleet.close()
+
+
+def test_a_staleness_fold_on_one_replica_is_adopted_at_the_next_write():
+    # A read's ``at`` fires the staleness fold only on the replica that
+    # answers it; the group's next write brings its peer to that index.
+    rng = np.random.default_rng(1)
+    initial = _draw(rng, 48)
+    fleet = KNNFleet.build(
+        initial,
+        n_shards=1,
+        n_replicas=2,
+        k=3,
+        rebuild_policy=RebuildPolicy(max_staleness_s=1.0),
+        clock=ManualClock(),
+    )
+    first, peer = (r.service for r in fleet.groups[0].replicas)
+    fleet.insert(_draw(rng, 5), at=0.0)
+    queries = _draw(rng, 20) + 0.5
+    fleet.query(queries[0], at=2.0)  # stale: one replica folds while answering
+    assert sorted(s.version for s in (first, peer)) == [0, 1]
+    assert np.array_equal(first.answer_batch(queries)[0], peer.answer_batch(queries)[0])
+    fleet.insert(_draw(rng, 2), at=3.0)
+    assert peer.backend is first.backend and peer.version == first.version == 1
+    assert fleet.groups[0].rebuilds == 1
+    _assert_alike(fleet.groups[0], queries, 3)
     fleet.close()

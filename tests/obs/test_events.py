@@ -66,9 +66,9 @@ def test_scoped_explicit_fields_win():
 
 def test_to_jsonl():
     log = EventLog(clock=ManualClock())
-    log.emit("rebuild_swap", version=2)
+    log.emit("rebuild", version=2)
     line = json.loads(log.to_jsonl().splitlines()[0])
-    assert line == {"seq": 0, "at": 0.0, "kind": "rebuild_swap", "version": 2}
+    assert line == {"seq": 0, "at": 0.0, "kind": "rebuild", "version": 2}
 
 
 def test_emit_thread_safety():

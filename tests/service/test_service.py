@@ -26,6 +26,22 @@ def make_service(backend, **kwargs):
     return KNNService(backend, **kwargs)
 
 
+class TestPolicyValidation:
+    """A NaN fails every comparison, so it must not pass a positivity check
+    and silently disable a trigger."""
+
+    @pytest.mark.parametrize("field", ["max_inserts", "max_tombstones", "max_staleness_s"])
+    @pytest.mark.parametrize("bad", [np.nan, 0, -1])
+    def test_rebuild_policy_rejects_non_positive(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            RebuildPolicy(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-3])
+    def test_micro_batch_policy_rejects_bad_max_delay(self, bad):
+        with pytest.raises(ValueError, match="max_delay_s"):
+            MicroBatchPolicy(max_delay_s=bad)
+
+
 class TestLRUCache:
     def test_hit_miss_and_recency(self):
         cache = LRUCache(2)
@@ -270,8 +286,8 @@ class TestStreamingUpdates:
         points[4, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             LocalTreeBackend.fit(points)
-        with pytest.raises(ValueError, match="finite"):
-            backend.refit(points, np.arange(50))
+        with pytest.raises(ValueError, match="finite"):  # a rebuild's fold
+            backend.fold(np.empty(0, dtype=np.int64), points, np.arange(50) + 10_000)
 
     def test_colliding_insert_id_rejected(self, backend, small_points):
         service = make_service(backend)
@@ -363,6 +379,62 @@ class TestStreamingUpdates:
         service.delete([0, 1])
         with pytest.raises(RuntimeError):
             service.rebuild()
+
+
+class TestForegroundRebuild:
+    def test_buffered_insert_is_absorbed(self, small_points):
+        service = make_service(LocalTreeBackend.fit(small_points), k=1)
+        service.insert(np.full((1, 3), 30.0), ids=np.array([9_002]), at=0.0)
+        service.delete([4], at=0.5)
+        service.rebuild(at=1.0)
+        assert service.delta.n_updates == 0  # fully folded in
+        assert service.backend.n_points == small_points.shape[0]
+        d, i = service.answer_batch(np.full((1, 3), 30.0))
+        assert int(i[0, 0]) == 9_002 and d[0, 0] == 0.0
+        assert int(service.answer_batch(small_points[4])[1][0, 0]) != 4
+
+    def test_pooled_executor_fold_then_close_frees_pool(self, small_points):
+        from repro.service import PandaBackend
+
+        service = KNNService(
+            PandaBackend.fit(small_points[:400], n_ranks=2, executor="thread"),
+            k=3,
+            cache_capacity=0,
+            rebuild_policy=RebuildPolicy(max_inserts=4),
+            service_time=lambda n: 0.001,
+        )
+        executor = service.backend.index.cluster.executor
+        service.insert(np.random.default_rng(2).normal(size=(4, 3)), at=0.0)
+        assert service.rebuilds == 1 and service.delta.n_updates == 0
+        # The fold handed the pool to the new index, which now owns it.
+        assert service.backend.index.cluster.executor is executor
+        assert service.backend.index.cluster._owns_executor
+        service.close()
+        assert executor._closed
+
+    def test_adopt_serves_the_peers_index_and_live_set(self, small_points):
+        backend = LocalTreeBackend.fit(small_points)
+        policy = RebuildPolicy(max_inserts=8)
+        peer = make_service(backend, rebuild_policy=policy, cache_capacity=16)
+        mine = make_service(backend, rebuild_policy=policy, cache_capacity=16)
+        mine.query(small_points[0], at=0.0)  # a cached entry adopt must drop
+        rng = np.random.default_rng(4)
+        peer.insert(rng.normal(size=(8, 3)), at=1.0)  # folds: version 1
+        peer.insert(rng.normal(size=(3, 3)), at=2.0)
+        peer.delete([5], at=3.0)
+        mine.adopt(peer)
+        assert mine.backend is peer.backend
+        assert mine.version == peer.version == 1 and mine.rebuilds == 0
+        assert len(mine.cache) == 0 and mine.n_live == peer.n_live
+        queries = rng.normal(size=(30, 3))
+        for k in (1, 4):
+            a, b = mine.answer_batch(queries, k=k), peer.answer_batch(queries, k=k)
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        # The buffer is a copy: a write to one leaves the other alone.
+        mine.delete([6], at=4.0)
+        assert 6 in mine.delta.tombstones and 6 not in peer.delta.tombstones
+        peer.insert(np.zeros((1, 3)), at=5.0)
+        assert mine.delta.n_inserted == 3 and peer.delta.n_inserted == 4
 
 
 class TestReviewRegressions:

@@ -5,6 +5,12 @@ import pytest
 
 from repro.core.config import PandaConfig
 from repro.core.panda import PandaKNN
+from repro.core.snapshot import (
+    allocate_version_dir,
+    current_version_dir,
+    list_snapshot_versions,
+    promote_version,
+)
 from repro.kdtree.tree import KDTreeConfig
 from repro.kdtree.validate import check_snapshot_roundtrip
 from repro.service import KNNService, LocalTreeBackend, PandaBackend
@@ -97,6 +103,55 @@ class TestServiceWarmStart:
         (new_id,) = service.insert(far[None, :])
         d, i = service.query(far)
         assert i[0] == new_id and d[0] == 0.0
+
+
+class TestVersionedSnapshots:
+    """A service with a ``snapshot_root`` writes one version per rebuild
+    and promotes ``CURRENT`` to it as it goes live."""
+
+    def test_versions_accumulate_and_current_promotes(self, small_points, tmp_path):
+        root = tmp_path / "snaps"
+        service = KNNService(
+            LocalTreeBackend.fit(small_points), k=3, cache_capacity=0, snapshot_root=root
+        )
+        assert list_snapshot_versions(root) == []
+        service.rebuild(at=0.0)
+        assert [v for v, _ in list_snapshot_versions(root)] == [1]
+        assert current_version_dir(root).name == "v0001"
+        service.delete([0], at=1.0)
+        service.rebuild(at=2.0)
+        assert [v for v, _ in list_snapshot_versions(root)] == [1, 2]
+        assert current_version_dir(root).name == "v0002"
+        assert service.version == service.rebuilds == 2
+
+    def test_current_snapshot_answers_identically(self, small_points, tmp_path):
+        root = tmp_path / "snaps"
+        service = KNNService(
+            LocalTreeBackend.fit(small_points), k=3, cache_capacity=0, snapshot_root=root
+        )
+        service.insert(np.random.default_rng(3).normal(size=(5, 3)), at=0.0)
+        service.delete([1, 2], at=0.5)
+        service.rebuild(at=1.0)
+        restored = LocalTreeBackend.load(current_version_dir(root) / "index.npz")
+        queries = small_points[:20]
+        d_live, i_live = service.backend.kneighbors(queries, 3)
+        d_snap, i_snap = restored.kneighbors(queries, 3)
+        assert np.array_equal(d_live, d_snap)
+        assert np.array_equal(i_live, i_snap)
+
+    def test_version_allocation_and_promotion_primitives(self, tmp_path):
+        root = tmp_path / "vroot"
+        assert list_snapshot_versions(root) == []
+        assert current_version_dir(root) is None
+        v1 = allocate_version_dir(root)
+        v2 = allocate_version_dir(root)
+        assert (v1.name, v2.name) == ("v0001", "v0002")
+        promote_version(root, v2)
+        assert current_version_dir(root) == v2
+        with pytest.raises(FileNotFoundError):
+            promote_version(root, root / "v0099")
+        with pytest.raises(ValueError):
+            promote_version(root, tmp_path / "elsewhere")
 
 
 class TestLazyAndSlabRestore:

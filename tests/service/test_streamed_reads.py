@@ -195,7 +195,7 @@ class TestDeltaScan:
 
 OPS = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "reinsert", "delete", "batch", "submit", "begin", "finish"]),
+        st.sampled_from(["insert", "reinsert", "delete", "batch", "submit", "rebuild"]),
         st.integers(0, 2**16),
     ),
     min_size=1,
@@ -208,14 +208,13 @@ class TestRandomInterleavings:
 
     @pytest.mark.parametrize("dims", [3, 10])
     @settings(max_examples=40, deadline=None)
-    @given(ops=OPS, seed=st.integers(0, 2**16), background=st.booleans())
-    # A point deleted and re-inserted elsewhere while a build is in flight.
+    @given(ops=OPS, seed=st.integers(0, 2**16))
+    # A point deleted and re-inserted elsewhere between two rebuilds.
     @example(
-        ops=[("begin", 0), ("delete", 0), ("reinsert", 1), ("finish", 0), ("batch", 39)],
+        ops=[("rebuild", 0), ("delete", 0), ("reinsert", 1), ("rebuild", 0), ("batch", 39)],
         seed=0,
-        background=True,
     )
-    def test_every_answer_matches_brute_force(self, dims, ops, seed, background):
+    def test_every_answer_matches_brute_force(self, dims, ops, seed):
         # Coordinates on a coarse grid, so duplicates and ties are common.
         def draw(rng, n):
             return rng.integers(0, 4, size=(n, dims)).astype(np.float64)
@@ -227,8 +226,7 @@ class TestRandomInterleavings:
             LocalTreeBackend.fit(np.stack(list(model.values()))),
             k=3,
             rebuild_policy=RebuildPolicy(max_inserts=10, max_tombstones=6),
-            background_rebuild=background,
-            service_time=lambda n: 3.5e-3,  # a build stays in flight for three ops
+            service_time=lambda n: 3.5e-3,  # a rebuild keeps the server busy for three ops
         )
 
         def check(d, i, queries, k):
@@ -270,9 +268,7 @@ class TestRandomInterleavings:
                 for rid, query in zip(rids, queries):
                     d, i = service.result(rid)
                     check(d[None, :], i[None, :], query[None, :], k)
-            elif kind == "begin" and model:
-                service.begin_background_rebuild(at=t)
-            elif kind == "finish":
-                service.finish_rebuild()
+            elif kind == "rebuild" and model:
+                service.rebuild(at=t)
         assert service.n_live == len(model)
         service.close()
