@@ -65,6 +65,16 @@ class Rank:
         self.ids = ids
 
 
+def _global_ids(n_points: int, ids: np.ndarray | None) -> np.ndarray:
+    """``ids`` checked against the whole point set (default: ``0..n-1``)."""
+    if ids is None:
+        return np.arange(n_points, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.shape[0] != n_points:
+        raise ValueError(f"ids length {ids.shape[0]} does not match number of points {n_points}")
+    return ids
+
+
 class Cluster:
     """A simulated distributed-memory cluster of ``n_ranks`` nodes.
 
@@ -151,8 +161,7 @@ class Cluster:
         if points.ndim != 2:
             raise ValueError(f"points must be 2-D, got shape {points.shape}")
         n = points.shape[0]
-        if ids is None:
-            ids = np.arange(n, dtype=np.int64)
+        ids = _global_ids(n, ids)
         boundaries = np.linspace(0, n, self.n_ranks + 1).astype(np.int64)
         for rank in self.ranks:
             lo, hi = boundaries[rank.rank], boundaries[rank.rank + 1]
@@ -164,8 +173,7 @@ class Cluster:
         if points.ndim != 2:
             raise ValueError(f"points must be 2-D, got shape {points.shape}")
         n = points.shape[0]
-        if ids is None:
-            ids = np.arange(n, dtype=np.int64)
+        ids = _global_ids(n, ids)
         for rank in self.ranks:
             sel = np.arange(rank.rank, n, self.n_ranks)
             rank.set_points(points[sel], ids[sel])

@@ -11,9 +11,16 @@ For every batch of queries:
    other ranks' domain boxes and forwards (query, r') only to those ranks.
 4. **Remote KNN** — contacted ranks run a radius-bounded local search and
    return their candidates to the owner.
-5. **Merge** — the owner merges local and remote candidates with a bounded
-   heap and returns the final k neighbours to the rank that originally held
-   the query.
+5. **Merge** — the owner folds the replies into its local top-k one source
+   rank at a time, in ascending rank order, with the sorted row merge
+   :func:`~repro.kdtree.heap.merge_topk_rows` (the fleet router's merge),
+   then returns the final k neighbours to the rank that originally held
+   the query.  Among candidates tied at a distance the owner's pick comes
+   first, then the lower rank's; within one rank the local search's own
+   order holds.  Redistribution gives each point exactly one rank, so no
+   candidate arrives twice and the fold needs no id dedup.  A query's
+   answer therefore depends on neither the batch it ran in nor the rank
+   it came from.
 
 Queries are processed in batches (``PandaConfig.query_batch_size``) which is
 what enables the software pipelining / communication overlap the paper uses;
@@ -25,7 +32,7 @@ Fig. 5(c) breakdown can be reconstructed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -34,6 +41,7 @@ from repro.cluster.simulator import Cluster
 from repro.core.config import PandaConfig
 from repro.core.global_tree import GlobalTree
 from repro.core.local_phase import local_tree_of
+from repro.kdtree.heap import merge_topk_rows
 from repro.kdtree.query import QueryStats, batch_knn
 
 #: Phase names charged by the query engine (Fig. 5c categories).
@@ -52,63 +60,14 @@ QUERY_PHASES = (
 )
 
 
-def _merge_reply_blocks(
-    k: int,
-    base_d: np.ndarray,
-    base_i: np.ndarray,
-    rows: np.ndarray,
-    reply_d: np.ndarray,
-    reply_i: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fold remote reply blocks into the owner's per-query top-k (step 5).
+def _group(keys: np.ndarray, n_groups: int) -> List[np.ndarray]:
+    """Positions of each key value ``0..n_groups-1``, ascending within a group.
 
-    Vectorised equivalent of one ``merge_topk`` call per reply row: duplicate
-    point ids keep their smaller distance (a remote rank may return a point
-    the owner already found) and each query keeps its k closest candidates
-    sorted by (distance, id).  ``rows`` maps each ``(k,)`` reply block to a
-    row of ``base_d``/``base_i`` and may repeat when several remote ranks
-    answered the same query; ``inf`` / ``-1`` padding is ignored.
+    One stable argsort instead of a boolean mask per group: group ``g``
+    lists the positions ``p`` with ``keys[p] == g`` in their original order.
     """
-    nq = base_d.shape[0]
-    n_rep = rows.shape[0]
-    # Occurrence index of each reply block within its target row, so blocks
-    # answering the same query land in disjoint column slices.
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
-    first_of_group = np.concatenate([[True], sorted_rows[1:] != sorted_rows[:-1]])
-    group_start = np.flatnonzero(first_of_group)
-    group_len = np.diff(np.append(group_start, n_rep))
-    occ = np.empty(n_rep, dtype=np.int64)
-    occ[order] = np.arange(n_rep) - np.repeat(group_start, group_len)
-
-    wmax = int(group_len.max())
-    cand_d = np.full((nq, wmax * k), np.inf, dtype=np.float64)
-    cand_i = np.full((nq, wmax * k), -1, dtype=np.int64)
-    cols = occ[:, None] * k + np.arange(k)[None, :]
-    cand_d[rows[:, None], cols] = reply_d
-    cand_i[rows[:, None], cols] = reply_i
-    cand_d = np.where(cand_i >= 0, cand_d, np.inf)
-
-    all_d = np.concatenate([np.where(base_i >= 0, base_d, np.inf), cand_d], axis=1)
-    all_i = np.concatenate([base_i, cand_i], axis=1)
-    width = all_d.shape[1]
-    flat_d = all_d.ravel()
-    flat_i = all_i.ravel()
-    row_of = np.repeat(np.arange(nq), width)
-    # Sort by (row, id, distance) and invalidate every copy of an id but its
-    # closest, so duplicates resolve to the smaller distance.
-    by_id = np.lexsort((flat_d, flat_i, row_of))
-    si = flat_i[by_id]
-    sr = row_of[by_id]
-    dup = np.zeros(flat_i.size, dtype=bool)
-    dup[1:] = (sr[1:] == sr[:-1]) & (si[1:] == si[:-1]) & (si[1:] >= 0)
-    kill = by_id[dup]
-    flat_d[kill] = np.inf
-    flat_i[kill] = -1
-    # Per-row top-k by (distance, id): the row index is the lexsort's major
-    # key, so reshaping groups each row's sorted entries together.
-    by_dist = np.lexsort((flat_i, flat_d, row_of)).reshape(nq, width)[:, :k]
-    return flat_d[by_dist], flat_i[by_dist]
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(keys, minlength=n_groups))[:-1])
 
 
 def _local_knn_step(
@@ -123,19 +82,6 @@ def _remote_knn_step(
 ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
     """Executor step 4: radius-bounded local KNN for forwarded queries."""
     return batch_knn(state.tree, queries, k, radii=radii)
-
-
-def _merge_step(
-    state: RankState,
-    k: int,
-    base_d: np.ndarray,
-    base_i: np.ndarray,
-    rows: np.ndarray,
-    reply_d: np.ndarray,
-    reply_i: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Executor step 5: fold remote reply blocks into the owner's top-k."""
-    return _merge_reply_blocks(k, base_d, base_i, rows, reply_d, reply_i)
 
 
 @dataclass
@@ -246,9 +192,7 @@ class DistributedQueryEngine:
         n_ranks = self.cluster.n_ranks
         if origin_ranks is None:
             boundaries = np.linspace(0, n_queries, n_ranks + 1).astype(np.int64)
-            origin_ranks = np.empty(n_queries, dtype=np.int64)
-            for r in range(n_ranks):
-                origin_ranks[boundaries[r] : boundaries[r + 1]] = r
+            origin_ranks = np.repeat(np.arange(n_ranks, dtype=np.int64), np.diff(boundaries))
         else:
             origin_ranks = np.asarray(origin_ranks, dtype=np.int64)
             if origin_ranks.shape[0] != n_queries:
@@ -324,18 +268,16 @@ class DistributedQueryEngine:
         with metrics.phase(PHASE_FIND_OWNER):
             owners = self.global_tree.owner_of(queries)
             owners_all[qids] = owners
-            for r in range(n_ranks):
-                n_mine = int(np.count_nonzero(origin_ranks == r))
+            for r, n_mine in enumerate(np.bincount(origin_ranks, minlength=n_ranks).tolist()):
                 counters = metrics.for_phase(r)
                 counters.nodes_visited += n_mine * tree_depth
                 counters.scalar_ops += n_mine
             send = [[None for _ in range(n_ranks)] for _ in range(n_ranks)]
-            for src in range(n_ranks):
-                src_mask = origin_ranks == src
-                for dst in range(n_ranks):
-                    sel = src_mask & (owners == dst)
-                    if np.any(sel):
-                        send[src][dst] = (queries[sel], qids[sel], np.full(int(sel.sum()), src, dtype=np.int64))
+            routes = _group(origin_ranks * n_ranks + owners, n_ranks * n_ranks)
+            for key, sel in enumerate(routes):
+                if sel.size:
+                    src, dst = divmod(key, n_ranks)
+                    send[src][dst] = (queries[sel], qids[sel], np.full(sel.size, src, dtype=np.int64))
             recv = comm.alltoall(send)
 
         # Assemble the per-owner work lists.
@@ -383,32 +325,28 @@ class DistributedQueryEngine:
         # ------------------------------------------------------------------
         # Step 3: identify remote ranks within r' and forward the queries.
         # ------------------------------------------------------------------
+        # forwarded[r][dst]: the rows of owner r's batch sent to rank dst, in
+        # the order dst answers them.
+        forwarded: List[List[np.ndarray | None]] = [[None] * n_ranks for _ in range(n_ranks)]
         with metrics.phase(PHASE_IDENTIFY_REMOTE):
             send = [[None for _ in range(n_ranks)] for _ in range(n_ranks)]
-            per_owner_remote: List[List[np.ndarray]] = []
             for r in range(n_ranks):
                 nq = owner_queries[r].shape[0]
-                counters = metrics.for_phase(r)
                 if nq == 0:
-                    per_owner_remote.append([])
                     continue
-                remote_lists = self.global_tree.ranks_within_batch(owner_queries[r], radii[r], np.full(nq, r))
-                per_owner_remote.append(remote_lists)
-                counters.scalar_ops += nq * n_ranks
-                fanouts = np.array([len(lst) for lst in remote_lists], dtype=np.int64)
-                fanout_all[owner_qids[r]] = fanouts
-                # Group the forwarded queries per destination rank.
-                buckets: Dict[int, List[int]] = {}
-                for qi, lst in enumerate(remote_lists):
-                    for dst in lst:
-                        buckets.setdefault(int(dst), []).append(qi)
-                for dst, q_idx in buckets.items():
-                    sel = np.asarray(q_idx, dtype=np.int64)
+                rows, dsts = self.global_tree.ranks_within_flat(owner_queries[r], radii[r], np.full(nq, r))
+                metrics.for_phase(r).scalar_ops += nq * n_ranks
+                fanout_all[owner_qids[r]] = np.bincount(rows, minlength=nq)
+                for dst, pos in enumerate(_group(dsts, n_ranks)):
+                    if pos.size == 0:
+                        continue
+                    sel = rows[pos]
+                    forwarded[r][dst] = sel
                     send[r][dst] = (
                         owner_queries[r][sel],
                         owner_qids[r][sel],
                         radii[r][sel],
-                        np.full(sel.shape[0], r, dtype=np.int64),
+                        np.full(sel.size, r, dtype=np.int64),
                     )
             recv = comm.alltoall(send)
 
@@ -417,72 +355,64 @@ class DistributedQueryEngine:
         # ------------------------------------------------------------------
         with metrics.phase(PHASE_REMOTE_KNN):
             reply = [[None for _ in range(n_ranks)] for _ in range(n_ranks)]
-            incoming: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None] = []
             tasks = [None] * n_ranks
             for r in range(n_ranks):
                 pieces = [item for item in recv[r] if item is not None]
-                if not pieces:
-                    incoming.append(None)
-                    continue
-                rq = np.concatenate([p[0] for p in pieces], axis=0)
-                rqid = np.concatenate([p[1] for p in pieces])
-                rrad = np.concatenate([p[2] for p in pieces])
-                rowner = np.concatenate([p[3] for p in pieces])
-                incoming.append((rq, rqid, rrad, rowner))
-                tasks[r] = RankTask(
-                    r, _remote_knn_step, (rq, k, rrad), {"tree": local_tree_of(cluster, r)}
-                )
+                if pieces:
+                    rq = np.concatenate([p[0] for p in pieces], axis=0)
+                    rrad = np.concatenate([p[2] for p in pieces])
+                    tasks[r] = RankTask(r, _remote_knn_step, (rq, k, rrad), {"tree": local_tree_of(cluster, r)})
             for r, out in enumerate(cluster.run_ranks(tasks)):
                 if out is None:
                     continue
-                _, rqid, _, rowner = incoming[r]
                 d, i, stats = out
                 stats.charge(metrics.for_phase(r), local_tree_of(cluster, r).dims)
                 remote_stats.merge(stats)
-                for owner in np.unique(rowner):
-                    sel = rowner == owner
-                    reply[r][int(owner)] = (rqid[sel], d[sel], i[sel])
+                # Answer every owner with its own slice, in the order asked.
+                lo = 0
+                for owner, piece in enumerate(recv[r]):
+                    if piece is None:
+                        continue
+                    hi = lo + piece[1].shape[0]
+                    reply[r][owner] = (piece[1], d[lo:hi], i[lo:hi])
+                    lo = hi
             replies = comm.alltoall(reply)
 
         # ------------------------------------------------------------------
-        # Step 5: merge local and remote candidates; return to origin ranks.
+        # Step 5: fold remote candidates into the owner's top-k in ascending
+        # source-rank order; return the answers to the origin ranks.
         # ------------------------------------------------------------------
+        merge_ops = int(k * np.log2(max(k, 2)))
         with metrics.phase(PHASE_MERGE):
             result_send = [[None for _ in range(n_ranks)] for _ in range(n_ranks)]
-            tasks = [None] * n_ranks
-            for r in range(n_ranks):
-                pieces = [piece for piece in replies[r] if piece is not None]
-                if owner_queries[r].shape[0] == 0 or not pieces:
-                    continue
-                rqid = np.concatenate([p[0] for p in pieces])
-                rd = np.concatenate([p[1] for p in pieces], axis=0)
-                ri = np.concatenate([p[2] for p in pieces], axis=0)
-                # Map each reply row to its query's position in this owner's
-                # batch.
-                sorter = np.argsort(owner_qids[r], kind="stable")
-                rows = sorter[np.searchsorted(owner_qids[r], rqid, sorter=sorter)]
-                tasks[r] = RankTask(r, _merge_step, (k, local_dists[r], local_ids[r], rows, rd, ri))
-                metrics.for_phase(r).scalar_ops += int(rqid.shape[0]) * int(k * np.log2(max(k, 2)))
-            merged_out = cluster.run_ranks(tasks)
             for r in range(n_ranks):
                 nq = owner_queries[r].shape[0]
                 if nq == 0:
                     continue
-                metrics.for_phase(r)  # ensure the phase entry exists for active owners
-                if merged_out[r] is not None:
-                    merged_d, merged_i = merged_out[r]
-                else:
-                    merged_d = local_dists[r]
-                    merged_i = local_ids[r]
-                # Count neighbours that did not come from the owner itself.
-                from_local = (merged_i[:, :, None] == local_ids[r][:, None, :]).any(axis=2)
-                remote_used_all[owner_qids[r]] = np.count_nonzero(
-                    (merged_i >= 0) & ~from_local, axis=1
-                )
+                counters = metrics.for_phase(r)
+                merged_d, merged_i = local_dists[r], local_ids[r]
+                fanout = fanout_all[owner_qids[r]]
+                touched = np.flatnonzero(fanout)
+                if touched.size:
+                    counters.scalar_ops += int(fanout.sum()) * merge_ops
+                    own_i = merged_i[touched]
+                    for src, piece in enumerate(replies[r]):
+                        if piece is None:
+                            continue
+                        rows = forwarded[r][src]
+                        merged_d[rows], merged_i[rows] = merge_topk_rows(
+                            k, merged_d[rows], merged_i[rows], piece[1], piece[2]
+                        )
+                    # Count the final neighbours that did not come from the owner.
+                    final_i = merged_i[touched]
+                    from_owner = (final_i[:, :, None] == own_i[:, None, :]).any(axis=2)
+                    remote_used_all[owner_qids[r][touched]] = np.count_nonzero(
+                        (final_i >= 0) & ~from_owner, axis=1
+                    )
                 # Return results to the rank that originally held the query.
-                for origin in np.unique(owner_origins[r]):
-                    sel = owner_origins[r] == origin
-                    result_send[r][int(origin)] = (owner_qids[r][sel], merged_d[sel], merged_i[sel])
+                for origin, sel in enumerate(_group(owner_origins[r], n_ranks)):
+                    if sel.size:
+                        result_send[r][origin] = (owner_qids[r][sel], merged_d[sel], merged_i[sel])
             results = comm.alltoall(result_send)
             for origin in range(n_ranks):
                 for piece in results[origin]:

@@ -64,6 +64,12 @@ class TestCluster:
         assert np.allclose(cluster.ranks[0].points[0], small_points[0])
         assert np.allclose(cluster.ranks[0].points[1], small_points[4])
 
+    @pytest.mark.parametrize("method", ["distribute_block", "distribute_round_robin"])
+    def test_distribute_checks_ids_against_all_points(self, method):
+        cluster = Cluster(4)
+        with pytest.raises(ValueError, match="ids length 12 does not match number of points 10"):
+            getattr(cluster, method)(np.zeros((10, 3)), np.arange(12))
+
     def test_distribute_requires_2d(self):
         cluster = Cluster(2)
         with pytest.raises(ValueError):

@@ -35,6 +35,11 @@ class TestPandaKNN:
         assert not index.is_fitted
         assert index.cluster.total_points() == 0
 
+    def test_ids_length_mismatch_reports_whole_arrays(self):
+        points = np.random.default_rng(0).normal(size=(10, 3))
+        with pytest.raises(ValueError, match="ids length 5 does not match number of points 10"):
+            PandaKNN(n_ranks=2).fit(points, ids=np.arange(5))
+
     def test_default_k_from_config(self, small_points, small_queries):
         index = PandaKNN(n_ranks=2, config=PandaConfig(k=7)).fit(small_points)
         report = index.query(small_queries[:10])

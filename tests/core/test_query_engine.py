@@ -5,10 +5,12 @@ import pytest
 
 from repro.cluster.simulator import Cluster
 from repro.core.config import PandaConfig
-from repro.core.local_phase import build_local_trees
+from repro.core.local_phase import build_local_trees, local_tree_of
+from repro.core.panda import PandaKNN
 from repro.core.query_engine import QUERY_PHASES, DistributedQueryEngine
 from repro.core.redistribution import build_global_tree
-from repro.kdtree.query import brute_force_knn
+from repro.kdtree.heap import merge_topk_rows
+from repro.kdtree.query import batch_knn, brute_force_knn
 
 
 def _engine(points: np.ndarray, n_ranks: int, config: PandaConfig | None = None):
@@ -165,6 +167,74 @@ class TestMergeAccounting:
         report = engine.query(queries, k=4)
         for rep in range(3):
             assert np.array_equal(report.ids[rep::3][:10], report.ids[0::3][:10])
+
+
+def _tie_lattice():
+    """An 8^3 lattice twice over plus the lattice shifted by 0.5, and 250
+    queries on a quarter-step grid: almost every neighbour is an exact tie."""
+    grid = np.stack(np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    points = np.concatenate([grid, grid, grid + 0.5])
+    queries = np.random.default_rng(11).integers(0, 29, size=(250, 3)) * 0.25
+    return points, queries
+
+
+def _fold_reference(engine: DistributedQueryEngine, queries: np.ndarray, k: int):
+    """Each rank's own ``batch_knn`` answer, folded owner first, then by
+    ascending rank: the tie rule the engine promises."""
+    cluster = engine.cluster
+    answers = [batch_knn(local_tree_of(cluster, r), queries, k)[:2] for r in range(cluster.n_ranks)]
+    owners = engine.global_tree.owner_of(queries)
+    out_d = np.stack([answers[o][0][q] for q, o in enumerate(owners)])
+    out_i = np.stack([answers[o][1][q] for q, o in enumerate(owners)])
+    for r, (d, i) in enumerate(answers):
+        rows = np.flatnonzero(owners != r)
+        out_d[rows], out_i[rows] = merge_topk_rows(k, out_d[rows], out_i[rows], d[rows], i[rows])
+    return out_d, out_i
+
+
+class TestTieRule:
+    def test_ids_do_not_depend_on_batch_or_origin(self):
+        points, queries = _tie_lattice()
+        k = 8
+        bd, _ = brute_force_knn(points, np.arange(points.shape[0]), queries, k)
+        want_d, want_i = _fold_reference(_engine(points, 4), queries, k)
+        assert np.array_equal(want_d, bd)
+        origins = np.random.default_rng(12).integers(0, 4, size=queries.shape[0])
+        for batch in (7, 64, 4096, 32768):
+            engine = _engine(points, 4, PandaConfig(query_batch_size=batch))
+            for origin_ranks in (None, origins):
+                report = engine.query(queries, k=k, origin_ranks=origin_ranks)
+                assert np.array_equal(report.distances, want_d)
+                assert np.array_equal(report.ids, want_i), f"batch {batch}"
+
+    def test_shared_user_ids_keep_distinct_points(self):
+        """Two points that share a user id are still two neighbours."""
+        rng = np.random.default_rng(13)
+        points = rng.uniform(-1.0, 1.0, size=(4000, 3))
+        ids = np.arange(points.shape[0], dtype=np.int64)
+        ids[points[:, 0] > 0] %= 7
+        queries = rng.normal(scale=0.05, size=(200, 3))
+        d, i = PandaKNN(n_ranks=4).fit(points, ids=ids).kneighbors(queries, k=8)
+        bd, bi = brute_force_knn(points, ids, queries, 8)
+        assert np.array_equal(d, bd)
+        assert np.array_equal(i, bi)
+
+
+class TestTraffic:
+    def test_batch_size_moves_messages_not_bytes(self, small_points, small_queries):
+        sent = []
+        for batch in (64, 4096, PandaConfig().query_batch_size):
+            engine = _engine(small_points, 4, PandaConfig(query_batch_size=batch))
+            before = engine.cluster.metrics.grand_total()
+            report = engine.query(small_queries, k=5)
+            after = engine.cluster.metrics.grand_total()
+            sent.append((report.n_batches, after.bytes_sent - before.bytes_sent, after.messages_sent - before.messages_sent))
+        assert len({nbytes for _, nbytes, _ in sent}) == 1
+        batches = [n for n, _, _ in sent]
+        messages = [m for _, _, m in sent]
+        assert batches[0] > batches[-1]
+        assert all(a >= b for a, b in zip(messages, messages[1:]))
+        assert messages[0] > messages[-1]
 
 
 class TestValidation:

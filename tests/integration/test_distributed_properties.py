@@ -2,8 +2,9 @@
 
 The central property: for ANY point cloud, rank count and k, the distributed
 PANDA index returns exactly the same neighbour distances as a brute-force
-scan of the full dataset, and redistribution never loses or duplicates a
-point.
+scan of the full dataset, its ids depend on neither the query batch size
+nor the ranks the queries start on, and redistribution never loses or
+duplicates a point.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from repro.cluster.simulator import Cluster
 from repro.core.config import PandaConfig
 from repro.core.panda import PandaKNN
+from repro.core.query_engine import DistributedQueryEngine
 from repro.core.redistribution import build_global_tree
 from repro.kdtree.query import brute_force_knn
 
@@ -24,7 +26,8 @@ def distributed_cases(draw):
     n_ranks = draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
     k = draw(st.integers(1, 6))
     seed = draw(st.integers(0, 2**16))
-    cluster_style = draw(st.sampled_from(["normal", "clustered", "duplicates"]))
+    cluster_style = draw(st.sampled_from(["normal", "clustered", "duplicates", "lattice", "shared_ids"]))
+    batch_size = draw(st.sampled_from([1, 3, 16, 64, 4096]))
     rng = np.random.default_rng(seed)
     if cluster_style == "normal":
         points = rng.normal(size=(n_points, dims))
@@ -32,29 +35,43 @@ def distributed_cases(draw):
         centers = rng.normal(scale=5.0, size=(4, dims))
         assignment = rng.integers(0, 4, size=n_points)
         points = centers[assignment] + rng.normal(scale=0.1, size=(n_points, dims))
-    else:
+    elif cluster_style == "duplicates":
         base = rng.normal(size=(max(n_points // 10, 1), dims))
         idx = rng.integers(0, base.shape[0], size=n_points)
         points = base[idx] + rng.normal(scale=1e-9, size=(n_points, dims))
-    return points, n_ranks, k, seed
+    elif cluster_style == "lattice":
+        # Exact duplicates and exact distance ties everywhere.
+        points = rng.integers(0, 4, size=(n_points, dims)).astype(np.float64)
+    else:
+        points = rng.normal(size=(n_points, dims))
+    # Distinct points that share a user id must stay distinct neighbours.
+    ids = np.arange(n_points) % 7 if cluster_style == "shared_ids" else np.arange(n_points)
+    return points, ids, n_ranks, k, seed, batch_size
 
 
 class TestDistributedProperties:
     @given(case=distributed_cases())
     @settings(max_examples=25, deadline=None)
     def test_distributed_knn_matches_brute_force(self, case):
-        points, n_ranks, k, seed = case
+        points, ids, n_ranks, k, seed, batch_size = case
         rng = np.random.default_rng(seed + 1)
         queries = points[rng.choice(points.shape[0], min(20, points.shape[0]), replace=False)]
-        index = PandaKNN(n_ranks=n_ranks, config=PandaConfig(query_batch_size=64)).fit(points)
-        d, _ = index.kneighbors(queries, k=k)
-        bd, _ = brute_force_knn(points, np.arange(points.shape[0]), queries, k)
+        index = PandaKNN(n_ranks=n_ranks).fit(points, ids=ids)
+        d, i = index.kneighbors(queries, k=k)
+        bd, _ = brute_force_knn(points, ids, queries, k)
         assert np.allclose(d, bd, atol=1e-9)
+        # Same ids from any batch size and any ranks the queries start on.
+        config = PandaConfig(query_batch_size=batch_size)
+        engine = DistributedQueryEngine(index.cluster, index.global_tree, config)
+        origins = rng.integers(0, n_ranks, size=queries.shape[0])
+        report = engine.query(queries, k=k, origin_ranks=origins)
+        assert np.array_equal(report.distances, d)
+        assert np.array_equal(report.ids, i)
 
     @given(case=distributed_cases())
     @settings(max_examples=25, deadline=None)
     def test_redistribution_is_a_permutation(self, case):
-        points, n_ranks, _, _ = case
+        points, _, n_ranks, _, _, _ = case
         cluster = Cluster(n_ranks=n_ranks)
         cluster.distribute_block(points)
         tree = build_global_tree(cluster, PandaConfig())
