@@ -14,8 +14,11 @@ class PandaConfig:
     Attributes
     ----------
     local:
-        Configuration of the per-rank local kd-tree (bucket size 32,
-        variance split dimension, sampled-histogram median by default).
+        Configuration of the per-rank local kd-tree (variance split
+        dimension, sampled-histogram median by default).  Its leaf size
+        follows the dimensionality rule of
+        :class:`~repro.kdtree.tree.KDTreeConfig`: 32 up to 3-D, 128 from
+        4-D on; :meth:`paper_defaults` pins the paper's 32.
     global_samples_per_rank:
         Points each rank samples when estimating the global split point
         (m = 256 in the paper).
@@ -75,5 +78,5 @@ class PandaConfig:
 
     @staticmethod
     def paper_defaults() -> "PandaConfig":
-        """The configuration described in Section III of the paper."""
-        return PandaConfig()
+        """The configuration described in Section III of the paper (leaf size 32)."""
+        return PandaConfig(local=KDTreeConfig.panda())

@@ -191,8 +191,7 @@ class GlobalTree:
         self, queries: np.ndarray, radii: np.ndarray, owners: np.ndarray
     ) -> np.ndarray:
         """``(n, P)`` boolean mask of ranks whose box intersects each query's
-        r' ball, with the owner rank zeroed out (the shared core of
-        :meth:`ranks_within_batch` and :meth:`ranks_within_flat`)."""
+        r' ball, with the owner rank zeroed out."""
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         radii = np.asarray(radii, dtype=np.float64).ravel()
         owners = np.asarray(owners, dtype=np.int64).ravel()
@@ -210,27 +209,16 @@ class GlobalTree:
         mask[np.arange(n), owners] = False
         return mask
 
-    def ranks_within_batch(
-        self, queries: np.ndarray, radii: np.ndarray, owners: np.ndarray
-    ) -> List[np.ndarray]:
-        """Vectorised :meth:`ranks_within` for a batch of queries.
-
-        Returns a list with, for every query, the ranks (owner excluded)
-        whose box intersects its r' ball.  Infinite radii (owner found fewer
-        than k local neighbours) intersect every rank.
-        """
-        mask = self._ranks_within_mask(queries, radii, owners)
-        return [np.flatnonzero(mask[i]).astype(np.int64) for i in range(mask.shape[0])]
-
     def ranks_within_flat(
         self, queries: np.ndarray, radii: np.ndarray, owners: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat ``(rows, ranks)`` form of :meth:`ranks_within_batch`.
+        """Vectorised :meth:`ranks_within`: flat ``(rows, ranks)`` pairs.
 
-        One ``np.nonzero`` over the whole mask instead of a Python loop:
-        both arrays are row-major ordered (row ascending, rank ascending
-        within a row), which lets callers group by rank with one stable
-        argsort and no per-row Python work.
+        Every pair of a query row and a rank (owner excluded) whose box
+        intersects the row's r' ball; infinite radii (owner found fewer
+        than k local neighbours) intersect every rank.  Both arrays are
+        row-major (row ascending, rank ascending within a row), so callers
+        group by rank with one stable argsort and no per-row Python work.
         """
         mask = self._ranks_within_mask(queries, radii, owners)
         rows, ranks = np.nonzero(mask)

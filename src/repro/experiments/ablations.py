@@ -106,7 +106,7 @@ def run_split_dimension_ablation(
         queries = spec.queries(points, seed=seed)
         per_dataset[name] = {}
         for strategy in ("variance", "max_extent"):
-            config = KDTreeConfig(split_dim_strategy=strategy)
+            config = KDTreeConfig(bucket_size=32, split_dim_strategy=strategy)
             tree = build_kdtree(points, config=config, threads=machine.cores_per_node)
             _, _, qstats = batch_knn(tree, queries, k)
             construction, query = _model_single_node(tree, qstats, machine, machine.cores_per_node)
@@ -309,7 +309,8 @@ def run_strategy_ablation(
     queries = spec.queries(points, seed=seed)
 
     # PANDA with the global tree.
-    index = PandaKNN(n_ranks=n_ranks, machine=machine, config=PandaConfig()).fit(points)
+    config = PandaConfig.paper_defaults()
+    index = PandaKNN(n_ranks=n_ranks, machine=machine, config=config).fit(points)
     index.query(queries, k=k)
     panda_construction = index.construction_time().total_s
     panda_query = index.query_time().total_s
@@ -321,7 +322,7 @@ def run_strategy_ablation(
     )
 
     # Independent local trees (strategy 1).
-    local = LocalTreesKNN(n_ranks=n_ranks, machine=machine).fit(points)
+    local = LocalTreesKNN(n_ranks=n_ranks, machine=machine, tree_config=config.local).fit(points)
     local.query(queries, k=k)
     model = CostModel(machine=machine, threads_per_rank=local.cluster.threads_per_rank)
     lo_construction = model.evaluate(local.cluster.metrics, phases=["lo_local_build"]).total_s

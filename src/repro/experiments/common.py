@@ -90,7 +90,7 @@ def run_panda_on_dataset(
     ranks = n_ranks if n_ranks is not None else spec.n_ranks
     k_val = k if k is not None else spec.k
     machine = machine or scaled_machine()
-    config = config or PandaConfig()
+    config = config or PandaConfig.paper_defaults()
 
     index = PandaKNN(n_ranks=ranks, machine=machine, config=config).fit(points)
     report = index.query(queries, k=k_val)

@@ -182,7 +182,7 @@ def run_fig7(
         rows: List[LibraryResult] = []
 
         # PANDA local tree.
-        panda_tree = build_kdtree(points, config=KDTreeConfig(), threads=machine.cores_per_node)
+        panda_tree = build_kdtree(points, config=KDTreeConfig.panda(), threads=machine.cores_per_node)
         _, _, panda_stats = batch_knn(panda_tree, queries, k)
         c1, q1 = _model_times(panda_tree, panda_stats, machine, 1, 1)
         c24, q24 = _model_times(panda_tree, panda_stats, machine, machine.cores_per_node,

@@ -78,7 +78,7 @@ def run_fig8a(
         n_queries = queries.shape[0]
 
         # KNL: PANDA's direct Algorithm 1 on a replicated tree per node.
-        tree = build_kdtree(points, config=KDTreeConfig(), threads=knl.cores_per_node)
+        tree = build_kdtree(points, config=KDTreeConfig.panda(), threads=knl.cores_per_node)
         registry = MetricsRegistry(1)
         with registry.phase("query"):
             _, _, qstats = batch_knn(tree, queries, k)

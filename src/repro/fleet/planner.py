@@ -67,28 +67,17 @@ class ShardPlan:
             raise ValueError(f"{self.strategy!r} plan has no regions; owner is undefined")
         return self.region_tree.owner_of(queries)
 
-    def shards_within(
-        self, queries: np.ndarray, radii: np.ndarray, owners: np.ndarray
-    ) -> List[np.ndarray]:
-        """Per query: the non-owner shards whose region box intersects the
-        radius ball (the scatter set of the second phase).
-
-        Reuses the exact box-distance logic the distributed query protocol
-        uses for rank pruning; infinite radii intersect every shard.
-        """
-        if self.region_tree is None:
-            raise ValueError(f"{self.strategy!r} plan has no regions; cannot prune")
-        return self.region_tree.ranks_within_batch(queries, radii, owners)
-
     def scatter_targets(
         self, queries: np.ndarray, radii: np.ndarray, owners: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Flat ``(rows, shards)`` scatter set of the second phase.
 
-        The same intersection test as :meth:`shards_within`, but returned
-        as two parallel row-major arrays (row ascending, shard ascending
-        within a row) so the router can group rows by shard with one
-        vectorised sort instead of a per-row Python loop.
+        Per query row, the non-owner shards whose region box intersects its
+        radius ball (infinite radii intersect every shard), by the exact
+        box-distance test the distributed query protocol uses for rank
+        pruning.  Returned as two parallel row-major arrays (row ascending,
+        shard ascending within a row) so the router can group rows by shard
+        with one vectorised sort instead of a per-row Python loop.
         """
         if self.region_tree is None:
             raise ValueError(f"{self.strategy!r} plan has no regions; cannot prune")

@@ -34,6 +34,7 @@ Two implementations share the same semantics:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Tuple
 
 import numpy as np
@@ -190,7 +191,12 @@ def _coerce_inputs(
     threads: int,
     rng: np.random.Generator | None,
 ) -> Tuple[np.ndarray, np.ndarray, KDTreeConfig, np.random.Generator, int]:
-    """Validate and normalise the shared ``build_kdtree*`` arguments."""
+    """Validate and normalise the shared ``build_kdtree*`` arguments.
+
+    A ``bucket_size`` of ``None`` resolves here to the leaf size for the
+    points' dimensionality (see :class:`KDTreeConfig`), so every built
+    tree's ``config`` holds an int.
+    """
     config = config or KDTreeConfig()
     points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if points.ndim != 2:
@@ -198,6 +204,8 @@ def _coerce_inputs(
     n, dims = points.shape
     if dims == 0:
         raise ValueError("points must have at least one dimension")
+    if config.bucket_size is None:
+        config = replace(config, bucket_size=32 if dims <= 3 else 128)
     if not np.isfinite(points).all():
         # No query could ever reach such a point.
         raise ValueError("points must have finite coordinates (found nan or inf)")

@@ -95,7 +95,10 @@ class BatchTopK:
             ``(m,)`` unique row indices receiving candidates.
         cand_dists, cand_ids:
             ``(m, c)`` candidate blocks in scan order; invalid slots must be
-            padded with ``inf`` distance and id ``-1``.
+            padded with ``inf`` distance and id ``-1``.  The lockstep
+            engine offers only candidates strictly below each row's bound,
+            and only rows that hold one; a candidate at or above it would
+            be rejected here anyway, so the result is the same.
 
         Returns
         -------

@@ -22,8 +22,11 @@ them per call from the batch's size and ``k`` alone:
   :class:`~repro.kdtree.heap.BatchTopK`), and every iteration pops one node
   per active query.  Queries sitting at leaf buckets are scanned together
   with a single padded gather over the structure-of-arrays leaf columns
-  (:mod:`repro.kdtree.leafblocks`); their candidate sets are folded into
-  the batch top-k with one sorted merge.
+  (:mod:`repro.kdtree.leafblocks`).  Only candidates strictly below their
+  query's bound (and within its radius) are offered, so only the rows
+  holding one are folded into the batch top-k, with one sorted merge.  A
+  candidate at or above the k-th distance could never be accepted, so
+  the answers and counters are those of offering every candidate.
 
 Every query performs exactly the node visits of its own DFS in either
 engine, both share one per-dimension distance kernel, and both top-k
@@ -315,11 +318,17 @@ def _lockstep_engine(tree: KDTree, queries: np.ndarray, k: int, radius_sq: np.nd
                     valid = offs[None, :] < counts[:, None]
                     idx = np.where(valid, starts[:, None] + offs[None, :], 0)
                     d2 = gather_columns_sq(coords, idx, queries[lq])
-                    within = valid & (d2 <= radius_sq[lq, None])
-                    cand_d = np.where(within, d2, np.inf)
-                    cand_i = np.where(within, ids[idx], -1)
-                    accepted = topk.update(lq, cand_d, cand_i)
-                    agg.heap_updates += int(accepted.sum())
+                    # Only a candidate strictly below the k-th distance can
+                    # enter the top-k (as in _search_row), so rows without
+                    # one skip the merge and the id gather entirely.
+                    within = valid & (d2 <= radius_sq[lq, None]) & (d2 < bounds[lq, None])
+                    hit = np.flatnonzero(within.any(axis=1))
+                    if hit.size:
+                        within = within[hit]
+                        cand_d = np.where(within, d2[hit], np.inf)
+                        cand_i = np.where(within, ids[idx[hit]], -1)
+                        accepted = topk.update(lq[hit], cand_d, cand_i)
+                        agg.heap_updates += int(accepted.sum())
 
             iq = vq[~leaf_mask]
             if iq.size:

@@ -27,8 +27,32 @@ class KDTreeConfig:
     Attributes
     ----------
     bucket_size:
-        Maximum points per leaf bucket.  The paper finds 32 to be the sweet
-        spot between construction and query cost.
+        Maximum points per leaf bucket.  ``None`` (the default) sizes
+        leaves by dimensionality when a tree is built: 32 up to 3-D, 128
+        from 4-D on; the built tree's ``config`` holds the resolved int.
+        The paper's 32 assumes a compiled leaf scan.  Here a 10-D search
+        pays per visited node and leaf more than per distance, so bigger
+        leaves win there.  ``PandaKNN(n_ranks=4).kneighbors`` queries/s at
+        k = 8 (best of 2, 2-core AMD EPYC; "mixture" is the Gaussian
+        mixture of ``benchmarks/e2e``, the others are registry datasets):
+
+        ==================================  ======  ======  ======  ======
+        data (points, queries)                  32      64     128     256
+        ==================================  ======  ======  ======  ======
+        mixture 3-D (500k, 30k)             114.8k  112.0k   87.6k   58.1k
+        mixture 4-D (500k, 30k)              52.3k   58.3k   49.9k   35.4k
+        mixture 4-D (100k, 2k)               24.1k   30.1k   34.9k   35.7k
+        mixture 6-D (100k, 2k)                8.8k   12.6k   16.1k   17.7k
+        mixture 10-D (100k, 2k)               3.3k    4.4k    6.8k    7.7k
+        ``dayabay_large`` 10-D (60k, 300)     1.1k    1.7k    2.5k    3.4k
+        ``all_mag`` 15-D (60k, 2k)           13.4k   16.5k   17.2k   15.1k
+        mixture 15-D (100k, 2k)               1.3k    2.1k    2.9k    3.5k
+        ==================================  ======  ======  ======  ======
+
+        From 4-D on, 128 beats 32 on every row but the 30k-query 4-D one
+        (5% slower, where 64 is best), and 256 loses on ``all_mag`` and
+        that 4-D batch.  At 3-D, 32 wins.  An explicit int always wins
+        over the rule.
     split_dim_strategy:
         One of ``repro.kdtree.splitters.SPLIT_DIM_STRATEGIES``.
     split_value_strategy:
@@ -47,7 +71,7 @@ class KDTreeConfig:
         Seed of the deterministic RNG used by the sampling rules.
     """
 
-    bucket_size: int = 32
+    bucket_size: Optional[int] = None
     split_dim_strategy: str = "variance"
     split_value_strategy: str = "histogram_median"
     variance_sample_size: int = 1024
@@ -57,7 +81,7 @@ class KDTreeConfig:
     seed: int = 12345
 
     def __post_init__(self) -> None:
-        if self.bucket_size <= 0:
+        if self.bucket_size is not None and self.bucket_size <= 0:
             raise ValueError(f"bucket_size must be positive, got {self.bucket_size}")
         if self.variance_sample_size <= 0:
             raise ValueError(f"variance_sample_size must be positive, got {self.variance_sample_size}")
@@ -68,8 +92,8 @@ class KDTreeConfig:
 
     @staticmethod
     def panda() -> "KDTreeConfig":
-        """PANDA's local-tree configuration (Section III-A1)."""
-        return KDTreeConfig()
+        """PANDA's local-tree configuration (Section III-A1), leaf size 32."""
+        return KDTreeConfig(bucket_size=32)
 
     @staticmethod
     def flann_like() -> "KDTreeConfig":

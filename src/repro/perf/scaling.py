@@ -83,7 +83,7 @@ def run_strong_scaling(
     machine = machine or MachineSpec.edison()
     result = ScalingResult(label=label)
     for n_ranks in rank_counts:
-        config_p = config or PandaConfig()
+        config_p = config or PandaConfig.paper_defaults()
         with WallTimer() as timer:
             index = PandaKNN(
                 n_ranks=n_ranks, machine=machine, threads_per_rank=threads_per_rank, config=config_p
@@ -136,7 +136,7 @@ def run_weak_scaling(
         n_queries = max(1, int(round(n_points * query_fraction)))
         q_idx = rng.choice(points.shape[0], size=min(n_queries, points.shape[0]), replace=False)
         queries = points[q_idx]
-        config_p = config or PandaConfig()
+        config_p = config or PandaConfig.paper_defaults()
         with WallTimer() as timer:
             index = PandaKNN(
                 n_ranks=n_ranks, machine=machine, threads_per_rank=threads_per_rank, config=config_p
@@ -177,7 +177,7 @@ def run_thread_scaling(
     from repro.cluster.cost_model import CostModel
     from repro.kdtree.tree import KDTreeConfig
 
-    tree_config = tree_config or KDTreeConfig()
+    tree_config = tree_config or KDTreeConfig.panda()
     result = ScalingResult(label=label)
     for threads in thread_counts:
         registry = MetricsRegistry(1)

@@ -103,24 +103,27 @@ class TestBoxDistances:
         assert 2 in ranks.tolist()
         assert 3 not in ranks.tolist()
 
-    def test_ranks_within_batch_matches_scalar(self, four_rank_tree):
+    def test_ranks_within_flat_matches_scalar(self, four_rank_tree):
         rng = np.random.default_rng(0)
         queries = rng.random((20, 2))
         radii = rng.random(20) * 0.3
         owners = four_rank_tree.owner_of(queries)
-        batched = four_rank_tree.ranks_within_batch(queries, radii, owners)
+        rows, ranks = four_rank_tree.ranks_within_flat(queries, radii, owners)
+        # Row-major: rows ascending, ranks ascending within a row.
+        assert np.array_equal(np.lexsort((ranks, rows)), np.arange(rows.size))
         for qi in range(20):
             scalar = four_rank_tree.ranks_within(queries[qi], radii[qi], exclude=int(owners[qi]))
-            assert set(batched[qi].tolist()) == set(scalar.tolist())
+            assert ranks[rows == qi].tolist() == sorted(scalar.tolist())
 
-    def test_ranks_within_batch_validates_lengths(self, four_rank_tree):
+    def test_ranks_within_flat_validates_lengths(self, four_rank_tree):
         with pytest.raises(ValueError):
-            four_rank_tree.ranks_within_batch(np.zeros((3, 2)), np.zeros(2), np.zeros(3))
+            four_rank_tree.ranks_within_flat(np.zeros((3, 2)), np.zeros(2), np.zeros(3))
 
     def test_infinite_radius_in_batch(self, four_rank_tree):
         queries = np.array([[0.25, 0.25]])
-        result = four_rank_tree.ranks_within_batch(queries, np.array([np.inf]), np.array([0]))
-        assert set(result[0].tolist()) == {1, 2, 3}
+        rows, ranks = four_rank_tree.ranks_within_flat(queries, np.array([np.inf]), np.array([0]))
+        assert rows.tolist() == [0, 0, 0]
+        assert ranks.tolist() == [1, 2, 3]
 
 
 class TestLeafSentinel:

@@ -19,7 +19,6 @@ from repro.fleet import KNNFleet
 from repro.kdtree import repack
 from repro.kdtree.build import build_kdtree
 from repro.kdtree.query import brute_force_knn
-from repro.kdtree.tree import KDTreeConfig
 from repro.kdtree.validate import check_tree_invariants
 from repro.obs import ManualClock
 from repro.service import LocalTreeBackend, RebuildPolicy, backends
@@ -148,6 +147,7 @@ def test_one_fold_and_one_version_per_shard_per_round(small_points, tmp_path, mo
         service_time=lambda n: 1.0,
         clock=ManualClock(),
     )
+    bucket = fleet.groups[0].replicas[0].service.backend.tree.config.bucket_size
     monkeypatch.setattr(LocalTreeBackend, "fold", fold_spy)
     monkeypatch.setattr(repack, "build_kdtree", build_spy)
     monkeypatch.setattr(backends, "build_kdtree", build_spy)
@@ -166,7 +166,7 @@ def test_one_fold_and_one_version_per_shard_per_round(small_points, tmp_path, mo
         # One fold per shard...
         assert Counter(folds) == {0: 1, 1: 1}
         # ...never a rebuild of the whole shard, only of overflowed leaves.
-        assert all(n < 4 * KDTreeConfig().bucket_size for n in builds)
+        assert all(n < 4 * bucket for n in builds)
         for group in fleet.groups:
             first, peer = (r.service for r in group.replicas)
             check_tree_invariants(first.backend.tree)

@@ -512,6 +512,50 @@ class TestTieRule:
         assert used == ["_rows_engine", "_lockstep_engine"] * 2
 
 
+class TestBoundFilter:
+    """The lockstep engine offers the top-k only candidates below its bound.
+
+    On a duplicated 10-D integer lattice at leaf 128 nearly every candidate
+    ties with the k-th distance, so the strict bound, the inclusive radius
+    and the scan-order tie rule all decide which ids survive.
+    """
+
+    @pytest.fixture(scope="class")
+    def lattice(self):
+        axes = [np.arange(2, dtype=np.float64)] * 10
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 10)
+        points = np.vstack([points, points])  # every point twice
+        rng = np.random.default_rng(41)
+        queries = np.vstack(
+            [
+                rng.integers(0, 2, size=(192, 10)).astype(np.float64),  # lattice points
+                rng.integers(0, 3, size=(64, 10)) / 2.0,  # and midpoints
+            ]
+        )
+        return build_kdtree(points, config=KDTreeConfig(bucket_size=128)), queries
+
+    @pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "radius_at_kth"])
+    @pytest.mark.parametrize("k", [1, 8, 22, 40])
+    def test_lockstep_matches_row_by_row(self, lattice, k, bounded):
+        tree, queries = lattice
+        unbounded = batch_knn_scalar(tree, queries, k)[0]
+        radii = unbounded[:, -1] if bounded else np.inf  # each row's k-th distance
+        d0, i0, s0 = batch_knn_scalar(tree, queries, k, radii=radii)
+        d1, i1, s1 = _batch_knn_lockstep(tree, queries, k, radii=radii)
+        assert np.array_equal(d0, d1)
+        assert np.array_equal(i0, i1)
+        assert s0 == s1
+        if bounded:
+            # Squared distances here are multiples of 1/4.  Where the radius
+            # squares back to the k-th one exactly (always for a lattice
+            # query at k <= 22, whose k-th squared distance is 0 or 1), the
+            # inclusive radius keeps the whole row.
+            at_kth = radii * radii == np.round(4 * radii * radii) / 4
+            if k <= 22:
+                assert at_kth[:192].all()
+            assert np.array_equal(d1[at_kth], unbounded[at_kth])
+
+
 class TestInclusiveRadius:
     """A point exactly at the search radius must be returned (step 4)."""
 
