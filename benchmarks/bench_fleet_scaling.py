@@ -12,7 +12,7 @@ broadcasts every query to every shard by construction.
 
 A built-in exactness spot-check compares sampled fleet answers against
 brute force, and a streaming section pushes inserts through foreground
-folds mid-trace, one per shard build, shared by the shard's replicas.
+folds mid-trace, one per shard build, served by the shard's replicas.
 
 Results are written as a perf-trajectory artifact — ``BENCH_fleet.json``
 at the repo root (the deterministic location CI asserts), with a copy
@@ -148,8 +148,9 @@ def run_streaming(points: np.ndarray, size: dict, seed: int = 11) -> dict:
         d, _ = fleet.query(q, k=k, at=t)
         assert np.allclose(d, ref_d[row]), "fleet diverges from brute force mid-stream"
     for group in fleet.groups:
-        first, peer = (r.service for r in group.replicas)
-        assert peer.backend is first.backend, "a shard's replicas must share its one fold"
+        assert all(r.service is group.service for r in group.replicas), (
+            "a shard's replicas must serve its one service"
+        )
     rebuilds = sum(g.rebuilds for g in fleet.groups)
     return {"rebuilds": float(rebuilds), "n_live": float(fleet.n_live)}
 

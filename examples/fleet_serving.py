@@ -80,11 +80,11 @@ def main() -> None:
         print(f"chaos: shard {victim_shard} lost a replica mid-query "
               f"({group.n_alive}/{group.n_replicas} alive, {group.retries} retry) — "
               "answers unchanged")
-        print(f"heal: re-seeded {fleet.heal(at=t + 3.0)} replica from a live peer")
+        print(f"heal: revived {fleet.heal(at=t + 3.0)} replica onto its shard's service")
 
         # 3. Streaming inserts trip the rebuild policy: a shard folds them
         #    into its tree once, in the write that tripped it, and leaves a
-        #    versioned snapshot trail.  Its replicas adopt that one index.
+        #    versioned snapshot trail.  Its replicas all serve that one index.
         t += 10.0
         fresh = points[rng.choice(points.shape[0], 2_400, replace=False)] + rng.normal(
             scale=0.05, size=(2_400, 3)
@@ -96,9 +96,7 @@ def main() -> None:
             fleet.query(fresh[lo], at=t)  # keep traffic flowing between rebuilds
         builds = [g.rebuilds for g in fleet.groups]
         fold_ms = 1e3 * sum(e.to_dict()["fold_s"] for e in fleet.events.snapshot("rebuild"))
-        shared = all(
-            len({id(r.service.backend) for r in g.replicas if r.alive}) == 1 for g in fleet.groups
-        )
+        shared = all(r.service is g.service for g in fleet.groups for r in g.replicas)
         roots = sorted((Path(tmp) / "fleet_snapshots").glob("shard*"))
         versions = sum(len(list_snapshot_versions(root)) for root in roots)
         current = current_version_dir(roots[0])

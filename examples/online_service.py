@@ -4,9 +4,9 @@ Run with::
 
     python examples/online_service.py
 
-The script builds a distributed PANDA index once and snapshots it to disk,
-then warm-starts a :class:`~repro.service.service.KNNService` from the
-snapshot (no rebuild — the restored index answers byte-identically).  It
+The script builds a kd-tree index once and snapshots it to disk, then
+warm-starts a :class:`~repro.service.service.KNNService` from the snapshot
+(no rebuild — the restored tree answers byte-identically).  It
 streams batches of new points into the service, deletes a few original
 ones, issues interactive queries against the live set, and prints the
 per-request latency statistics the service accounts for every answer.
@@ -19,11 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import PandaConfig, PandaKNN
 from repro.datasets.cosmology import cosmology_particles
 from repro.kdtree.query import brute_force_knn
 from repro.kdtree.serialize import snapshot_nbytes
-from repro.service import KNNService, MicroBatchPolicy, PandaBackend, RebuildPolicy
+from repro.service import KNNService, LocalTreeBackend, MicroBatchPolicy, RebuildPolicy
 
 
 def main() -> None:
@@ -31,22 +30,20 @@ def main() -> None:
     points = cosmology_particles(30_000, seed=7)
 
     with tempfile.TemporaryDirectory() as tmp:
-        snapshot_dir = Path(tmp) / "panda_snapshot"
-
-        # 1. Offline: build the distributed index once and snapshot it.
-        PandaKNN(n_ranks=4, config=PandaConfig(k=5)).fit(points).snapshot(snapshot_dir)
-        print(f"snapshot written to {snapshot_dir.name}/ "
-              f"({snapshot_nbytes(snapshot_dir) / 1e6:.1f} MB)")
+        # 1. Offline: build the kd-tree once and snapshot it.
+        snapshot = LocalTreeBackend.fit(points).save(Path(tmp) / "tree")
+        print(f"snapshot written to {snapshot.name} "
+              f"({snapshot_nbytes(snapshot) / 1e6:.1f} MB)")
 
         # 2. Online: warm-start the service from the snapshot (no rebuild).
         service = KNNService(
-            PandaBackend.load(snapshot_dir),
+            LocalTreeBackend.load(snapshot),
             k=5,
             batch_policy=MicroBatchPolicy(max_batch=256, max_delay_s=2e-3),
             rebuild_policy=RebuildPolicy(max_inserts=2_000, max_tombstones=500),
         )
         print(f"service warm-started over {service.backend.n_points} points "
-              f"on {service.backend.index.n_ranks} ranks")
+              f"(tree depth {service.backend.tree.stats.max_depth})")
 
     # 3. Stream inserts: fresh points arrive in batches.
     fresh = points[rng.choice(points.shape[0], 3_000, replace=False)] + rng.normal(

@@ -37,7 +37,7 @@ from repro.core import (
 )
 from repro.fleet import AdmissionPolicy, KNNFleet, ShardPlanner
 from repro.kdtree import KDTree, KDTreeConfig, batch_knn, brute_force_knn, build_kdtree, knn_search
-from repro.service import KNNService, LocalTreeBackend, MicroBatchPolicy, PandaBackend, RebuildPolicy
+from repro.service import KNNService, LocalTreeBackend, MicroBatchPolicy, RebuildPolicy
 
 __version__ = "1.0.0"
 
@@ -61,7 +61,6 @@ __all__ = [
     "MicroBatchPolicy",
     "RebuildPolicy",
     "LocalTreeBackend",
-    "PandaBackend",
     "KNNFleet",
     "ShardPlanner",
     "AdmissionPolicy",

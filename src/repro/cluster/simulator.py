@@ -221,18 +221,6 @@ class Cluster:
         """
         return self.executor.run(tasks)
 
-    def transfer_executor_ownership(self, successor: "Cluster") -> None:
-        """Hand executor shutdown responsibility to ``successor``.
-
-        Used by refit chains that pass one pooled executor from a retired
-        cluster to its replacement: the successor inherits whatever
-        ownership this cluster had, so closing the retired cluster no
-        longer tears the shared pool out from under the live one.
-        """
-        if successor.executor is self.executor:
-            successor._owns_executor = successor._owns_executor or self._owns_executor
-            self._owns_executor = False
-
     def close(self) -> None:
         """Release executor workers and shared-memory segments (idempotent).
 

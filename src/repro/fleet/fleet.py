@@ -3,8 +3,8 @@
 :class:`KNNFleet` is the multi-tenant, heavy-traffic face of the system:
 the dataset is cut into shard regions by a
 :class:`~repro.fleet.planner.ShardPlanner`, every shard is served by a
-:class:`~repro.fleet.replica.ReplicaGroup` of identical
-:class:`~repro.service.service.KNNService` instances, and queries are
+:class:`~repro.fleet.replica.ReplicaGroup` (one
+:class:`~repro.service.service.KNNService` and its replicas), and queries are
 answered by the :class:`~repro.fleet.router.Router`'s region-pruned
 scatter-gather — byte-equal distances to a single unsharded service, at a
 fan-out that shrinks as regions get tighter.
@@ -17,14 +17,12 @@ service runs, and accounted request by request — so the fleet-wide
 counts and measured fan-out.
 
 Streaming mutations route to the owning shard (by region, id hash, or
-round-robin, matching the plan) and are applied to every live replica of
-its group.  Rebuilds are per shard, not per replica: the write that trips
-the rebuild policy folds the shard's updates into its tree once, in the
-foreground on the first live replica (a re-pack under the tree's split
-planes), and every other live replica adopts that index — one backend
-object per shard version, with an optional versioned snapshot trail under
-``snapshot_root``, one version per shard build (``shardNN/vNNNN`` + a
-``CURRENT`` pointer per shard).
+round-robin, matching the plan) and are applied once, to the shard's one
+service.  The write that trips the rebuild policy folds the shard's
+updates into its tree once, in the foreground (a re-pack under the tree's
+split planes), and every replica of the shard serves the result — with an
+optional versioned snapshot trail under ``snapshot_root``, one version per
+shard build (``shardNN/vNNNN`` + a ``CURRENT`` pointer per shard).
 
 Every shard call runs synchronously through the fleet's one
 :class:`~repro.fleet.dispatch.SerialDispatcher`
@@ -37,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +55,7 @@ from repro.obs.server import OpsServer
 from repro.obs.slo import SLO, SLOEngine, fleet_slos
 from repro.obs.tracing import Tracer
 from repro.service.backends import LocalTreeBackend
+from repro.service.delta import checked_ids
 from repro.service.queue import MicroBatchPolicy, MicroBatchQueue, RecordRing, answer_by_k
 from repro.service.service import KNNService, RebuildPolicy
 
@@ -105,17 +104,15 @@ class KNNFleet:
         self._clock = clock if clock is not None else MONOTONIC
         self.tracer = tracer if tracer is not None else Tracer(clock=self._clock)
         self.events = events if events is not None else EventLog(clock=self._clock)
-        # Pre-assembled groups/replicas that came without an event sink get
-        # shard/replica-scoped views of the fleet log (replica deaths,
-        # heals, rebuilds all land in one stream).
+        # Pre-assembled groups and services that came without an event sink
+        # get shard-scoped views of the fleet log (replica deaths, heals,
+        # rebuilds all land in one stream).
         for group in self.groups:
+            scoped = self.events.scoped(shard=group.shard_id)
             if group.events is None:
-                group.events = self.events.scoped(shard=group.shard_id)
-            for replica in group.replicas:
-                if replica.service.events is None:
-                    replica.service.events = self.events.scoped(
-                        shard=group.shard_id, replica=replica.replica_id
-                    )
+                group.events = scoped
+            if group.service.events is None:
+                group.service.events = scoped
         self.dispatcher = SerialDispatcher()
         self.router = Router(plan, self.groups, dispatcher=self.dispatcher, clock=self._clock)
         self.metrics = ObsRegistry()
@@ -144,7 +141,7 @@ class KNNFleet:
         # structure: a long-lived fleet under sustained overload must not
         # grow without bound precisely when it is overloaded.
         self._rejected: OrderedDict[int, None] = OrderedDict()
-        self._dims = int(self.groups[0].replicas[0].service.backend.dims)
+        self._dims = int(self.groups[0].service.backend.dims)
         initial_ids = np.asarray(initial_ids, dtype=np.int64)
         self._id_to_shard: Dict[int, int] = {
             int(i): int(s) for i, s in zip(initial_ids, plan.assignment)
@@ -197,9 +194,10 @@ class KNNFleet:
     ) -> "KNNFleet":
         """Plan, shard, replicate and wire a fleet over ``points``.
 
-        When ``snapshot_root`` is given, each shard build is written
-        once, as a versioned snapshot under ``snapshot_root/shardNN/``
-        that the shard's replicas share.
+        Each shard is one :class:`KNNService` served by ``n_replicas``
+        replicas.  When ``snapshot_root`` is given, each shard build is
+        written once, as a versioned snapshot under
+        ``snapshot_root/shardNN/``.
 
         ``clock`` / ``tracer`` / ``events`` inject the observability
         plane (see :mod:`repro.obs`): one monotonic clock threaded through
@@ -229,27 +227,20 @@ class KNNFleet:
         groups: List[ReplicaGroup] = []
         for shard in range(n_shards):
             mask = plan.assignment == shard
-            # One deterministic build per shard, served by every replica, as
-            # every later build of the shard is (backends are immutable:
-            # each rebuild folds into a NEW backend).
-            shard_backend = LocalTreeBackend.fit(points[mask], ids=ids[mask], config=config)
             root = Path(snapshot_root) / f"shard{shard:02d}" if snapshot_root is not None else None
-            replicas = []
-            for r in range(n_replicas):
-                service = KNNService(
-                    shard_backend,
-                    k=k,
-                    rebuild_policy=rebuild_policy,
-                    # Replicas answer through the router, not their own
-                    # micro-batch queue, so the per-service result cache
-                    # would never be consulted: disable it.
-                    cache_capacity=0,
-                    service_time=service_time,
-                    snapshot_root=root,
-                    clock=clock,
-                )
-                replicas.append(Replica(shard, r, service))
-            groups.append(ReplicaGroup(shard, replicas, clock=clock))
+            service = KNNService(
+                LocalTreeBackend.fit(points[mask], ids=ids[mask], config=config),
+                k=k,
+                rebuild_policy=rebuild_policy,
+                # Shards answer through the router, not their own
+                # micro-batch queue, so the per-service result cache would
+                # never be consulted: disable it.
+                cache_capacity=0,
+                service_time=service_time,
+                snapshot_root=root,
+                clock=clock,
+            )
+            groups.append(ReplicaGroup(shard, service, n_replicas, clock=clock))
         return cls(
             plan,
             groups,
@@ -267,7 +258,7 @@ class KNNFleet:
         )
 
     def close(self) -> None:
-        """Release every replica's backend resources.
+        """Stop the ops server and the profiler.
 
         Idempotent and safe under concurrent callers: exactly one caller
         wins the ``_closed`` flag and performs the teardown.
@@ -282,9 +273,6 @@ class KNNFleet:
             self._ops_server.close()
         if self.profiler is not None:
             self.profiler.stop()
-        for group in self.groups:
-            for replica in group.replicas:
-                replica.service.close()
 
     def __enter__(self) -> "KNNFleet":
         return self
@@ -356,9 +344,8 @@ class KNNFleet:
         One flat latency summary (p50/p99/mean/max, QPS — same keys as
         :meth:`KNNService.latency_summary`) plus the admission ledger, the
         router's measured fan-out, and a per-shard health row.  A row's
-        ``rebuilds`` counts folds of the shard (one per build its replicas
-        share); ``repro_service_rebuilds_total{shard,replica}`` counts the
-        folds each replica ran itself.
+        ``rebuilds`` counts folds of the shard, as
+        ``repro_service_rebuilds_total{shard}`` does.
         """
         summary: Dict[str, object] = dict(self.records.summary())
         # The retained-window order statistics are replaced by histogram
@@ -393,10 +380,10 @@ class KNNFleet:
         histograms) with every scrape-time collector family
         (:func:`repro.obs.collectors.fleet_families`): admission ledger,
         router phases and fan-out, dispatch-plane counters, per-replica
-        health and load, per-service cache/rebuild accounting, executor
-        byte totals (distributed backends), ops event counts and tracer
-        sampling stats.  The output round-trips through the strict parser
-        in :func:`repro.obs.prometheus.parse_prometheus_text`.
+        health and load, per-shard service cache/rebuild accounting, ops
+        event counts and tracer sampling stats.  The output round-trips
+        through the strict parser in
+        :func:`repro.obs.prometheus.parse_prometheus_text`.
         """
         return self.metrics.render()
 
@@ -502,17 +489,18 @@ class KNNFleet:
         """Add points to the fleet's live set; returns their ids.
 
         Each point routes to one shard (by region, id hash, or round-robin
-        — whatever the plan prescribes) and lands on every live replica of
-        that shard's group.  Auto ids continue above the largest id ever
-        indexed fleet-wide.
+        — whatever the plan prescribes) and lands in that shard's service.
+        Auto ids continue above the largest id ever indexed fleet-wide.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if points.shape[1] != self._dims:
             raise ValueError(f"points have {points.shape[1]} dims, fleet has {self._dims}")
         if not np.isfinite(points).all():
             raise ValueError("points must have finite coordinates (found nan or inf)")
-        if ids is not None and np.asarray(ids).shape != (points.shape[0],):
-            raise ValueError("ids length must match number of points")
+        if ids is not None:
+            ids = checked_ids(ids)
+            if ids.shape[0] != points.shape[0]:
+                raise ValueError("ids length must match number of points")
         now = self._advance(at)
         # Quiet flush: a batch stalled on a dead shard must not block a
         # mutation whose own target shards are healthy (the stuck queries
@@ -523,13 +511,10 @@ class KNNFleet:
                 self._next_auto_id, self._next_auto_id + points.shape[0], dtype=np.int64
             )
         else:
-            ids = np.asarray(ids, dtype=np.int64)
             # The whole batch is validated before any shard is touched: a
             # bad id must not leave some groups mutated and others not.
             if ids.size and int(ids.min()) < 0:
                 raise ValueError("ids must be non-negative (-1 is the padding sentinel)")
-            if np.unique(ids).size != ids.shape[0]:
-                raise ValueError("duplicate ids within one insert batch")
             live = [int(i) for i in ids if int(i) in self._id_to_shard]
             if live:
                 raise ValueError(f"ids already indexed: {live[:5]}")
@@ -552,14 +537,12 @@ class KNNFleet:
 
     def delete(self, ids: np.ndarray | Sequence[int], at: float | None = None) -> None:
         """Remove points by id from whichever shards hold them."""
+        id_list = checked_ids(ids).tolist()
         now = self._advance(at)
         self._dispatch_quietly(now)
-        id_list = [int(i) for i in np.asarray(ids, dtype=np.int64).ravel()]
-        seen: Set[int] = set()
         for point_id in id_list:
-            if point_id not in self._id_to_shard or point_id in seen:
+            if point_id not in self._id_to_shard:
                 raise KeyError(f"id {point_id} is not in the live set")
-            seen.add(point_id)
         by_shard: Dict[int, List[int]] = {}
         for point_id in id_list:
             by_shard.setdefault(self._id_to_shard[point_id], []).append(point_id)
@@ -572,8 +555,8 @@ class KNNFleet:
     def rebuild(self, shard: int | None = None, at: float | None = None) -> None:
         """Fold one/all shards' updates into their indices now: one fold per
         shard, served by every live replica of the shard."""
+        targets = self.groups if shard is None else [self._group(shard)]
         now = self._advance(at)
-        targets = self.groups if shard is None else [self.groups[shard]]
         for group in targets:
             if group.n_alive:
                 group.rebuild(at=now)
@@ -583,24 +566,24 @@ class KNNFleet:
     # ------------------------------------------------------------------
     def kill_replica(self, shard: int, replica: int) -> None:
         """Fail a replica immediately (chaos drill)."""
-        self.groups[shard].replicas[replica].kill()
+        self._replica(shard, replica).kill()
         self.groups[shard].note_death(replica_id=replica)
 
     def arm_replica_failure(self, shard: int, replica: int) -> None:
         """Make a replica die mid-query on its next pick (retry drill)."""
-        self.groups[shard].replicas[replica].arm_failure()
+        self._replica(shard, replica).arm_failure()
 
     def heal(self, at: float | None = None) -> int:
-        """Re-seed every dead replica that has a live peer; returns count.
+        """Revive every dead replica that has a live peer; returns count.
 
-        A fully-dead group is skipped, not fatal — it has no donor left, and
+        A fully-dead group is skipped, not fatal — it stays dark, and
         aborting on it would strand healable replicas in *other* groups.
         """
-        now = self._advance(at)
+        self._advance(at)
         healed = 0
         for group in self.groups:
             if 0 < group.n_alive < group.n_replicas:
-                healed += group.heal(at=now)
+                healed += group.heal()
         return healed
 
     # ------------------------------------------------------------------
@@ -706,6 +689,19 @@ class KNNFleet:
         # the next scrape.
         self.slo.tick()
         return len(batch)
+
+    def _group(self, shard: int) -> ReplicaGroup:
+        """The group of ``shard``; ``ValueError`` naming the range otherwise."""
+        if not 0 <= shard < len(self.groups):
+            raise ValueError(f"shard must be in [0, {len(self.groups)}), got {shard}")
+        return self.groups[shard]
+
+    def _replica(self, shard: int, replica: int) -> Replica:
+        """Replica ``replica`` of ``shard``, range-checked like :meth:`_group`."""
+        group = self._group(shard)
+        if not 0 <= replica < group.n_replicas:
+            raise ValueError(f"replica must be in [0, {group.n_replicas}), got {replica}")
+        return group.replicas[replica]
 
     def _require_alive(self, shards: np.ndarray) -> None:
         """Fail before mutating anything if a target shard is fully dead."""

@@ -1,18 +1,17 @@
 """Replicated shards: read scaling, failure injection, retry-on-death.
 
-Each shard of the fleet is a :class:`ReplicaGroup` of identical
-:class:`~repro.service.service.KNNService` instances over the same shard
-point set.  Reads go to the least-loaded live replica; mutations go to
-every live replica so the group holds one live set.  Rebuilds are per
-shard, not per replica: a mutation goes to the first live replica first,
-and when it folds there, every other live replica adopts that index
-instead of taking the mutation — one fold, one snapshot and one backend
-object per shard version.  A dead replica heals the same way, by adopting
-a live peer.  Failures are injected deliberately (tests and chaos
-drills): a replica can be killed outright or armed to die *mid-query*, in
-which case the group transparently retries the batch on the
-next-least-loaded peer — answers never change, only the load accounting
-does.
+Each shard of the fleet is one :class:`~repro.service.service.KNNService`
+over the shard's point set, owned by a :class:`ReplicaGroup`, and served
+by ``n_replicas`` :class:`Replica` tokens.  A replica carries only
+liveness, an armed failure and its load; every replica answers through
+the shard's one service, so a write is applied once, a fold runs once,
+and every live replica answers byte for byte alike, ids included.  Reads
+go to the least-loaded live replica.  Failures are injected deliberately
+(tests and chaos drills): a replica can be killed outright or armed to
+die *mid-query*, in which case the group transparently retries the batch
+on the next-least-loaded peer — answers never change, only the load
+accounting does.  A heal brings a dead replica back to life; there is no
+state to copy.
 
 Liveness and load state are lock-guarded: the serving path is one
 synchronous caller, but the ops server and the profiler read the same
@@ -21,7 +20,7 @@ fields from other threads.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -53,10 +52,10 @@ class ShardUnavailableError(RuntimeError):
 
 @guarded
 class Replica:
-    """One serving copy of a shard: a service plus liveness/load state."""
+    """One serving copy of a shard: liveness and load over the shard's
+    service (``service`` is the group's, never swapped)."""
 
     GUARDED_BY = {
-        "service": "_lock",
         "alive": "_lock",
         "queries_served": "_lock",
         "_armed_failure": "_lock",
@@ -106,12 +105,8 @@ class Replica:
                     f"shard {self.shard_id} replica {self.replica_id} died mid-query",
                     died_now=True,
                 )
-            # Pin the service under the same lock as the liveness check:
-            # heal() swaps self.service while holding _lock, so an attempt
-            # that saw alive=True always serves on the matching service.
-            service = self.service
         with phase("replica.serve"):
-            out = service.answer_batch(queries, k=k, at=at)
+            out = self.service.answer_batch(queries, k=k, at=at)
         with self._lock:
             self.queries_served += int(np.atleast_2d(queries).shape[0])
         return out
@@ -124,12 +119,14 @@ class Replica:
 
 @guarded
 class ReplicaGroup:
-    """All replicas of one shard, with least-loaded routing and retries.
+    """One shard: its service and its replicas, with least-loaded routing
+    and retries.
 
     Parameters
     ----------
-    shard_id, replicas:
-        The shard and its serving copies.
+    shard_id, service, n_replicas:
+        The shard, the one service holding its live set, and how many
+        replicas serve it.
     clock:
         Injectable monotonic clock for attempt spans (defaults to the
         shared production clock).
@@ -147,14 +144,16 @@ class ReplicaGroup:
     def __init__(
         self,
         shard_id: int,
-        replicas: Sequence[Replica],
+        service: KNNService,
+        n_replicas: int,
         clock: Clock | None = None,
         events=None,
     ) -> None:
-        if not replicas:
-            raise ValueError(f"shard {shard_id} needs at least one replica")
+        if n_replicas <= 0:
+            raise ValueError(f"shard {shard_id} needs at least one replica, got {n_replicas}")
         self.shard_id = shard_id
-        self.replicas = list(replicas)
+        self.service = service
+        self.replicas = [Replica(shard_id, r, service) for r in range(n_replicas)]
         self._clock = clock if clock is not None else MONOTONIC
         self.events = events
         self.retries = 0
@@ -178,18 +177,13 @@ class ReplicaGroup:
 
     @property
     def n_live(self) -> int:
-        """Live points of the shard (0 when every replica is dead)."""
-        for replica in self.replicas:
-            if replica.alive:
-                return replica.service.n_live
-        return 0
+        """Live points of the shard."""
+        return self.service.n_live
 
     @property
     def rebuilds(self) -> int:
-        """Folds of this shard: its replicas share each one, and only the
-        replica that ran it counts it (``KNNService.rebuilds``,
-        ``repro_service_rebuilds_total{shard,replica}``)."""
-        return sum(r.service.rebuilds for r in self.replicas)
+        """Folds of this shard (``repro_service_rebuilds_total{shard}``)."""
+        return self.service.rebuilds
 
     def primary(self) -> Replica:
         """The least-loaded live replica (lowest id on ties)."""
@@ -270,94 +264,49 @@ class ReplicaGroup:
             self.events.emit(kind, **fields)
 
     # ------------------------------------------------------------------
-    # Mutation (applied to every live replica, one build per shard)
+    # Mutation (applied once, to the shard's service)
     # ------------------------------------------------------------------
     def insert(self, points: np.ndarray, ids: np.ndarray, at: float | None = None) -> None:
-        """Insert into every live replica; loud when none is left.
+        """Insert into the shard; loud when no replica is left.
 
         A mutation against a fully-dead shard must fail, not silently drop
-        the data (there would be no peer to heal from).
+        the data.
         """
-        self._apply(lambda service: service.insert(points, ids=ids, at=at))
+        self._require_alive()
+        self.service.insert(points, ids=ids, at=at)
 
     def delete(self, ids: np.ndarray, at: float | None = None) -> None:
-        """Delete from every live replica; loud when none is left."""
-        self._apply(lambda service: service.delete(ids, at=at))
+        """Delete from the shard; loud when no replica is left."""
+        self._require_alive()
+        self.service.delete(ids, at=at)
 
     def rebuild(self, at: float | None = None) -> None:
         """Fold the shard's updates once, served by every live replica."""
-        self._apply(lambda service: service.rebuild(at=at))
+        self._require_alive()
+        self.service.rebuild(at=at)
 
-    def _apply(self, mutate: Callable[[KNNService], object]) -> None:
-        """Run ``mutate`` on the first live replica, then bring every other
-        live replica to the same state, so that the shard folds at most once.
-
-        A peer serving the first replica's index takes the mutation
-        itself.  A peer serving another one adopts the first replica's: it
-        folded just now, or a read's ``at`` fired a staleness fold on one
-        replica alone since the last write, and the group converges here.
-        """
-        live = [r.service for r in self.replicas if r.alive]
-        if not live:
+    def _require_alive(self) -> None:
+        if not self.n_alive:
             raise ShardUnavailableError(f"shard {self.shard_id}: every replica is dead")
-        first, *peers = live
-        mutate(first)
-        for service in peers:
-            if service.backend is first.backend:
-                mutate(service)
-            else:
-                service.adopt(first)
 
     # ------------------------------------------------------------------
     # Repair
     # ------------------------------------------------------------------
-    def heal(self, at: float | None = None) -> int:
-        """Re-seed every dead replica from a healthy peer; returns count.
+    def heal(self) -> int:
+        """Bring every dead replica back while a peer lives; returns count.
 
-        A fresh service carrying the dead replica's policies and snapshot
-        root adopts the donor: same backend object, a copy of its delta
-        buffer and tombstones.  Nothing is refit, so a healed replica
-        answers byte for byte like its peers, ids included, from its first
-        query on.  The dead service's backend is closed only when no live
-        replica still serves it.
+        Every replica serves the shard's one service, so a healed replica
+        answers byte for byte like its peers, ids included, with nothing
+        to copy.  A fully-dead group stays down (``ShardUnavailableError``).
         """
-        donor = self.primary()  # raises when the whole group is dead
+        self._require_alive()
         healed = 0
         for replica in self.replicas:
             if replica.alive:
                 continue
-            dead = replica.service
-            service = KNNService(
-                donor.service.backend,
-                k=dead.k,
-                batch_policy=dead.batch_policy,
-                rebuild_policy=dead.rebuild_policy,
-                cache_capacity=dead.cache.capacity,
-                retention=dead.records.capacity,
-                service_time=dead._service_time,
-                snapshot_root=dead.snapshot_root,
-                clock=dead._clock,
-                events=dead.events,
-            )
-            service.adopt(donor.service)
-            if at is not None:
-                # flush() on an empty queue is exactly a locked clock
-                # advance (nothing is pending on a fresh service).
-                service.flush(at)
-            if all(dead.backend is not r.service.backend for r in self.replicas if r.alive):
-                dead.close()
-            # Swap service and flip liveness atomically: a concurrent
-            # attempt either sees (dead, old service) and raises, or
-            # (alive, healed service) — never a half-healed replica.
             with replica._lock:
-                replica.service = service
                 replica.alive = True
                 replica._armed_failure = False
             healed += 1
-            self._emit(
-                "replica_heal",
-                replica=replica.replica_id,
-                donor=donor.replica_id,
-                points=service.n_live,
-            )
+            self._emit("replica_heal", replica=replica.replica_id, points=self.service.n_live)
         return healed

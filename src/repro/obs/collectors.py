@@ -1,8 +1,8 @@
 """Scrape-time collectors: serving-stack stats as metric families.
 
 The serving classes already keep exact, locked counters (admission
-ledger, router fan-out, dispatch calls, replica health, service cache and
-rebuild accounting, executor byte totals).  Rather than double-book every
+ledger, router fan-out, dispatch calls, replica health, and each shard
+service's cache and rebuild accounting).  Rather than double-book every
 increment into instruments, a collector reads those sources once per
 scrape and emits them as gauge/counter families.
 
@@ -34,7 +34,6 @@ def fleet_families(fleet) -> List[MetricFamily]:
     families.extend(_dispatch_families(fleet))
     families.extend(_shard_families(fleet))
     families.extend(_service_families(fleet))
-    families.extend(_executor_families(fleet))
     families.extend(_ops_families(fleet))
     return families
 
@@ -198,12 +197,11 @@ def _shard_families(fleet) -> List[MetricFamily]:
 _SERVICE_COUNTERS = {
     "rebuilds": (
         "repro_service_rebuilds_total",
-        "Folds run per replica service (a shard build its replicas share "
-        "counts once, on the replica that ran it).",
+        "Folds run per shard service.",
     ),
     "rebuild_seconds": (
         "repro_service_rebuild_seconds_total",
-        "Wall seconds spent rebuilding per replica service.",
+        "Wall seconds spent rebuilding per shard service.",
     ),
     "refetched_rows": (
         "repro_service_refetched_rows_total",
@@ -217,7 +215,7 @@ _SERVICE_COUNTERS = {
     ),
     "cache_full_clears": (
         "repro_service_cache_full_clears_total",
-        "Whole-cache invalidations (a new index: rebuild or adoption).",
+        "Whole-cache invalidations (a new index).",
     ),
     "cache_keys_dropped": (
         "repro_service_cache_keys_dropped_total",
@@ -226,7 +224,7 @@ _SERVICE_COUNTERS = {
 }
 
 _SERVICE_GAUGES = {
-    "version": ("repro_service_version", "Index version per replica service."),
+    "version": ("repro_service_version", "Index version per shard service."),
     "delta_inserts": (
         "repro_service_delta_inserts",
         "Streamed inserts pending the next rebuild.",
@@ -242,11 +240,10 @@ _SERVICE_GAUGES = {
 def _service_families(fleet) -> List[MetricFamily]:
     rows: Dict[str, List] = {key: [] for key in (*_SERVICE_COUNTERS, *_SERVICE_GAUGES)}
     for group in fleet.groups:
-        for replica in group.replicas:
-            snap = replica.service.obs_snapshot()
-            labels = {"shard": group.shard_id, "replica": replica.replica_id}
-            for key in rows:
-                rows[key].append((labels, float(snap.get(key, 0.0))))
+        snap = group.service.obs_snapshot()
+        labels = {"shard": group.shard_id}
+        for key in rows:
+            rows[key].append((labels, float(snap.get(key, 0.0))))
     families = [
         counter_family(name, help_, rows[key])
         for key, (name, help_) in _SERVICE_COUNTERS.items()
@@ -256,39 +253,6 @@ def _service_families(fleet) -> List[MetricFamily]:
         for key, (name, help_) in _SERVICE_GAUGES.items()
     )
     return families
-
-
-def _executor_families(fleet) -> List[MetricFamily]:
-    """Distributed-backend byte accounting (absent for local-tree fleets)."""
-    byte_rows, message_rows = [], []
-    for group in fleet.groups:
-        for replica in group.replicas:
-            comm_totals = getattr(replica.service.backend, "comm_totals", None)
-            if not callable(comm_totals):
-                continue
-            totals = comm_totals()
-            base = {"shard": group.shard_id, "replica": replica.replica_id}
-            for direction, bytes_key, msg_key in (
-                ("sent", "bytes_sent", "messages_sent"),
-                ("received", "bytes_received", "messages_received"),
-            ):
-                labels = {**base, "direction": direction}
-                byte_rows.append((labels, float(totals[bytes_key])))
-                message_rows.append((labels, float(totals[msg_key])))
-    if not byte_rows:
-        return []
-    return [
-        counter_family(
-            "repro_executor_bytes_total",
-            "Payload bytes moved by the rank executor, per replica backend.",
-            byte_rows,
-        ),
-        counter_family(
-            "repro_executor_messages_total",
-            "Messages moved by the rank executor, per replica backend.",
-            message_rows,
-        ),
-    ]
 
 
 def _ops_families(fleet) -> List[MetricFamily]:

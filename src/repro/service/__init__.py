@@ -3,9 +3,8 @@
 The batch pipeline of the paper builds an index once and answers one big
 query set; this package turns it into a *service*:
 
-* :mod:`~repro.service.backends` — the indices the service can front: one
-  local kd-tree or a distributed :class:`~repro.core.panda.PandaKNN`, both
-  behind the same four-method protocol;
+* :mod:`~repro.service.backends` — the index the service fronts: one
+  local kd-tree that folds updates by re-packing under its split planes;
 * :mod:`~repro.service.queue` — adaptive size-or-deadline micro-batching
   with per-request latency accounting, the one queue model of both doors;
 * :mod:`~repro.service.service` — :class:`~repro.service.service.KNNService`
@@ -19,12 +18,11 @@ query set; this package turns it into a *service*:
 * :mod:`~repro.service.trace` — open-loop arrival traces (uniform, bursty,
   hot-key) for the throughput benchmark and the exactness tests.
 
-Snapshots (:meth:`repro.kdtree.tree.KDTree.save`,
-:meth:`repro.core.panda.PandaKNN.snapshot`) warm-start either backend, so a
-service can come up without rebuilding its index.
+A kd-tree snapshot (:meth:`repro.kdtree.tree.KDTree.save`) warm-starts
+the backend, so a service can come up without rebuilding its index.
 """
 
-from repro.service.backends import LocalTreeBackend, PandaBackend
+from repro.service.backends import LocalTreeBackend
 from repro.service.cache import CacheStats, LRUCache
 from repro.service.delta import DeltaBuffer
 from repro.service.queue import MicroBatchPolicy, RecordRing, RequestRecord
@@ -38,7 +36,6 @@ __all__ = [
     "RecordRing",
     "RequestRecord",
     "LocalTreeBackend",
-    "PandaBackend",
     "DeltaBuffer",
     "LRUCache",
     "CacheStats",

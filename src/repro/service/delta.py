@@ -40,6 +40,26 @@ def sorted_member(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return sorted_ids[pos] == ids
 
 
+def checked_ids(ids) -> np.ndarray:
+    """``ids`` as a 1-D int64 array, or ``ValueError`` when they are not
+    1-D, not integral or not unique.
+
+    Both front doors check ids here before their clock or any state moves,
+    so ``1.9`` is never truncated into id 1.
+    """
+    ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise ValueError(f"ids must be 1-D, got shape {ids.shape}")
+    if ids.size and ids.dtype.kind not in "iu":
+        bad = ids[~(np.isfinite(ids) & (ids == np.round(ids)))] if ids.dtype.kind == "f" else ids
+        if bad.size:
+            raise ValueError(f"ids must be integers, got {bad[:5].tolist()}")
+    ids = ids.astype(np.int64)
+    if np.unique(ids).size != ids.size:
+        raise ValueError("duplicate ids within one batch")
+    return ids
+
+
 class DeltaBuffer:
     """Buffered inserts (brute-force searched) and tombstoned tree ids."""
 
@@ -133,20 +153,6 @@ class DeltaBuffer:
         """Mark tree-resident points as deleted."""
         self._tombstones.update(np.asarray(point_ids, dtype=np.int64).ravel().tolist())
         self._tomb_sorted = None
-
-    def copy(self) -> "DeltaBuffer":
-        """An independent buffer holding the same inserts and tombstones.
-
-        The point and id blocks (and the derived arrays) are shared: no
-        mutation writes into one, they are only ever replaced.
-        """
-        other = DeltaBuffer(self.dims)
-        other._points, other._ids = list(self._points), list(self._ids)
-        other._id_set, other._tombstones = set(self._id_set), set(self._tombstones)
-        other._dense, other._columns, other._tomb_sorted = (
-            self._dense, self._columns, self._tomb_sorted
-        )
-        return other
 
     def clear(self) -> None:
         """Drop all buffered state (after a rebuild absorbed it)."""

@@ -25,9 +25,7 @@ server is busy for the fold, so queries arriving meanwhile queue behind
 it.  With a ``snapshot_root`` every rebuild is also persisted as a
 versioned on-disk snapshot (``v0001``, ``v0002``, ...) whose ``CURRENT``
 pointer is promoted as the new index goes live (:mod:`repro.core.snapshot`).
-A service holding the same live set as a peer need not fold at all: it
-can serve the peer's index (:meth:`KNNService.adopt`), so replicas of one
-shard share one fold, one snapshot and one backend object.
+A fleet shard is one service, however many replicas serve it.
 
 Micro-batches are answered synchronously in the calling thread.  All
 public methods are safe under concurrent callers (one re-entrant lock).
@@ -48,7 +46,7 @@ from repro.kdtree.heap import merge_topk_rows
 from repro.obs.clock import MONOTONIC, Clock
 from repro.obs.profiler import phase
 from repro.service.cache import CacheStats, LRUCache, query_key
-from repro.service.delta import DeltaBuffer, sorted_member
+from repro.service.delta import DeltaBuffer, checked_ids, sorted_member
 from repro.service.queue import MicroBatchPolicy, MicroBatchQueue, RecordRing, answer_by_k
 
 
@@ -96,10 +94,9 @@ class KNNService:
     Parameters
     ----------
     backend:
-        A :class:`~repro.service.backends.LocalTreeBackend` or
-        :class:`~repro.service.backends.PandaBackend` (anything with
-        ``kneighbors`` / ``all_points`` / ``fold`` / ``fold_edits`` /
-        ``dims``).
+        A :class:`~repro.service.backends.LocalTreeBackend` (or anything
+        with ``kneighbors`` / ``all_points`` / ``fold`` / ``fold_edits`` /
+        ``n_points`` / ``dims``).
     k:
         Default neighbours per query.
     batch_policy, rebuild_policy:
@@ -134,9 +131,6 @@ class KNNService:
         the new ``version``, ``fold_s``, ``snapshot_s`` and the fold's
         ``grafted_leaves`` and ``collapsed_nodes``) / ``cache_full_clear``
         events; ``None`` (default) emits nothing.
-
-    ``rebuilds`` counts the folds this service ran; an index it adopted
-    from a peer (:meth:`adopt`) is not counted.
     """
 
     GUARDED_BY = {
@@ -151,7 +145,6 @@ class KNNService:
         "_first_dirty_at": "_lock",
         "_backend_ids": "_lock",
         "_next_auto_id": "_lock",
-        "_closed": "_lock",
     }
 
     def __init__(
@@ -191,21 +184,11 @@ class KNNService:
         self._clock = clock if clock is not None else MONOTONIC
         self.events = events
         self._lock = new_rlock("KNNService._lock")
-        self._closed = False
         self._reindex_ids()
 
     def close(self) -> None:
-        """Release backend resources (pooled executor workers, if owned)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            closer = getattr(self.backend, "close", None)
-        # Teardown of owned resources happens outside the lock: pool
-        # shutdown can block on worker completion, and no service state is
-        # touched past this point (the _closed flag already bars re-entry).
-        if closer is not None:
-            closer()
+        """Nothing to release: a service holds no pooled resource.  Kept so
+        a service closes like the fleet (idempotent, a context manager)."""
 
     def __enter__(self) -> "KNNService":
         return self
@@ -399,6 +382,8 @@ class KNNService:
             # No query can reach such a point, and the next rebuild would
             # hand it to the tree builder.
             raise ValueError("points must have finite coordinates (found nan or inf)")
+        if ids is not None:
+            ids = checked_ids(ids)
         with self._lock:
             now = self._advance(at)
             self._dispatch(now)
@@ -407,7 +392,6 @@ class KNNService:
                     self._next_auto_id, self._next_auto_id + points.shape[0], dtype=np.int64
                 )
             else:
-                ids = np.asarray(ids, dtype=np.int64)
                 live_backend = ids[
                     sorted_member(self._backend_ids, ids) & ~self.delta.dead_mask(ids)
                 ]
@@ -426,12 +410,12 @@ class KNNService:
 
         Tree-resident points become tombstones filtered out of every answer
         until a rebuild physically drops them; unknown ids raise
-        ``KeyError``.
+        ``KeyError``, malformed or repeated ones ``ValueError``.
         """
+        dead_ids = checked_ids(ids)
         with self._lock:
             now = self._advance(at)
             self._dispatch(now)
-            dead_ids = np.asarray(ids, dtype=np.int64).ravel()
             buffered = np.fromiter(
                 map(self.delta.contains, dead_ids.tolist()), dtype=bool, count=dead_ids.size
             )
@@ -440,11 +424,8 @@ class KNNService:
             )
             # Validate the whole batch before mutating anything, so a bad id
             # cannot leave the delete half-applied with a stale cache.
-            seen: set[int] = set()
-            for point_id, is_live in zip(dead_ids.tolist(), live.tolist()):
-                if not is_live or point_id in seen:
-                    raise KeyError(f"id {point_id} is not in the live set")
-                seen.add(point_id)
+            if not live.all():
+                raise KeyError(f"id {int(dead_ids[~live][0])} is not in the live set")
             for point_id in dead_ids[buffered].tolist():
                 self.delta.delete_buffered(point_id)
             self.delta.add_tombstones(dead_ids[~buffered])
@@ -463,26 +444,6 @@ class KNNService:
             now = self._advance(at)
             self._dispatch(now)
             self._rebuild_now(now)
-
-    def adopt(self, peer: "KNNService") -> None:
-        """Serve ``peer``'s index and live set as this service's own.
-
-        Takes the peer's backend object, version and id index, plus a copy
-        of its delta buffer, tombstones and dirty time, and clears this
-        service's cache.  Nothing is folded: a fleet shard's replicas serve
-        one index this way, and answer byte for byte alike, ids included.
-        """
-        with peer._lock:
-            backend, version, sorted_ids = peer.backend, peer.version, peer._backend_ids
-            delta, dirty_at, next_id = peer.delta.copy(), peer._first_dirty_at, peer._next_auto_id
-        with self._lock:
-            self.backend = backend
-            self.version = version
-            self.delta = delta
-            self._first_dirty_at = dirty_at
-            self._next_auto_id = max(self._next_auto_id, next_id)
-            self._reindex_ids(sorted_ids)
-            self._clear_cache_fully()
 
     def _emit(self, kind: str, **fields) -> None:
         """Emit a structured ops event; a no-op without an event sink.
@@ -706,10 +667,9 @@ class KNNService:
             self._rebuild_now(now)
 
     @requires_lock("_lock")
-    def _reindex_ids(self, sorted_ids: np.ndarray | None = None) -> None:
-        """Index the backend's ids; ``sorted_ids`` passes them already sorted."""
-        if sorted_ids is None:
-            sorted_ids = np.sort(self.backend.all_points()[1])
+    def _reindex_ids(self) -> None:
+        """Index the backend's ids."""
+        sorted_ids = np.sort(self.backend.all_points()[1])
         # One ascending array: whole-batch searchsorted membership for
         # insert/delete, no Python object per indexed id.
         self._backend_ids = sorted_ids

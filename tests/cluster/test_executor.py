@@ -207,19 +207,6 @@ class TestExecutorBasics:
         with pytest.raises(RuntimeError, match="closed"):
             pool.run([RankTask(0, _double_step, (1,), {"values": np.arange(2)})])
 
-    def test_refit_transfers_executor_ownership(self):
-        owner = Cluster(2, executor="thread:1")
-        successor = Cluster(2, executor=owner.executor)
-        owner.transfer_executor_ownership(successor)
-        pool = owner.executor
-        owner.close()  # no longer owns: the shared pool must survive
-        assert successor.executor.run(
-            [RankTask(0, _double_step, (1,), {"values": np.arange(2)})]
-        )
-        successor.close()  # inherited ownership: now the pool shuts down
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.run([RankTask(0, _double_step, (1,), {"values": np.arange(2)})])
-
     def test_thread_run_after_close_raises(self):
         executor = ThreadExecutor(1)
         executor.run([RankTask(0, _double_step, (0,), {"values": np.arange(2)})])

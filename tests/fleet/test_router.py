@@ -272,12 +272,38 @@ class TestReplicaFailover:
         assert fleet.heal(at=4.0) == 1
         group = fleet.groups[0]
         assert group.n_alive == 2
-        # The healed replica serves the same live set as its donor.
+        # The healed replica serves the shard's one service, writes made
+        # while it was down included.
+        assert all(r.service is group.service for r in group.replicas)
         q = clustered[:4]
-        d0, _ = group.replicas[0].service.answer_batch(q, k=5)
-        d1, _ = group.replicas[1].service.answer_batch(q, k=5)
-        assert np.array_equal(d0, d1)
+        d0, i0 = group.replicas[0].answer(q, 5, None)
+        d1, i1 = group.replicas[1].answer(q, 5, None)
+        assert np.array_equal(d0, d1) and np.array_equal(i0, i1)
 
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError):
-            ReplicaGroup(0, [])
+    def test_empty_group_rejected(self, clustered):
+        service = KNNService(LocalTreeBackend.fit(clustered[:50]), cache_capacity=0)
+        with pytest.raises(ValueError, match="at least one replica"):
+            ReplicaGroup(0, service, n_replicas=0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fleet: fleet.kill_replica(0, -1),
+            lambda fleet: fleet.kill_replica(0, 2),
+            lambda fleet: fleet.kill_replica(-1, 0),
+            lambda fleet: fleet.arm_replica_failure(1, -2),
+            lambda fleet: fleet.arm_replica_failure(3, 0),
+            lambda fleet: fleet.rebuild(shard=-1, at=5.0),
+            lambda fleet: fleet.rebuild(shard=3, at=5.0),
+        ],
+    )
+    def test_shard_and_replica_indices_are_range_checked(self, clustered, call):
+        fleet = fleet_over(clustered, n_shards=3, n_replicas=2)
+        fleet.insert(np.zeros((1, 3)), at=1.0)
+        with pytest.raises(ValueError, match=r"must be in \[0, [23]\)"):
+            call(fleet)
+        # Nothing moved: no replica died or was armed, no event, no clock.
+        assert all(g.n_alive == 2 and g.deaths == 0 for g in fleet.groups)
+        assert not any(r._armed_failure for g in fleet.groups for r in g.replicas)
+        assert fleet.events.counts() == {} and fleet.now == 1.0
+        assert [g.rebuilds for g in fleet.groups] == [0, 0, 0]

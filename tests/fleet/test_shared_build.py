@@ -1,11 +1,11 @@
-"""A shard builds once: its replicas adopt one foreground fold.
+"""A shard is one service: its replicas serve one live set.
 
-The write that trips a shard's rebuild policy folds the shard's updates
-into its tree on its first live replica; every other live replica adopts
-that index instead of taking the write.  So a shard version is one fold
-(a re-pack, never a build over the whole shard), one snapshot directory
-and one backend object, and replicas serving it answer byte for byte
-alike, ids included.  A healed replica adopts a live peer the same way.
+Each shard of a fleet is one ``KNNService``; its replicas carry only
+liveness and load.  A write is applied once, the write (or read) that
+trips the shard's rebuild policy folds once (a re-pack, never a build
+over the whole shard), into one snapshot directory, and every live
+replica answers byte for byte alike, ids included — after a heal and
+right after a staleness fold too.
 """
 
 from collections import Counter
@@ -20,8 +20,8 @@ from repro.kdtree import repack
 from repro.kdtree.build import build_kdtree
 from repro.kdtree.query import brute_force_knn
 from repro.kdtree.validate import check_tree_invariants
-from repro.obs import ManualClock
-from repro.service import LocalTreeBackend, RebuildPolicy, backends
+from repro.obs import ManualClock, parse_prometheus_text
+from repro.service import KNNService, LocalTreeBackend, RebuildPolicy, backends
 
 DIMS = 3
 BUILD_S = 3.5e-3  # a rebuild keeps a replica busy for three ops
@@ -33,13 +33,13 @@ def _draw(rng, n):
 
 
 def _assert_alike(group, queries, k):
-    """Every live replica serves one backend object, and they answer byte
-    for byte alike, ids included."""
-    live = [r.service for r in group.replicas if r.alive]
-    assert all(service.backend is live[0].backend for service in live)
-    d0, i0 = live[0].answer_batch(queries, k=k)
-    for service in live[1:]:
-        d, i = service.answer_batch(queries, k=k)
+    """Every replica serves the shard's one service, and the live ones
+    answer byte for byte alike, ids included."""
+    assert all(r.service is group.service for r in group.replicas)
+    live = [r for r in group.replicas if r.alive]
+    d0, i0 = live[0].answer(queries, k, None)
+    for replica in live[1:]:
+        d, i = replica.answer(queries, k, None)
         assert np.array_equal(d, d0) and np.array_equal(i, i0)
 
 
@@ -56,8 +56,7 @@ OPS = st.lists(
 
 @settings(max_examples=40, deadline=None)
 @given(ops=OPS, seed=st.integers(0, 2**16))
-# Kill the replica that ran a shard's last fold, heal it from the peer that
-# adopted it, then trip the shard's next fold.
+# Kill a replica, heal it, then trip the shard's next fold.
 @example(
     ops=[("delete", 3), ("delete", 7), ("delete", 11), ("kill", 1), ("heal", 0)]
     + [("delete", 5)] * 4
@@ -113,8 +112,8 @@ def test_every_answer_exact_and_shared_builds_answer_alike(ops, seed):
                 fleet.kill_replica(group.shard_id, arg // 2 % 2)
         elif kind == "heal":
             fleet.heal(at=t)
-            # Healed by adoption: from its first answer on, a healed replica
-            # answers like its peers, ids included.
+            # From its first answer on, a healed replica answers like its
+            # peers, ids included.
             for group in fleet.groups:
                 _assert_alike(group, _draw(rng, 6) + 0.5, k)
     t += 1e-3
@@ -128,9 +127,7 @@ def test_one_fold_and_one_version_per_shard_per_round(small_points, tmp_path, mo
     fold = LocalTreeBackend.fold
 
     def fold_spy(self, dead_ids, points, ids):
-        folds.append(
-            next(g.shard_id for g in fleet.groups for r in g.replicas if r.service.backend is self)
-        )
+        folds.append(next(g.shard_id for g in fleet.groups if g.service.backend is self))
         return fold(self, dead_ids, points, ids)
 
     def build_spy(points, *args, **kwargs):
@@ -147,7 +144,7 @@ def test_one_fold_and_one_version_per_shard_per_round(small_points, tmp_path, mo
         service_time=lambda n: 1.0,
         clock=ManualClock(),
     )
-    bucket = fleet.groups[0].replicas[0].service.backend.tree.config.bucket_size
+    bucket = fleet.groups[0].service.backend.tree.config.bucket_size
     monkeypatch.setattr(LocalTreeBackend, "fold", fold_spy)
     monkeypatch.setattr(repack, "build_kdtree", build_spy)
     monkeypatch.setattr(backends, "build_kdtree", build_spy)
@@ -168,28 +165,23 @@ def test_one_fold_and_one_version_per_shard_per_round(small_points, tmp_path, mo
         # ...never a rebuild of the whole shard, only of overflowed leaves.
         assert all(n < 4 * bucket for n in builds)
         for group in fleet.groups:
-            first, peer = (r.service for r in group.replicas)
-            check_tree_invariants(first.backend.tree)
+            check_tree_invariants(group.service.backend.tree)
             # ...one version directory...
             root = tmp_path / f"shard{group.shard_id:02d}"
             assert [v for v, _ in list_snapshot_versions(root)] == list(range(1, round_ + 1))
             assert current_version_dir(root).name == f"v{round_:04d}"
-            # ...and one backend object, served by both replicas.
-            assert peer.backend is first.backend
-            assert peer.version == first.version == round_
-            assert peer.delta.n_updates == first.delta.n_updates == 0
-            a, b = first.answer_batch(queries, k=4), peer.answer_batch(queries, k=4)
-            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+            # ...and one service, served by both replicas.
+            assert group.service.version == round_ and group.service.delta.n_updates == 0
+            _assert_alike(group, queries, 4)
     shards = fleet.stats()["shards"]
     assert [row["rebuilds"] for row in shards] == [3, 3]
-    assert [[r.service.rebuilds for r in g.replicas] for g in fleet.groups] == [[3, 0], [3, 0]]
     fleet.close()
 
 
 def test_heal_answers_like_its_peers_ids_included():
     # Duplicate points, buffered inserts that duplicate tree points and
     # tombstones: which of several exactly tied points an answer keeps
-    # depends on the index, so only an adopted index answers alike.
+    # depends on the index, so only one shared index answers alike.
     rng = np.random.default_rng(0)
     initial = _draw(rng, 48)
     fleet = KNNFleet.build(
@@ -200,25 +192,21 @@ def test_heal_answers_like_its_peers_ids_included():
         rebuild_policy=RebuildPolicy(max_inserts=1000, max_tombstones=1000),
         clock=ManualClock(),
     )
+    fleet.kill_replica(0, 1)
     fleet.insert(initial[:24].copy(), at=1.0)
     fleet.delete(np.arange(24, 30), at=2.0)
-    fleet.kill_replica(0, 1)
     assert fleet.heal(at=3.0) == 1
-    first, healed = (r.service for r in fleet.groups[0].replicas)
+    group = fleet.groups[0]
     queries = np.concatenate([initial, _draw(rng, 32) + 0.5])
     for k in (1, 3, 8):
-        d0, i0 = first.answer_batch(queries, k=k)
-        d1, i1 = healed.answer_batch(queries, k=k)
-        assert np.array_equal(d0, d1)
-        assert np.array_equal(i0, i1)
-    assert healed.backend is first.backend and healed.version == first.version
-    assert healed.n_live == first.n_live and healed.rebuilds == 0
+        _assert_alike(group, queries, k)
+    assert group.n_live == 48 + 24 - 6 and group.rebuilds == 0
     fleet.close()
 
 
-def test_a_staleness_fold_on_one_replica_is_adopted_at_the_next_write():
-    # A read's ``at`` fires the staleness fold only on the replica that
-    # answers it; the group's next write brings its peer to that index.
+def test_a_staleness_fold_at_a_read_is_served_by_every_replica():
+    # A read's ``at`` fires the staleness fold; every live replica serves
+    # the folded index at once, not only the one that answered the read.
     rng = np.random.default_rng(1)
     initial = _draw(rng, 48)
     fleet = KNNFleet.build(
@@ -229,14 +217,53 @@ def test_a_staleness_fold_on_one_replica_is_adopted_at_the_next_write():
         rebuild_policy=RebuildPolicy(max_staleness_s=1.0),
         clock=ManualClock(),
     )
-    first, peer = (r.service for r in fleet.groups[0].replicas)
     fleet.insert(_draw(rng, 5), at=0.0)
+    fleet.delete(np.arange(6), at=0.5)
     queries = _draw(rng, 20) + 0.5
-    fleet.query(queries[0], at=2.0)  # stale: one replica folds while answering
-    assert sorted(s.version for s in (first, peer)) == [0, 1]
-    assert np.array_equal(first.answer_batch(queries)[0], peer.answer_batch(queries)[0])
-    fleet.insert(_draw(rng, 2), at=3.0)
-    assert peer.backend is first.backend and peer.version == first.version == 1
-    assert fleet.groups[0].rebuilds == 1
-    _assert_alike(fleet.groups[0], queries, 3)
+    fleet.query(queries[0], at=2.0)  # stale: the shard folds while answering
+    group = fleet.groups[0]
+    assert [r.service.version for r in group.replicas] == [1, 1]
+    assert group.rebuilds == 1 and group.service.delta.n_updates == 0
+    for k in (1, 3, 8):
+        _assert_alike(group, queries, k)
+    fleet.close()
+
+
+def test_one_service_per_shard_however_many_replicas(monkeypatch):
+    built = []
+    init = KNNService.__init__
+
+    def init_spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(KNNService, "__init__", init_spy)
+    fleet = KNNFleet.build(_draw(np.random.default_rng(2), 80), n_shards=3, n_replicas=4)
+    assert len(built) == 3
+    assert [g.service for g in fleet.groups] == built
+    assert all(r.service is g.service for g in fleet.groups for r in g.replicas)
+    fleet.close()
+
+
+def test_scraped_rebuilds_equal_the_shard_rows(tmp_path):
+    # One row per shard, labelled {shard}: a fold shared by three replicas
+    # is scraped once, as the stats row counts it.
+    fleet = KNNFleet.build(
+        _draw(np.random.default_rng(3), 90),
+        n_shards=2,
+        n_replicas=3,
+        rebuild_policy=RebuildPolicy(max_inserts=4),
+        snapshot_root=tmp_path,
+        service_time=lambda n: 1.0,
+        clock=ManualClock(),
+    )
+    rng = np.random.default_rng(4)
+    for step in range(4):
+        fleet.insert(_draw(rng, 9), at=10.0 * step)
+    fleet.kill_replica(0, 0)
+    fleet.heal(at=50.0)
+    family = parse_prometheus_text(fleet.metrics_text())["repro_service_rebuilds_total"]
+    assert [dict(labels) for _, labels in family.samples] == [{"shard": "0"}, {"shard": "1"}]
+    rows = fleet.stats()["shards"]
+    assert sum(family.samples.values()) == sum(row["rebuilds"] for row in rows) >= 4
     fleet.close()

@@ -157,7 +157,7 @@ class TestReadinessFlips:
             assert status == 503
             reasons = json.loads(body)["reasons"]
             assert any("no live replica" in r for r in reasons)
-            # resurrect directly: heal() needs a live donor, and this
+            # resurrect directly: heal() needs a live peer, and this
             # group is fully dark — readiness only needs liveness back
             revived = fleet.groups[0].replicas[0]
             with revived._lock:

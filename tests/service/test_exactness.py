@@ -16,7 +16,6 @@ from repro.service import (
     KNNService,
     LocalTreeBackend,
     MicroBatchPolicy,
-    PandaBackend,
     RebuildPolicy,
     hotkey_trace,
 )
@@ -175,28 +174,3 @@ class TestRandomizedWorkloads:
         for row, rid in enumerate(tail):
             d, _ = service.result(rid)
             np.testing.assert_allclose(d, ref_d[row])
-
-
-class TestPandaBackendExactness:
-    def test_distributed_service_with_updates(self, base):
-        points, ids = base
-        rng = np.random.default_rng(21)
-        service = KNNService(
-            PandaBackend.fit(points, ids=ids, n_ranks=4),
-            k=4,
-            rebuild_policy=RebuildPolicy(max_inserts=40, max_tombstones=20),
-        )
-        reference = LiveSetReference(points, ids)
-        lo, hi = points.min(axis=0), points.max(axis=0)
-        fresh = rng.uniform(lo, hi, size=(25, points.shape[1]))
-        reference.insert(fresh, service.insert(fresh))
-        victims = rng.choice(ids, size=10, replace=False)
-        service.delete(victims)
-        reference.delete(victims)
-        queries = rng.uniform(lo, hi, size=(12, points.shape[1]))
-        assert_exact(service, reference, queries, k=4)
-        # Push past the insert threshold: distributed refit, still exact.
-        more = rng.uniform(lo, hi, size=(20, points.shape[1]))
-        reference.insert(more, service.insert(more))
-        assert service.rebuilds == 1
-        assert_exact(service, reference, queries, k=4)

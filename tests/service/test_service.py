@@ -393,49 +393,6 @@ class TestForegroundRebuild:
         assert int(i[0, 0]) == 9_002 and d[0, 0] == 0.0
         assert int(service.answer_batch(small_points[4])[1][0, 0]) != 4
 
-    def test_pooled_executor_fold_then_close_frees_pool(self, small_points):
-        from repro.service import PandaBackend
-
-        service = KNNService(
-            PandaBackend.fit(small_points[:400], n_ranks=2, executor="thread"),
-            k=3,
-            cache_capacity=0,
-            rebuild_policy=RebuildPolicy(max_inserts=4),
-            service_time=lambda n: 0.001,
-        )
-        executor = service.backend.index.cluster.executor
-        service.insert(np.random.default_rng(2).normal(size=(4, 3)), at=0.0)
-        assert service.rebuilds == 1 and service.delta.n_updates == 0
-        # The fold handed the pool to the new index, which now owns it.
-        assert service.backend.index.cluster.executor is executor
-        assert service.backend.index.cluster._owns_executor
-        service.close()
-        assert executor._closed
-
-    def test_adopt_serves_the_peers_index_and_live_set(self, small_points):
-        backend = LocalTreeBackend.fit(small_points)
-        policy = RebuildPolicy(max_inserts=8)
-        peer = make_service(backend, rebuild_policy=policy, cache_capacity=16)
-        mine = make_service(backend, rebuild_policy=policy, cache_capacity=16)
-        mine.query(small_points[0], at=0.0)  # a cached entry adopt must drop
-        rng = np.random.default_rng(4)
-        peer.insert(rng.normal(size=(8, 3)), at=1.0)  # folds: version 1
-        peer.insert(rng.normal(size=(3, 3)), at=2.0)
-        peer.delete([5], at=3.0)
-        mine.adopt(peer)
-        assert mine.backend is peer.backend
-        assert mine.version == peer.version == 1 and mine.rebuilds == 0
-        assert len(mine.cache) == 0 and mine.n_live == peer.n_live
-        queries = rng.normal(size=(30, 3))
-        for k in (1, 4):
-            a, b = mine.answer_batch(queries, k=k), peer.answer_batch(queries, k=k)
-            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        # The buffer is a copy: a write to one leaves the other alone.
-        mine.delete([6], at=4.0)
-        assert 6 in mine.delta.tombstones and 6 not in peer.delta.tombstones
-        peer.insert(np.zeros((1, 3)), at=5.0)
-        assert mine.delta.n_inserted == 3 and peer.delta.n_inserted == 4
-
 
 class TestReviewRegressions:
     """Regressions for review findings on the first service implementation."""
@@ -456,7 +413,8 @@ class TestReviewRegressions:
 
     def test_duplicate_ids_in_one_delete_rejected(self, backend):
         service = make_service(backend)
-        with pytest.raises(KeyError):
+        # Id 3 is live: the batch is malformed, not the id unknown.
+        with pytest.raises(ValueError, match="duplicate"):
             service.delete([3, 3])
         assert service.delta.n_tombstones == 0
 

@@ -13,7 +13,7 @@ from repro.core.snapshot import (
 )
 from repro.kdtree.tree import KDTreeConfig
 from repro.kdtree.validate import check_snapshot_roundtrip
-from repro.service import KNNService, LocalTreeBackend, PandaBackend
+from repro.service import KNNService, LocalTreeBackend
 
 
 @pytest.fixture(scope="module")
@@ -87,14 +87,6 @@ class TestServiceWarmStart:
         service = KNNService(warm, k=4)
         d, i = service.query(small_points[17])
         assert i[0] == 17 and d[0] == 0.0
-
-    def test_panda_backend_warm_start(self, fitted, small_points, tmp_path):
-        cold = PandaBackend(fitted)
-        cold.save(tmp_path / "panda")
-        warm = PandaBackend.load(tmp_path / "panda")
-        service = KNNService(warm, k=4)
-        d, i = service.query(small_points[3])
-        assert i[0] == 3 and d[0] == 0.0
 
     def test_warm_service_accepts_streaming_updates(self, small_points, tmp_path):
         LocalTreeBackend.fit(small_points).save(tmp_path / "tree")
@@ -226,21 +218,3 @@ class TestLazyAndSlabRestore:
         files_meta = json.loads((tmp_path / "files" / "panda_meta.json").read_text())
         assert slabs_meta["version"] == SLAB_SNAPSHOT_VERSION
         assert files_meta["version"] != SLAB_SNAPSHOT_VERSION
-
-    def test_lazy_backend_rebuild_keeps_untouched_ranks(self, fitted, small_points, tmp_path):
-        from repro.service import RebuildPolicy
-
-        fitted.snapshot(tmp_path / "panda")
-        backend = PandaBackend.load(tmp_path / "panda", lazy=True)
-        service = KNNService(
-            backend,
-            k=3,
-            rebuild_policy=RebuildPolicy(max_inserts=4),
-            service_time=lambda n: 0.001,
-        )
-        n_before = service.n_live
-        assert n_before == small_points.shape[0]  # full id set indexed up front
-        rng = np.random.default_rng(3)
-        service.insert(rng.normal(size=(5, 3)))  # crosses max_inserts -> rebuild
-        assert service.rebuilds == 1
-        assert service.n_live == n_before + 5  # no rank silently dropped
