@@ -276,29 +276,6 @@ def run_profiler_check(points: np.ndarray, size: dict, seed: int = 19) -> dict:
     }
 
 
-def check_runtime_monitor() -> None:
-    """Fail the bench when REPRO_ANALYSIS=1 observed cycles or violations.
-
-    Under the instrumented-lock runtime detector the whole bench run has
-    been recording the real acquisition-order graph; a cycle or an
-    unguarded cross-thread write under genuine load is a red build, same
-    as in the test suites.
-    """
-    from repro.analysis.runtime import enabled, monitor
-
-    if not enabled():
-        return
-    report = monitor().report()
-    assert not report["cycles"], f"lock-order cycles under load: {report['cycles']}"
-    assert not report["violations"], (
-        f"unguarded guarded-field writes under load: {report['violations']}"
-    )
-    print(
-        f"  runtime monitor: {len(report['edges'])} lock-order edges observed, "
-        "no cycles, no unguarded writes"
-    )
-
-
 def format_row(row: dict) -> str:
     return (
         f"  {row['strategy']:>5s} x{row['n_shards']:<2d} "
@@ -345,8 +322,6 @@ def main() -> None:
         f"{len(prof['tagged_phases'])} phases {prof['tagged_phases']}, "
         f"overhead {prof['overhead_pct']:+.1f}% [byte-identical]"
     )
-
-    check_runtime_monitor()
 
     artifact = {
         "schema_version": BENCH_SCHEMA_VERSION,

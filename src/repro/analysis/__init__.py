@@ -1,37 +1,23 @@
-"""Concurrency correctness toolkit for the serving stack.
+"""Concurrency correctness toolkit: a static analyzer for the stack.
 
-Two halves sharing one set of declarations (``GUARDED_BY`` dicts,
-``@requires_lock``, ``@exactness_path``):
-
-* a **static analyzer** (``python -m repro.analysis``) running five
-  repo-specific AST rules — guarded-by, worker-purity, lock-order,
-  determinism, published-mutation — over ``src/`` with an annotated
-  suppression file and a non-zero exit on unsuppressed findings;
-* a **runtime detector** (:mod:`repro.analysis.runtime`, enabled with
-  ``REPRO_ANALYSIS=1``) that instruments every lock in the stack and
-  canaries guarded fields while the ordinary test suite runs, reporting
-  real acquisition-order cycles and cross-thread unguarded writes.
+``python -m repro.analysis`` runs five repo-specific AST rules —
+guarded-by, worker-purity, lock-order, determinism, published-mutation —
+over ``src/`` with an annotated suppression file and a non-zero exit on
+unsuppressed findings.  The rules read two kinds of declaration written
+next to the code: class-level ``GUARDED_BY`` dicts and
+``@exactness_path``.
 """
 
-from .annotations import exactness_path, requires_lock
+from .annotations import exactness_path
 from .engine import CodeIndex, Finding, run_rules
-from .runtime import ANALYSIS_ENV, InstrumentedLock, enabled, guarded, monitor, new_lock, new_rlock
 from .suppressions import SuppressionError, apply_suppressions, load_suppressions
 
 __all__ = [
-    "ANALYSIS_ENV",
     "CodeIndex",
     "Finding",
-    "InstrumentedLock",
     "SuppressionError",
     "apply_suppressions",
-    "enabled",
     "exactness_path",
-    "guarded",
     "load_suppressions",
-    "monitor",
-    "new_lock",
-    "new_rlock",
-    "requires_lock",
     "run_rules",
 ]

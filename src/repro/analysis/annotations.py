@@ -6,26 +6,16 @@ the submitting thread", "this field is guarded by ``self._lock``") are
 written next to the code they constrain and machine-checked by
 ``python -m repro.analysis``.
 
-Three kinds of annotation:
+Two kinds of annotation:
 
 ``GUARDED_BY``
     A class-level dict mapping field name to the attribute name of the lock
     that guards it, e.g. ``GUARDED_BY = {"queue_depth": "_lock"}``.  The
     *guarded-by* rule then requires every access of ``self.queue_depth``
-    inside the declaring class to sit lexically inside ``with self._lock:``
-    (or inside a :func:`requires_lock`-annotated method), and every store
-    to a field of that name anywhere else in the codebase to sit inside
-    *some* with-lock scope.  ``__init__`` is exempt — the object is not
-    shared yet.  The runtime canary (:mod:`repro.analysis.runtime`) reuses
-    the same declaration to detect cross-thread unguarded writes while the
-    test suite runs.
-
-:func:`requires_lock`
-    Marks a method whose body assumes a lock is already held by the caller
-    (the ``_helper`` half of the ``with self._lock: self._helper()``
-    idiom).  The analyzer treats the body as if it were inside the named
-    with-lock scope, and flags call sites that invoke the method without
-    holding the lock.
+    inside the declaring class to sit lexically inside ``with self._lock:``,
+    and every store to a field of that name anywhere else in the codebase
+    to sit inside *some* with-lock scope.  ``__init__`` is exempt — the
+    object is not shared yet.
 
 :func:`exactness_path`
     Marks a function on the byte-exactness critical path (top-k merges,
@@ -40,24 +30,6 @@ from __future__ import annotations
 from typing import Callable, TypeVar
 
 F = TypeVar("F", bound=Callable)
-
-
-def requires_lock(*lock_attrs: str) -> Callable[[F], F]:
-    """Declare that the decorated method runs with ``self.<attr>`` held.
-
-    Runtime no-op; consumed by the guarded-by and lock-order rules.  The
-    analyzer verifies call discipline (callers must hold the lock) and in
-    exchange treats the whole body as a locked scope.
-    """
-    if not lock_attrs or not all(isinstance(a, str) and a for a in lock_attrs):
-        raise ValueError("requires_lock needs one or more non-empty lock attribute names")
-
-    def decorate(fn: F) -> F:
-        existing = tuple(getattr(fn, "__requires_locks__", ()))
-        fn.__requires_locks__ = existing + lock_attrs  # type: ignore[attr-defined]
-        return fn
-
-    return decorate
 
 
 def exactness_path(fn: F) -> F:

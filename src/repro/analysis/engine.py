@@ -3,13 +3,9 @@
 This is not a general-purpose analyzer — it is grounded in this codebase's
 conventions and is allowed to exploit them:
 
-* locks are attributes whose name contains ``lock`` (``_lock``,
-  ``_serve_lock``, ``_close_lock``) created in ``__init__`` (or a dataclass
-  field) from ``threading.Lock/RLock`` or the instrumented
-  :func:`repro.analysis.runtime.new_lock` / ``new_rlock`` factories;
-* guarded state is declared in class-level ``GUARDED_BY`` dicts and
-  helper methods that assume a held lock carry
-  :func:`repro.analysis.annotations.requires_lock`;
+* locks are attributes whose name contains ``lock`` (``_lock``) created
+  in ``__init__`` (or a dataclass field) from ``threading.Lock/RLock``;
+* guarded state is declared in class-level ``GUARDED_BY`` dicts;
 * receiver types are recovered from naming (``replica.answer`` resolves
   into class ``Replica``; ``self._dispatcher.close`` into the
   ``*Dispatcher`` family) — a deliberate heuristic, kept honest by capping
@@ -85,7 +81,6 @@ class FunctionInfo:
     class_name: Optional[str]
     name: str
     node: ast.AST
-    requires_locks: Tuple[str, ...] = ()
     exactness: bool = False
 
     @property
@@ -117,22 +112,12 @@ def _decorator_name(node: ast.AST) -> Optional[str]:
 
 
 def _parse_function(node, relpath: str, class_name: Optional[str]) -> FunctionInfo:
-    requires: List[str] = []
-    exactness = False
-    for dec in node.decorator_list:
-        name = _decorator_name(dec)
-        if name == "requires_lock" and isinstance(dec, ast.Call):
-            for arg in dec.args:
-                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                    requires.append(arg.value)
-        elif name == "exactness_path":
-            exactness = True
+    exactness = any(_decorator_name(dec) == "exactness_path" for dec in node.decorator_list)
     return FunctionInfo(
         relpath=relpath,
         class_name=class_name,
         name=node.name,
         node=node,
-        requires_locks=tuple(requires),
         exactness=exactness,
     )
 
@@ -163,14 +148,14 @@ def _parse_guarded_by(cls_node: ast.ClassDef) -> Dict[str, str]:
     return {}
 
 
-_LOCK_FACTORIES = {"Lock": "lock", "new_lock": "lock", "RLock": "rlock", "new_rlock": "rlock"}
+_LOCK_FACTORIES = {"Lock": "lock", "RLock": "rlock"}
 
 
 def _parse_lock_kinds(cls_node: ast.ClassDef) -> Dict[str, str]:
     """Map lock-ish attributes to lock/rlock from their construction sites.
 
     Covers ``self._lock = threading.RLock()`` in any method and dataclass
-    fields like ``_lock: threading.Lock = field(default_factory=new_lock_)``.
+    fields like ``_lock: threading.Lock = field(default_factory=threading.Lock)``.
     """
     kinds: Dict[str, str] = {}
     for stmt in ast.walk(cls_node):
@@ -325,7 +310,7 @@ class CodeIndex:
         """Resolve a callable-valued expression to candidate functions.
 
         Used both for call sites and for function references passed as data
-        (``ShardCall(..., self.groups[s].answer, ...)``).  Unresolvable
+        (``RankTask(r, _local_knn_step, ...)``).  Unresolvable
         expressions (stdlib, numpy, too-ambiguous names) yield ``[]``.
         """
         if isinstance(expr, ast.Name):
@@ -374,24 +359,17 @@ def lock_name_of(expr: ast.AST) -> Optional[str]:
     return None
 
 
-def held_matches(held: frozenset, lock_attr: str) -> bool:
-    """True when any held lock's attribute name is ``lock_attr``."""
-    return any(h.split(".", 1)[1] == lock_attr for h in held)
-
-
 def iter_with_held(
     func: FunctionInfo,
 ) -> Iterator[Tuple[ast.AST, frozenset]]:
     """Yield ``(node, held_locks)`` over a function body.
 
     ``held_locks`` is a frozenset of normalized lock names (``"self._lock"``
-    or ``"*._lock"``) lexically held at the node: enclosing ``with``
-    statements on lock-ish attributes, plus the function's own
-    ``requires_lock`` annotations.  Nested function/class definitions are
-    not descended into — a closure body runs later, under whatever locks
-    its eventual caller holds.
+    or ``"*._lock"``) lexically held at the node: the enclosing ``with``
+    statements on lock-ish attributes.  Nested function/class definitions
+    are not descended into — a closure body runs later, under whatever
+    locks its eventual caller holds.
     """
-    base = frozenset(f"self.{attr}" for attr in func.requires_locks)
 
     def walk(node: ast.AST, held: frozenset) -> Iterator[Tuple[ast.AST, frozenset]]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
@@ -415,8 +393,8 @@ def iter_with_held(
 
     root = func.node
     for stmt in root.body:  # type: ignore[attr-defined]
-        yield stmt, base
-        yield from walk(stmt, base)
+        yield stmt, frozenset()
+        yield from walk(stmt, frozenset())
 
 
 def with_acquired_locks(node: ast.With) -> List[str]:

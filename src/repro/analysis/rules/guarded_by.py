@@ -1,17 +1,13 @@
 """Guarded-by rule: ``GUARDED_BY`` fields are only touched under their lock.
 
-Three checks, all driven by the class-level ``GUARDED_BY`` declarations:
+Two checks, both driven by the class-level ``GUARDED_BY`` declarations:
 
 * **within the declaring class** — every load/store of ``self.<field>`` in a
-  method must sit lexically inside ``with self.<lock>:`` or in a method
-  annotated ``@requires_lock("<lock>")``;
+  method must sit lexically inside ``with self.<lock>:``;
 * **everywhere else** — a *store* to an attribute whose name is guarded by
   some class must sit inside *some* with-lock scope (cross-object writes
-  like ``replica.alive = False`` must take the object's lock; loads are
-  left to the declaring class's own API discipline);
-* **call discipline** — calling a ``@requires_lock`` method requires the
-  caller to lexically hold the named lock (``self.<lock>`` for same-class
-  calls, any ``with <obj>.<lock>:`` for cross-object calls).
+  like ``fleet._closed = True`` must take the object's lock; loads are
+  left to the declaring class's own API discipline).
 
 ``__init__`` bodies are exempt: the object is not shared yet.
 """
@@ -21,14 +17,7 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from ..engine import (
-    CodeIndex,
-    Finding,
-    FunctionInfo,
-    held_matches,
-    iter_with_held,
-    stored_attributes,
-)
+from ..engine import CodeIndex, Finding, iter_with_held, stored_attributes
 
 RULE = "guarded-by"
 _EXEMPT_METHODS = {"__init__", "__post_init__", "__del__"}
@@ -94,42 +83,5 @@ def guarded_by_rule(index: CodeIndex) -> List[Finding]:
                             token=f"store:{target.attr}",
                         )
                     )
-            # -- call discipline for @requires_lock methods ---------------
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                findings.extend(_check_call(index, func, node, held))
 
     return findings
-
-
-def _check_call(
-    index: CodeIndex, func: FunctionInfo, call: ast.Call, held: frozenset
-) -> List[Finding]:
-    out: List[Finding] = []
-    base = call.func.value  # type: ignore[union-attr]
-    is_self_call = isinstance(base, ast.Name) and base.id == "self"
-    for callee in index.resolve_callable(call.func, func):
-        if not callee.requires_locks:
-            continue
-        if callee.qualname == func.qualname and callee.relpath == func.relpath:
-            continue  # recursion: caller already proved the lock once
-        for lock_attr in callee.requires_locks:
-            if is_self_call and callee.class_name == func.class_name:
-                ok = f"self.{lock_attr}" in held
-            else:
-                ok = held_matches(held, lock_attr)
-            if not ok:
-                out.append(
-                    Finding(
-                        rule=RULE,
-                        path=func.relpath,
-                        line=call.lineno,
-                        symbol=func.qualname,
-                        message=(
-                            f"call to {callee.qualname}() without holding "
-                            f"'{lock_attr}' (method is @requires_lock"
-                            f"({lock_attr!r}))"
-                        ),
-                        token=f"call:{callee.qualname}",
-                    )
-                )
-    return out

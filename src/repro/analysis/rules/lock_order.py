@@ -1,6 +1,6 @@
 """Lock-order rule: the static acquisition graph must be acyclic.
 
-Nodes are class-scoped lock names (``ReplicaGroup._serve_lock``; locks
+Nodes are class-scoped lock names (``KNNFleet._lock``; locks
 acquired through a non-``self`` receiver collapse into a ``*.<attr>``
 node).  An edge ``A -> B`` means some code path acquires B while lexically
 holding A — either a nested ``with``, or a call made under A to a function
@@ -13,10 +13,6 @@ Reported findings:
 * a **self-edge on a non-reentrant lock** — re-acquiring a plain
   ``threading.Lock`` already held is a guaranteed deadlock (RLock
   self-edges are dropped: re-entry is their point).
-
-``@requires_lock`` annotations count as "held" inside the annotated body
-but do not contribute to may-acquire — the caller, who actually takes the
-lock, carries that edge.
 """
 
 from __future__ import annotations
@@ -126,15 +122,7 @@ def lock_order_rule(index: CodeIndex) -> List[Finding]:
                         add_edge(held_id, acq, site)
             elif isinstance(node, ast.Call):
                 for callee in index.resolve_callable(node.func, func):
-                    # Locks the callee expects the caller to already hold do
-                    # not re-enter through this call.
-                    expected = {
-                        _lock_id(f"self.{attr}", callee)
-                        for attr in callee.requires_locks
-                    }
                     for acq in may.get((callee.relpath, callee.qualname), ()):
-                        if acq in expected:
-                            continue
                         site = (func.relpath, node.lineno, func.qualname)
                         for held_id in held_ids:
                             add_edge(held_id, acq, site)

@@ -1,7 +1,7 @@
 """Published-array mutation rule: never write in place to what workers read.
 
 When a function hands arrays to workers — the ``args`` of a
-``ShardCall(...)`` or ``RankTask(...)`` — those arrays are *published*:
+``RankTask(...)`` — those arrays are *published*:
 thread workers alias the submitting thread's memory, and the
 shared-memory process executor snapshots it on a schedule the submitter
 must not race.  From the first publication site onward, this rule flags
@@ -26,7 +26,7 @@ from typing import Dict, List, Set
 from ..engine import CodeIndex, Finding
 
 RULE = "published-mutation"
-_TASK_CTORS = {"ShardCall", "RankTask"}
+_TASK_CTORS = {"RankTask"}
 _INPLACE_METHODS = {"fill", "sort", "partition", "put", "itemset", "resize", "byteswap", "setflags"}
 
 

@@ -1,17 +1,15 @@
 """Worker-purity rule: functions shipped to workers only compute.
 
-The exactness contract since PR 6: *workers only compute; all merges and
-all state mutation happen in the submitting thread, in submission order*.
-This rule enforces the mutation half mechanically:
+The exactness contract of the rank executors: *workers only compute; all
+merges and all state mutation happen in the submitting thread, in
+submission order*.  This rule enforces the mutation half mechanically:
 
-1. every ``ShardCall(...)`` / ``RankTask(...)`` construction site is found
-   and its ``fn``/``step`` argument resolved to concrete functions — the
-   *worker roots*;
+1. every ``RankTask(...)`` construction site is found and its ``step``
+   argument resolved to concrete functions — the *worker roots* (a
+   ``ShardCall`` is not one: it runs in the caller's thread);
 2. from each root, calls are followed transitively, but only through
    *unlocked* code — a call made while lexically holding a lock leads into
-   a serialized region that the guarded-by rule already polices (that is
-   how ``Replica.answer`` may legally call ``KNNService.answer_batch``,
-   which mutates service state under ``self._lock``);
+   a serialized region that the guarded-by rule already polices;
 3. inside that unlocked reachable set, any attribute store on ``self`` of
    a serving-stack class (``repro/fleet``, ``repro/service``, or any class
    declaring ``GUARDED_BY``), or to a field name registered in some
@@ -32,7 +30,7 @@ from ..engine import (
 )
 
 RULE = "worker-purity"
-_TASK_CTORS = {"ShardCall", "RankTask"}
+_TASK_CTORS = {"RankTask"}
 _SERVING_PREFIXES = ("repro/fleet/", "repro/service/")
 
 
@@ -47,7 +45,7 @@ def _ctor_name(call: ast.Call) -> str:
 
 def _worker_fn_expr(call: ast.Call) -> ast.AST:
     for kw in call.keywords:
-        if kw.arg in ("fn", "step"):
+        if kw.arg == "step":
             return kw.value
     if len(call.args) >= 2:
         return call.args[1]
@@ -55,8 +53,8 @@ def _worker_fn_expr(call: ast.Call) -> ast.AST:
 
 
 def find_worker_roots(index: CodeIndex) -> Set[Tuple[str, str]]:
-    """(relpath, qualname) of every function passed as a ShardCall/RankTask
-    payload anywhere in the codebase."""
+    """(relpath, qualname) of every function passed as a RankTask payload
+    anywhere in the codebase."""
     roots: Set[Tuple[str, str]] = set()
     for func in index.all_functions:
         for node in ast.walk(func.node):

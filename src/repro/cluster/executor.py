@@ -40,14 +40,13 @@ from __future__ import annotations
 import os
 import pickle
 import queue as queue_mod
+import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.analysis.runtime import guarded, new_lock
 
 #: Arrays smaller than this are shipped inline inside the task frame rather
 #: than through a shared-memory segment (segment setup costs more than the
@@ -151,7 +150,6 @@ class InlineExecutor(RankExecutor):
         return "InlineExecutor()"
 
 
-@guarded
 class ThreadExecutor(RankExecutor):
     """Run rank steps across a persistent thread pool.
 
@@ -171,7 +169,7 @@ class ThreadExecutor(RankExecutor):
         self.n_workers = _default_workers() if n_workers is None else n_workers
         if self.n_workers <= 0:
             raise ValueError(f"n_workers must be positive, got {self.n_workers}")
-        self._lock = new_lock("ThreadExecutor._lock")
+        self._lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
         self._closed = False
 
@@ -351,7 +349,6 @@ def _worker_main(task_queue, result_queue) -> None:
             shm.close()
 
 
-@guarded
 class ProcessExecutor(RankExecutor):
     """Run rank steps on a persistent pool of worker processes.
 
@@ -407,7 +404,7 @@ class ProcessExecutor(RankExecutor):
         self._next_pub_id = 0
         self._run_counter = 0
         self._result_timeout_s = result_timeout_s
-        self._lock = new_lock("ProcessExecutor._lock")
+        self._lock = threading.Lock()
         self._closed = False
 
     # ------------------------------------------------------------------

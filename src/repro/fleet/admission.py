@@ -11,11 +11,8 @@ statistics so overload is observable, never silent.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
-
-from repro.analysis.runtime import guarded, new_lock
 
 #: Admission verdicts returned by :meth:`AdmissionController.on_submit`.
 ADMIT = "admit"
@@ -48,21 +45,9 @@ class AdmissionPolicy:
             raise ValueError(f"unknown admission mode {self.mode!r}; expected one of {_MODES}")
 
 
-def _new_stats_lock() -> threading.Lock:
-    return new_lock("AdmissionStats._lock")
-
-
-@guarded
 @dataclass
 class AdmissionStats:
     """What happened to every request offered to the fleet."""
-
-    GUARDED_BY = {
-        "admitted": "_lock",
-        "rejected": "_lock",
-        "shed": "_lock",
-        "max_queue_depth": "_lock",
-    }
 
     admitted: int = 0
     rejected: int = 0
@@ -70,35 +55,31 @@ class AdmissionStats:
     #: Peak pending-queue depth observed at submit time — the high-water
     #: mark that says how close to the ``max_pending`` cliff traffic ran.
     max_queue_depth: int = 0
-    _lock: threading.Lock = field(default_factory=_new_stats_lock, repr=False)
 
     def note(self, verdict: str, n_pending: int) -> None:
-        """Record one admission verdict atomically."""
-        with self._lock:
-            self.max_queue_depth = max(self.max_queue_depth, n_pending)
-            if verdict == REJECT:
-                self.rejected += 1
-                return
-            self.admitted += 1
-            if verdict == SHED:
-                self.shed += 1
+        """Record one admission verdict."""
+        self.max_queue_depth = max(self.max_queue_depth, n_pending)
+        if verdict == REJECT:
+            self.rejected += 1
+            return
+        self.admitted += 1
+        if verdict == SHED:
+            self.shed += 1
 
     @property
     def offered(self) -> int:
         """Requests ever submitted (admitted + rejected; shed were admitted
         first and dropped later)."""
-        with self._lock:
-            return self.admitted + self.rejected
+        return self.admitted + self.rejected
 
     def as_dict(self) -> Dict[str, float]:
-        with self._lock:
-            return {
-                "offered": float(self.admitted + self.rejected),
-                "admitted": float(self.admitted),
-                "rejected": float(self.rejected),
-                "shed": float(self.shed),
-                "max_queue_depth": float(self.max_queue_depth),
-            }
+        return {
+            "offered": float(self.offered),
+            "admitted": float(self.admitted),
+            "rejected": float(self.rejected),
+            "shed": float(self.shed),
+            "max_queue_depth": float(self.max_queue_depth),
+        }
 
 
 class AdmissionController:

@@ -15,11 +15,9 @@ around whatever its callee recorded.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
 
-from repro.analysis.runtime import guarded, new_lock
 from repro.obs.profiler import phase
 
 
@@ -53,48 +51,33 @@ class ShardCall:
     cat: str = "shard_call"
 
 
-def _new_stats_lock() -> threading.Lock:
-    return new_lock("DispatchStats._lock")
-
-
-@guarded
 @dataclass
 class DispatchStats:
-    """Counters of one dispatcher instance (thread-safe to read and update).
+    """Counters of one dispatcher instance.
 
     One ``submitted`` per shard call, owner and scatter alike; every
     submitted call ends up ``completed`` or ``failed``.
     """
 
-    GUARDED_BY = {
-        "submitted": "_lock",
-        "completed": "_lock",
-        "failed": "_lock",
-    }
-
     submitted: int = 0
     completed: int = 0
     failed: int = 0
-    _lock: threading.Lock = field(default_factory=_new_stats_lock, repr=False)
 
     def note_submit(self) -> None:
-        with self._lock:
-            self.submitted += 1
+        self.submitted += 1
 
     def note_done(self, ok: bool) -> None:
-        with self._lock:
-            if ok:
-                self.completed += 1
-            else:
-                self.failed += 1
+        if ok:
+            self.completed += 1
+        else:
+            self.failed += 1
 
     def as_dict(self) -> Dict[str, float]:
-        with self._lock:
-            return {
-                "submitted": float(self.submitted),
-                "completed": float(self.completed),
-                "failed": float(self.failed),
-            }
+        return {
+            "submitted": float(self.submitted),
+            "completed": float(self.completed),
+            "failed": float(self.failed),
+        }
 
 
 def _run_call(call: ShardCall) -> Any:

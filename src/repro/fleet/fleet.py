@@ -28,18 +28,23 @@ Every shard call runs synchronously through the fleet's one
 :class:`~repro.fleet.dispatch.SerialDispatcher`
 (:mod:`repro.fleet.dispatch`), which counts it and, on a traced batch,
 records its span.
+
+Threads meet at the fleet's public surface and nowhere below it: one
+re-entrant lock serialises every public call that reads or mutates serving
+state, the ops server's reads included, and the groups, replicas,
+services, router, dispatcher and admission ledger beneath take no lock.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.runtime import guarded, new_lock
 from repro.fleet.admission import ADMIT, REJECT, SHED, AdmissionController, AdmissionPolicy
 from repro.fleet.dispatch import SerialDispatcher
 from repro.fleet.planner import ShardPlan, ShardPlanner
@@ -64,19 +69,24 @@ class RequestRejectedError(KeyError):
     """The request was refused (or shed) by admission control."""
 
 
-@guarded
 class KNNFleet:
     """Region-routed, replicated, admission-controlled serving fleet.
 
     Build one with :meth:`KNNFleet.build`; the constructor wires
     pre-assembled parts (tests exercise it directly).
 
-    The query/mutation API is single-caller (one driving thread, like
-    :class:`KNNService` callers that share a service take its lock);
-    only :meth:`close` is safe to race, guarded by ``_close_lock``.
+    The fleet owns one re-entrant lock, ``_lock``, the only lock of the
+    serving stack.  Every public method that reads or mutates serving
+    state — the query, mutation, failure-injection and repair calls,
+    :meth:`stats`, :meth:`metrics_text`, :meth:`close` and
+    :attr:`closed` — runs under it.  The ops server's threads read through
+    it (``/metrics``, ``/healthz``, ``/readyz``, ``/slo``), so a scrape
+    waits out the batch in flight.  It is always the outermost lock: the
+    obs plane's locks are leaves taken under it.  It is re-entrant because
+    :meth:`query` calls :meth:`submit` and :meth:`result`.
     """
 
-    GUARDED_BY = {"_closed": "_close_lock"}
+    GUARDED_BY = {"_closed": "_lock", "_ops_server": "_lock"}
 
     def __init__(
         self,
@@ -148,7 +158,7 @@ class KNNFleet:
         }
         self._n_assigned = int(initial_ids.shape[0])
         self._next_auto_id = int(initial_ids.max()) + 1 if initial_ids.size else 0
-        self._close_lock = new_lock("KNNFleet._close_lock")
+        self._lock = threading.RLock()
         self._closed = False
         # Active ops surface: a declarative SLO engine re-evaluated on
         # every dispatch and scrape (custom ``slos`` override the standard
@@ -260,19 +270,19 @@ class KNNFleet:
     def close(self) -> None:
         """Stop the ops server and the profiler.
 
-        Idempotent and safe under concurrent callers: exactly one caller
-        wins the ``_closed`` flag and performs the teardown.
+        Idempotent and safe under concurrent callers: the first caller
+        sets ``_closed`` and performs the teardown under the fleet lock.
         """
-        with self._close_lock:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-        # Ops surface first: no HTTP handler should observe a half-closed
-        # fleet, and the profiler must stop before its target threads die.
-        if self._ops_server is not None:
-            self._ops_server.close()
-        if self.profiler is not None:
-            self.profiler.stop()
+            # Ops surface first: no HTTP handler should observe a half-closed
+            # fleet, and the profiler must stop before its target threads die.
+            if self._ops_server is not None:
+                self._ops_server.close()
+            if self.profiler is not None:
+                self.profiler.stop()
 
     def __enter__(self) -> "KNNFleet":
         return self
@@ -299,8 +309,8 @@ class KNNFleet:
 
     @property
     def closed(self) -> bool:
-        """Whether :meth:`close` has won the teardown race."""
-        with self._close_lock:
+        """Whether :meth:`close` has run."""
+        with self._lock:
             return self._closed
 
     @property
@@ -325,9 +335,10 @@ class KNNFleet:
         owned by the fleet and torn down in :meth:`close`; calling again
         after an explicit ``server.close()`` starts a fresh one.
         """
-        if self._ops_server is None or self._ops_server.closed:
-            self._ops_server = OpsServer(self, host=host, port=port)
-        return self._ops_server
+        with self._lock:
+            if self._ops_server is None or self._ops_server.closed:
+                self._ops_server = OpsServer(self, host=host, port=port)
+            return self._ops_server
 
     @property
     def n_live(self) -> int:
@@ -347,31 +358,32 @@ class KNNFleet:
         ``rebuilds`` counts folds of the shard, as
         ``repro_service_rebuilds_total{shard}`` does.
         """
-        summary: Dict[str, object] = dict(self.records.summary())
-        # The retained-window order statistics are replaced by histogram
-        # interpolation: same keys, but covering every completed request
-        # since fleet start (and identical to what /metrics and the SLO
-        # engine see), not just the last ``retention`` records.
-        summary["p50_latency_s"] = self.latency_quantile(0.5)
-        summary["p99_latency_s"] = self.latency_quantile(0.99)
-        summary["slo"] = self.slo.status()
-        summary["admission"] = self.admission.stats.as_dict()
-        summary["router"] = self.router.stats.as_dict()
-        summary["dispatch"] = self.dispatcher.stats.as_dict()
-        summary["n_live"] = float(self.n_live)
-        summary["shards"] = [
-            {
-                "shard": group.shard_id,
-                "n_live": group.n_live,
-                "replicas_alive": group.n_alive,
-                "replicas": group.n_replicas,
-                "rebuilds": group.rebuilds,
-                "retries": group.retries,
-                "deaths": group.deaths,
-            }
-            for group in self.groups
-        ]
-        return summary
+        with self._lock:
+            summary: Dict[str, object] = dict(self.records.summary())
+            # The retained-window order statistics are replaced by histogram
+            # interpolation: same keys, but covering every completed request
+            # since fleet start (and identical to what /metrics and the SLO
+            # engine see), not just the last ``retention`` records.
+            summary["p50_latency_s"] = self.latency_quantile(0.5)
+            summary["p99_latency_s"] = self.latency_quantile(0.99)
+            summary["slo"] = self.slo.status()
+            summary["admission"] = self.admission.stats.as_dict()
+            summary["router"] = self.router.stats.as_dict()
+            summary["dispatch"] = self.dispatcher.stats.as_dict()
+            summary["n_live"] = float(self.n_live)
+            summary["shards"] = [
+                {
+                    "shard": group.shard_id,
+                    "n_live": group.n_live,
+                    "replicas_alive": group.n_alive,
+                    "replicas": group.n_replicas,
+                    "rebuilds": group.rebuilds,
+                    "retries": group.retries,
+                    "deaths": group.deaths,
+                }
+                for group in self.groups
+            ]
+            return summary
 
     def metrics_text(self) -> str:
         """One Prometheus text-format (0.0.4) scrape of the whole fleet.
@@ -385,7 +397,8 @@ class KNNFleet:
         through the strict parser in
         :func:`repro.obs.prometheus.parse_prometheus_text`.
         """
-        return self.metrics.render()
+        with self._lock:
+            return self.metrics.render()
 
     # ------------------------------------------------------------------
     # Query path
@@ -411,31 +424,32 @@ class KNNFleet:
         query = np.asarray(query, dtype=np.float64).ravel()
         if query.shape[0] != self._dims:
             raise ValueError(f"query has {query.shape[0]} dims, fleet has {self._dims}")
-        queue = self._queue
-        request_id, arrival = queue.arrive(query, at, self._advance)
-        verdict = self.admission.on_submit(len(queue.pending))
-        if verdict == REJECT:
-            self._note_rejected(request_id)
-            self.events.emit(
-                "admission_reject", request_id=request_id, queue_depth=len(queue.pending)
-            )
+        with self._lock:
+            queue = self._queue
+            request_id, arrival = queue.arrive(query, at, self._advance)
+            verdict = self.admission.on_submit(len(queue.pending))
+            if verdict == REJECT:
+                self._note_rejected(request_id)
+                self.events.emit(
+                    "admission_reject", request_id=request_id, queue_depth=len(queue.pending)
+                )
+                return request_id
+            if verdict == SHED:
+                victim = queue.pending.pop(0)
+                self._note_rejected(victim.request_id)
+                self.events.emit(
+                    "admission_shed",
+                    request_id=victim.request_id,
+                    shed_for=request_id,
+                    queue_depth=len(queue.pending),
+                )
+            if queue.enqueue(request_id, arrival, k, query):
+                # Quiet on a dead shard: the request was admitted and stays
+                # queued (the failed dispatch requeued its batch and latched
+                # the stall); the caller must still get the id so the answer
+                # is reachable after a heal() + flush().
+                self._dispatch_quietly(arrival)
             return request_id
-        if verdict == SHED:
-            victim = queue.pending.pop(0)
-            self._note_rejected(victim.request_id)
-            self.events.emit(
-                "admission_shed",
-                request_id=victim.request_id,
-                shed_for=request_id,
-                queue_depth=len(queue.pending),
-            )
-        if queue.enqueue(request_id, arrival, k, query):
-            # Quiet on a dead shard: the request was admitted and stays
-            # queued (the failed dispatch requeued its batch and latched
-            # the stall); the caller must still get the id so the answer
-            # is reachable after a heal() + flush().
-            self._dispatch_quietly(arrival)
-        return request_id
 
     def query(
         self,
@@ -450,10 +464,11 @@ class KNNFleet:
         :class:`~repro.fleet.replica.ShardUnavailableError`, never a
         misleading still-pending ``KeyError``.
         """
-        request_id = self.submit(query, k=k, at=at)
-        if not self._queue.answered(request_id) and request_id not in self._rejected:
-            self._dispatch(self._queue.now, retry_stalled=True)
-        return self.result(request_id)
+        with self._lock:
+            request_id = self.submit(query, k=k, at=at)
+            if not self._queue.answered(request_id) and request_id not in self._rejected:
+                self._dispatch(self._queue.now, retry_stalled=True)
+            return self.result(request_id)
 
     def result(self, request_id: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(distances, ids)`` of a completed request.
@@ -462,9 +477,12 @@ class KNNFleet:
         by admission control, ``KeyError`` when still pending, or when its
         answer or rejection was evicted by the retention ring.
         """
-        if request_id in self._rejected:
-            raise RequestRejectedError(f"request {request_id} was rejected by admission control")
-        return self._queue.result(request_id)
+        with self._lock:
+            if request_id in self._rejected:
+                raise RequestRejectedError(
+                    f"request {request_id} was rejected by admission control"
+                )
+            return self._queue.result(request_id)
 
     def flush(self, at: float | None = None) -> int:
         """Dispatch everything queued; returns the number dispatched.
@@ -473,8 +491,9 @@ class KNNFleet:
         shard (after a :meth:`heal`, say); automatic dispatching never
         does, so one poisoned batch cannot wedge unrelated traffic.
         """
-        now = self._advance(at)
-        return self._dispatch(now, retry_stalled=True)
+        with self._lock:
+            now = self._advance(at)
+            return self._dispatch(now, retry_stalled=True)
 
     def drain(self, at: float | None = None) -> int:
         """Alias of :meth:`flush` for end-of-trace use."""
@@ -501,77 +520,82 @@ class KNNFleet:
             ids = checked_ids(ids)
             if ids.shape[0] != points.shape[0]:
                 raise ValueError("ids length must match number of points")
-        now = self._advance(at)
-        # Quiet flush: a batch stalled on a dead shard must not block a
-        # mutation whose own target shards are healthy (the stuck queries
-        # answer against the then-current live set once retried).
-        self._dispatch_quietly(now)
-        if ids is None:
-            ids = np.arange(
-                self._next_auto_id, self._next_auto_id + points.shape[0], dtype=np.int64
-            )
-        else:
-            # The whole batch is validated before any shard is touched: a
-            # bad id must not leave some groups mutated and others not.
-            if ids.size and int(ids.min()) < 0:
-                raise ValueError("ids must be non-negative (-1 is the padding sentinel)")
-            live = [int(i) for i in ids if int(i) in self._id_to_shard]
-            if live:
-                raise ValueError(f"ids already indexed: {live[:5]}")
-        shards = self.plan.assign(points, ids, self._n_assigned)
-        # Atomicity: no group is touched unless every target shard can
-        # accept the mutation (a fully-dead shard would otherwise leave the
-        # batch half-applied).
-        self._require_alive(np.unique(shards))
-        for shard in np.unique(shards):
-            rows = shards == shard
-            self.groups[shard].insert(points[rows], ids[rows], at=now)
-        # Counters move only after every shard accepted its slice, so a
-        # failed batch cannot shift future round-robin assignment.
-        self._n_assigned += points.shape[0]
-        for i, s in zip(ids, shards):
-            self._id_to_shard[int(i)] = int(s)
-        if ids.size:
-            self._next_auto_id = max(self._next_auto_id, int(ids.max()) + 1)
-        return ids
+        with self._lock:
+            now = self._advance(at)
+            # Quiet flush: a batch stalled on a dead shard must not block a
+            # mutation whose own target shards are healthy (the stuck queries
+            # answer against the then-current live set once retried).
+            self._dispatch_quietly(now)
+            if ids is None:
+                ids = np.arange(
+                    self._next_auto_id, self._next_auto_id + points.shape[0], dtype=np.int64
+                )
+            else:
+                # The whole batch is validated before any shard is touched: a
+                # bad id must not leave some groups mutated and others not.
+                if ids.size and int(ids.min()) < 0:
+                    raise ValueError("ids must be non-negative (-1 is the padding sentinel)")
+                live = [int(i) for i in ids if int(i) in self._id_to_shard]
+                if live:
+                    raise ValueError(f"ids already indexed: {live[:5]}")
+            shards = self.plan.assign(points, ids, self._n_assigned)
+            # Atomicity: no group is touched unless every target shard can
+            # accept the mutation (a fully-dead shard would otherwise leave the
+            # batch half-applied).
+            self._require_alive(np.unique(shards))
+            for shard in np.unique(shards):
+                rows = shards == shard
+                self.groups[shard].insert(points[rows], ids[rows], at=now)
+            # Counters move only after every shard accepted its slice, so a
+            # failed batch cannot shift future round-robin assignment.
+            self._n_assigned += points.shape[0]
+            for i, s in zip(ids, shards):
+                self._id_to_shard[int(i)] = int(s)
+            if ids.size:
+                self._next_auto_id = max(self._next_auto_id, int(ids.max()) + 1)
+            return ids
 
     def delete(self, ids: np.ndarray | Sequence[int], at: float | None = None) -> None:
         """Remove points by id from whichever shards hold them."""
         id_list = checked_ids(ids).tolist()
-        now = self._advance(at)
-        self._dispatch_quietly(now)
-        for point_id in id_list:
-            if point_id not in self._id_to_shard:
-                raise KeyError(f"id {point_id} is not in the live set")
-        by_shard: Dict[int, List[int]] = {}
-        for point_id in id_list:
-            by_shard.setdefault(self._id_to_shard[point_id], []).append(point_id)
-        self._require_alive(np.fromiter(by_shard.keys(), dtype=np.int64, count=len(by_shard)))
-        for shard, shard_ids in sorted(by_shard.items()):
-            self.groups[shard].delete(np.array(shard_ids, dtype=np.int64), at=now)
-        for point_id in id_list:
-            del self._id_to_shard[point_id]
+        with self._lock:
+            now = self._advance(at)
+            self._dispatch_quietly(now)
+            for point_id in id_list:
+                if point_id not in self._id_to_shard:
+                    raise KeyError(f"id {point_id} is not in the live set")
+            by_shard: Dict[int, List[int]] = {}
+            for point_id in id_list:
+                by_shard.setdefault(self._id_to_shard[point_id], []).append(point_id)
+            self._require_alive(np.fromiter(by_shard.keys(), dtype=np.int64, count=len(by_shard)))
+            for shard, shard_ids in sorted(by_shard.items()):
+                self.groups[shard].delete(np.array(shard_ids, dtype=np.int64), at=now)
+            for point_id in id_list:
+                del self._id_to_shard[point_id]
 
     def rebuild(self, shard: int | None = None, at: float | None = None) -> None:
         """Fold one/all shards' updates into their indices now: one fold per
         shard, served by every live replica of the shard."""
-        targets = self.groups if shard is None else [self._group(shard)]
-        now = self._advance(at)
-        for group in targets:
-            if group.n_alive:
-                group.rebuild(at=now)
+        with self._lock:
+            targets = self.groups if shard is None else [self._group(shard)]
+            now = self._advance(at)
+            for group in targets:
+                if group.n_alive:
+                    group.rebuild(at=now)
 
     # ------------------------------------------------------------------
     # Failure injection / repair
     # ------------------------------------------------------------------
     def kill_replica(self, shard: int, replica: int) -> None:
         """Fail a replica immediately (chaos drill)."""
-        self._replica(shard, replica).kill()
-        self.groups[shard].note_death(replica_id=replica)
+        with self._lock:
+            self._replica(shard, replica).kill()
+            self.groups[shard].note_death(replica_id=replica)
 
     def arm_replica_failure(self, shard: int, replica: int) -> None:
         """Make a replica die mid-query on its next pick (retry drill)."""
-        self._replica(shard, replica).arm_failure()
+        with self._lock:
+            self._replica(shard, replica).arm_failure()
 
     def heal(self, at: float | None = None) -> int:
         """Revive every dead replica that has a live peer; returns count.
@@ -579,12 +603,13 @@ class KNNFleet:
         A fully-dead group is skipped, not fatal — it stays dark, and
         aborting on it would strand healable replicas in *other* groups.
         """
-        self._advance(at)
-        healed = 0
-        for group in self.groups:
-            if 0 < group.n_alive < group.n_replicas:
-                healed += group.heal()
-        return healed
+        with self._lock:
+            self._advance(at)
+            healed = 0
+            for group in self.groups:
+                if 0 < group.n_alive < group.n_replicas:
+                    healed += group.heal()
+            return healed
 
     # ------------------------------------------------------------------
     # Internals
@@ -664,7 +689,7 @@ class KNNFleet:
             self.router.stats = stats_before
             for g in self.groups:
                 for r in g.replicas:
-                    r.restore_load(load_before[(g.shard_id, r.replica_id)])
+                    r.queries_served = load_before[(g.shard_id, r.replica_id)]
             queue.pending[:0] = batch
             self._stalled = True
             self.tracer.finish(

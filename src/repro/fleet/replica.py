@@ -13,9 +13,8 @@ on the next-least-loaded peer — answers never change, only the load
 accounting does.  A heal brings a dead replica back to life; there is no
 state to copy.
 
-Liveness and load state are lock-guarded: the serving path is one
-synchronous caller, but the ops server and the profiler read the same
-fields from other threads.
+Nothing here locks: every call arrives under the fleet's one lock
+(:class:`~repro.fleet.fleet.KNNFleet`), the ops server's reads included.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.analysis.annotations import exactness_path
-from repro.analysis.runtime import guarded, new_lock
 from repro.obs.clock import MONOTONIC, Clock
 from repro.obs.profiler import phase
 from repro.obs.tracing import Span, SpanSink
@@ -33,33 +31,16 @@ from repro.service.service import KNNService
 
 
 class ReplicaDeadError(RuntimeError):
-    """The targeted replica is (or just became) dead.
-
-    ``died_now`` distinguishes an attempt that actually killed the replica
-    (armed failure firing mid-query) from one that found it already dead —
-    the group's death counter must move exactly once per real death, even
-    when concurrent attempts race against the same dying replica.
-    """
-
-    def __init__(self, message: str, died_now: bool = True) -> None:
-        super().__init__(message)
-        self.died_now = died_now
+    """The targeted replica is (or just became) dead."""
 
 
 class ShardUnavailableError(RuntimeError):
     """Every replica of a shard is dead; the fleet cannot answer exactly."""
 
 
-@guarded
 class Replica:
     """One serving copy of a shard: liveness and load over the shard's
     service (``service`` is the group's, never swapped)."""
-
-    GUARDED_BY = {
-        "alive": "_lock",
-        "queries_served": "_lock",
-        "_armed_failure": "_lock",
-    }
 
     def __init__(self, shard_id: int, replica_id: int, service: KNNService) -> None:
         self.shard_id = shard_id
@@ -68,18 +49,20 @@ class Replica:
         self.alive = True
         self.queries_served = 0
         self._armed_failure = False
-        self._lock = new_lock("Replica._lock")
 
     def kill(self) -> None:
         """Fail the replica immediately (it stops receiving everything)."""
-        with self._lock:
-            self.alive = False
-            self._armed_failure = False
+        self.alive = False
+        self._armed_failure = False
 
     def arm_failure(self) -> None:
         """Make the *next* query attempt die mid-flight (retry-path drill)."""
-        with self._lock:
-            self._armed_failure = True
+        self._armed_failure = True
+
+    def revive(self) -> None:
+        """Bring the replica back (a heal): alive, nothing armed."""
+        self.alive = True
+        self._armed_failure = False
 
     def answer(
         self,
@@ -87,37 +70,20 @@ class Replica:
         k: int,
         at: float | None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Answer a batch, or die (armed failure / already dead).
-
-        The liveness check-and-kill is atomic, so of any number of
-        concurrent attempts racing an armed replica exactly one observes
-        ``died_now`` — the one that pulled the trigger.
-        """
-        with self._lock:
-            if not self.alive:
-                raise ReplicaDeadError(
-                    f"shard {self.shard_id} replica {self.replica_id} is dead", died_now=False
-                )
-            if self._armed_failure:
-                self.alive = False
-                self._armed_failure = False
-                raise ReplicaDeadError(
-                    f"shard {self.shard_id} replica {self.replica_id} died mid-query",
-                    died_now=True,
-                )
+        """Answer a batch, or die (armed failure / already dead)."""
+        if not self.alive:
+            raise ReplicaDeadError(f"shard {self.shard_id} replica {self.replica_id} is dead")
+        if self._armed_failure:
+            self.kill()
+            raise ReplicaDeadError(
+                f"shard {self.shard_id} replica {self.replica_id} died mid-query"
+            )
         with phase("replica.serve"):
             out = self.service.answer_batch(queries, k=k, at=at)
-        with self._lock:
-            self.queries_served += int(np.atleast_2d(queries).shape[0])
+        self.queries_served += int(np.atleast_2d(queries).shape[0])
         return out
 
-    def restore_load(self, queries_served: int) -> None:
-        """Reset the served-query counter (fleet rollback after a failed batch)."""
-        with self._lock:
-            self.queries_served = queries_served
 
-
-@guarded
 class ReplicaGroup:
     """One shard: its service and its replicas, with least-loaded routing
     and retries.
@@ -136,11 +102,6 @@ class ReplicaGroup:
         through it.
     """
 
-    GUARDED_BY = {
-        "retries": "_lock",
-        "deaths": "_lock",
-    }
-
     def __init__(
         self,
         shard_id: int,
@@ -158,11 +119,6 @@ class ReplicaGroup:
         self.events = events
         self.retries = 0
         self.deaths = 0
-        # _lock guards the accounting counters; _serve_lock serialises
-        # whole answer() calls so two callers against one group keep the
-        # exact pick-retry-account semantics.
-        self._lock = new_lock("ReplicaGroup._lock")
-        self._serve_lock = new_lock("ReplicaGroup._serve_lock")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -212,26 +168,19 @@ class ReplicaGroup:
         ``sink`` (the batch's span sink when it is traced) collects one
         ``replica_attempt`` span per attempt, retries included.
         """
-        with self._serve_lock:
-            while True:
-                replica = self.primary()  # raises ShardUnavailableError when none left
-                started = self._clock.monotonic()
-                try:
-                    out = replica.answer(queries, k, at)
-                except ReplicaDeadError as death:
-                    self._note_attempt(sink, replica, started, ok=False, died_now=death.died_now)
-                    with self._lock:
-                        self.deaths += 1
-                        self.retries += 1
-                    self._emit(
-                        "replica_death",
-                        replica=replica.replica_id,
-                        died_now=death.died_now,
-                        retried=True,
-                    )
-                    continue
-                self._note_attempt(sink, replica, started, ok=True)
-                return out
+        while True:
+            replica = self.primary()  # raises ShardUnavailableError when none left
+            started = self._clock.monotonic()
+            try:
+                out = replica.answer(queries, k, at)
+            except ReplicaDeadError:
+                self._note_attempt(sink, replica, started, ok=False)
+                self.deaths += 1
+                self.retries += 1
+                self._emit("replica_death", replica=replica.replica_id, retried=True)
+                continue
+            self._note_attempt(sink, replica, started, ok=True)
+            return out
 
     def _note_attempt(
         self, sink: SpanSink | None, replica: Replica, started: float, **meta
@@ -250,16 +199,11 @@ class ReplicaGroup:
 
     def note_death(self, replica_id: int | None = None) -> None:
         """Count one externally-injected replica death (fleet kill switch)."""
-        with self._lock:
-            self.deaths += 1
-        self._emit("replica_death", replica=replica_id, died_now=True, injected=True)
+        self.deaths += 1
+        self._emit("replica_death", replica=replica_id, injected=True)
 
     def _emit(self, kind: str, **fields) -> None:
-        """Report one ops event (no-op without an event log attached).
-
-        Never called while holding ``self._lock`` — the event log is a
-        leaf lock and stays out of this group's acquisition order.
-        """
+        """Report one ops event (no-op without an event log attached)."""
         if self.events is not None:
             self.events.emit(kind, **fields)
 
@@ -304,9 +248,7 @@ class ReplicaGroup:
         for replica in self.replicas:
             if replica.alive:
                 continue
-            with replica._lock:
-                replica.alive = True
-                replica._armed_failure = False
+            replica.revive()
             healed += 1
             self._emit("replica_heal", replica=replica.replica_id, points=self.service.n_live)
         return healed

@@ -1,8 +1,8 @@
 """Scrape-time collectors: serving-stack stats as metric families.
 
-The serving classes already keep exact, locked counters (admission
-ledger, router fan-out, dispatch calls, replica health, and each shard
-service's cache and rebuild accounting).  Rather than double-book every
+The serving classes already keep exact counters (admission ledger,
+router fan-out, dispatch calls, replica health, and each shard service's
+cache and rebuild accounting).  Rather than double-book every
 increment into instruments, a collector reads those sources once per
 scrape and emits them as gauge/counter families.
 
@@ -10,10 +10,10 @@ Everything is duck-typed against the fleet's public surface — ``obs``
 never imports from ``repro.fleet``/``repro.service``, so the dependency
 arrow points one way (serving → obs) and no import cycle can form.
 
-Scrapes are expected from the thread driving the fleet (the same
-single-caller discipline as :meth:`KNNFleet.stats`); every source read
-here is either behind the owning class's lock or an atomic attribute
-read of the kind ``KNNFleet.stats`` already performs.
+None of those counters locks: a scrape reads them through
+:meth:`KNNFleet.metrics_text`, which holds the fleet's one lock, so it
+never sees a batch half done (the ops server's ``/metrics`` goes the same
+way).
 """
 
 from __future__ import annotations

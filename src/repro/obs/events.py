@@ -6,9 +6,8 @@ full-clear — as typed records in a bounded ring, cheap
 enough to leave on in production.
 
 The log is a leaf lock: :meth:`EventLog.emit` acquires only its own lock
-and never calls out, so emitting from under any serving-stack lock
-(``KNNService._lock``, ``ReplicaGroup._serve_lock``, ...) cannot create a
-lock-order cycle.  Per-kind lifetime counters survive ring eviction, so
+and never calls out, so emitting from under the fleet's lock cannot
+create a lock-order cycle.  Per-kind lifetime counters survive ring eviction, so
 ``counts()`` reflects everything that ever happened, not just what the
 ring still holds.
 """
@@ -16,10 +15,10 @@ ring still holds.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.analysis.runtime import guarded, new_lock
 from repro.obs.clock import MONOTONIC, Clock
 
 
@@ -36,7 +35,6 @@ class Event:
         return {"seq": self.seq, "at": self.at, "kind": self.kind, **dict(self.fields)}
 
 
-@guarded
 class EventLog:
     """Bounded, thread-safe, structured event ring."""
 
@@ -51,7 +49,7 @@ class EventLog:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.clock = clock if clock is not None else MONOTONIC
-        self._lock = new_lock("EventLog._lock")
+        self._lock = threading.Lock()
         self._ring: List[Event] = []
         self._next_seq = 0
         self._kind_counts: Dict[str, int] = {}

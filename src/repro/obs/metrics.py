@@ -9,8 +9,8 @@ client data model:
   turns the whole set into an immutable list of :class:`MetricFamily`
   snapshots on :meth:`~ObsRegistry.collect`;
 * scrape-time *callback families* bridge the stats the serving stack
-  already keeps (locked dicts on the service/fleet classes) into the same
-  snapshot without double-bookkeeping.
+  already keeps (plain counters on the service/fleet classes) into the
+  same snapshot without double-bookkeeping.
 
 Each instrument serialises its series dict behind its own lock (leaf
 locks: nothing is ever acquired while one is held), so hot-path updates
@@ -24,10 +24,10 @@ from __future__ import annotations
 import bisect
 import math
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-from repro.analysis.runtime import guarded, new_lock
 
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -170,7 +170,6 @@ class _Bound:
         self._family.observe(value, **self._labelvalues)
 
 
-@guarded
 class Counter:
     """Monotonically increasing metric, one series per label tuple."""
 
@@ -181,7 +180,7 @@ class Counter:
         self.name = _validate_metric_name(name)
         self.help = help_
         self.labelnames = _validate_labelnames(labelnames)
-        self._lock = new_lock("Counter._lock")
+        self._lock = threading.Lock()
         self._series: Dict[Tuple[str, ...], float] = {}
         if not self.labelnames:
             self._series[()] = 0.0
@@ -211,7 +210,6 @@ class Counter:
         )
 
 
-@guarded
 class Gauge:
     """Set-to-current-value metric, one series per label tuple."""
 
@@ -222,7 +220,7 @@ class Gauge:
         self.name = _validate_metric_name(name)
         self.help = help_
         self.labelnames = _validate_labelnames(labelnames)
-        self._lock = new_lock("Gauge._lock")
+        self._lock = threading.Lock()
         self._series: Dict[Tuple[str, ...], float] = {}
         if not self.labelnames:
             self._series[()] = 0.0
@@ -258,7 +256,6 @@ class Gauge:
         )
 
 
-@guarded
 class Histogram:
     """Log- (or arbitrarily-) bucketed distribution metric.
 
@@ -286,7 +283,7 @@ class Histogram:
         if math.inf not in bounds:
             bounds.append(math.inf)
         self.bounds = tuple(bounds)
-        self._lock = new_lock("Histogram._lock")
+        self._lock = threading.Lock()
         # key -> [per-bucket counts (list, index-aligned with bounds), sum]
         self._series: Dict[Tuple[str, ...], list] = {}
         if not self.labelnames:
@@ -399,7 +396,6 @@ def format_bound(bound: float) -> str:
 # ----------------------------------------------------------------------
 
 
-@guarded
 class ObsRegistry:
     """Owns instruments and scrape callbacks; snapshots them on demand.
 
@@ -412,7 +408,7 @@ class ObsRegistry:
     GUARDED_BY = {"_families": "_lock", "_callbacks": "_lock"}
 
     def __init__(self) -> None:
-        self._lock = new_lock("ObsRegistry._lock")
+        self._lock = threading.Lock()
         self._families: Dict[str, object] = {}
         self._callbacks: List[Callable[[], Iterable[MetricFamily]]] = []
 

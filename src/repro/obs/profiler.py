@@ -30,7 +30,6 @@ import sys
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.runtime import guarded, new_lock
 
 #: Environment variable enabling the fleet's always-on profiler
 #: (``REPRO_PROFILE=97`` samples at 97 Hz; unset/0 disables).
@@ -112,7 +111,6 @@ def _frame_label(code) -> str:
     return f"{filename}:{code.co_name}"
 
 
-@guarded
 class SamplingProfiler:
     """Daemon-thread sampler folding stacks into bounded phase-tagged counts.
 
@@ -151,7 +149,7 @@ class SamplingProfiler:
         self.interval = 1.0 / float(hz)
         self.max_stacks = int(max_stacks)
         self.max_depth = int(max_depth)
-        self._lock = new_lock("SamplingProfiler._lock")
+        self._lock = threading.Lock()
         # (phase, frame, frame, ...) -> sample count; leaf frame last.
         self._folded: Dict[Tuple[str, ...], int] = {}
         self._samples = 0

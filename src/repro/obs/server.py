@@ -20,10 +20,14 @@ usual ops loop works with nothing but ``curl``:
                       (``&hz=H``) and return collapsed stacks
 ====================  =================================================
 
-The server holds one reference to the fleet and only ever calls its
-public locked introspection API, so request threads need no locks of
-their own; handler threads are daemonic and the listener accepts an
-ephemeral port (``port=0``) so tests and examples never collide.
+The server holds one reference to the fleet, and every read of serving
+state (``/metrics``, ``/healthz``, ``/readyz``, ``/slo``) runs under the
+fleet's one lock, so a scrape waits for the batch in flight instead of
+reading it half done.  ``/events`` and ``/traces`` read logs that lock
+themselves, and ``/profile`` samples without the fleet lock, so traffic
+keeps flowing while it runs.  Handler threads are daemonic and the
+listener accepts an ephemeral port (``port=0``) so tests and examples
+never collide.
 
 ``python -m repro.obs.server`` runs a self-contained demo fleet under
 synthetic traffic with the ops surface attached — the quickest way to
@@ -38,7 +42,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional
 from urllib.parse import parse_qs, urlsplit
 
-from repro.analysis.runtime import guarded, new_lock
 from repro.obs.profiler import DEFAULT_PROFILE_HZ, SamplingProfiler
 
 #: Prometheus text exposition 0.0.4 content type — scrapers check it.
@@ -76,9 +79,10 @@ class _FleetHTTPServer(ThreadingHTTPServer):
 class _OpsHandler(BaseHTTPRequestHandler):
     """Routes one GET to the fleet's introspection API.
 
-    Handlers run on per-request daemon threads; every fleet method used
-    here is part of the locked public API, so no handler-side
-    synchronisation is needed (or taken).
+    Handlers run on per-request daemon threads.  ``metrics_text()`` and
+    ``closed`` take the fleet lock themselves; ``/readyz`` and ``/slo``
+    take it around their reads.  A response is written after the lock is
+    released, so a slow scraper never holds up the fleet.
     """
 
     server: _FleetHTTPServer
@@ -147,7 +151,9 @@ class _OpsHandler(BaseHTTPRequestHandler):
             self._send_json(200, {"status": "ok"})
 
     def _readyz(self, query) -> None:
-        reasons = readiness_reasons(self.server.fleet)
+        fleet = self.server.fleet
+        with fleet._lock:
+            reasons = readiness_reasons(fleet)
         if reasons:
             self._send_json(503, {"status": "not ready", "reasons": reasons})
         else:
@@ -166,11 +172,14 @@ class _OpsHandler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": f"unknown format {fmt!r} (jsonl|chrome)"})
 
     def _slo(self, query) -> None:
-        engine = getattr(self.server.fleet, "slo", None)
+        fleet = self.server.fleet
+        engine = getattr(fleet, "slo", None)
         if engine is None:
             self._send_json(404, {"error": "fleet has no SLO engine configured"})
             return
-        self._send_json(200, engine.tick())
+        with fleet._lock:
+            status = engine.tick()
+        self._send_json(200, status)
 
     def _profile(self, query) -> None:
         try:
@@ -210,7 +219,6 @@ def readiness_reasons(fleet) -> List[str]:
     return reasons
 
 
-@guarded
 class OpsServer:
     """Background-thread HTTP ops server bound to one fleet.
 
@@ -222,7 +230,7 @@ class OpsServer:
     GUARDED_BY = {"_closed": "_lock"}
 
     def __init__(self, fleet, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._lock = new_lock("OpsServer._lock")
+        self._lock = threading.Lock()
         self._closed = False
         self._httpd = _FleetHTTPServer((host, port), _OpsHandler, fleet)
         self.host, self.port = self._httpd.server_address[:2]

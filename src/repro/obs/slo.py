@@ -27,11 +27,11 @@ collectors, so ``obs`` keeps its one-way import rule.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.analysis.runtime import guarded, new_lock
 from repro.obs.clock import MONOTONIC, Clock
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricFamily, counter_family, gauge_family
@@ -88,13 +88,11 @@ class _SLOState:
     breaches: int = 0
 
 
-@guarded
 class SLOEngine:
     """Samples SLO sources on ``tick()`` and latches breach state.
 
-    Sources are read *outside* the engine lock — they typically take their
-    own instrument locks (histogram, admission ledger) and the engine lock
-    must stay a leaf.  Breach/recovery events are likewise emitted after
+    Sources are read *outside* the engine lock — a histogram source takes
+    its own instrument lock, and the engine lock must stay a leaf.  Breach/recovery events are likewise emitted after
     the lock is released.
     """
 
@@ -115,7 +113,7 @@ class SLOEngine:
             raise ValueError(f"duplicate SLO names: {names}")
         self.clock = clock if clock is not None else MONOTONIC
         self.events = events
-        self._lock = new_lock("SLOEngine._lock")
+        self._lock = threading.Lock()
         self._states: Dict[str, _SLOState] = {s.name: _SLOState(slo=s) for s in slos}
         self._ticks = 0
 

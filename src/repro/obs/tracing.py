@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
 
-from repro.analysis.runtime import guarded, new_lock
 from repro.obs.clock import MONOTONIC, Clock
 
 #: Environment variable controlling trace sampling ("" / "0" = off,
@@ -145,7 +145,6 @@ class TraceRecord:
         return {"trace_id": self.trace_id, "root": self.root.to_dict()}
 
 
-@guarded
 class Tracer:
     """Sampling controller plus bounded ring of completed traces."""
 
@@ -173,7 +172,7 @@ class Tracer:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.clock = clock if clock is not None else MONOTONIC
-        self._lock = new_lock("Tracer._lock")
+        self._lock = threading.Lock()
         self._finished: List[TraceRecord] = []
         self._n_batches = 0
         self._n_sampled = 0

@@ -224,8 +224,8 @@ class MicroBatchQueue:
     other event moves the clock through :meth:`advance`.  ``retention``
     bounds both the :class:`RecordRing` and the fetchable answers;
     ``service_time`` (``batch_size -> seconds``) replaces the measured
-    batch cost for a deterministic clock.  No lock: the service guards its
-    queue with its own, the fleet is single-caller.
+    batch cost for a deterministic clock.  No lock: a service has one
+    caller thread, and a fleet runs every call under its own lock.
     """
 
     def __init__(

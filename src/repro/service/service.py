@@ -27,8 +27,9 @@ versioned on-disk snapshot (``v0001``, ``v0002``, ...) whose ``CURRENT``
 pointer is promoted as the new index goes live (:mod:`repro.core.snapshot`).
 A fleet shard is one service, however many replicas serve it.
 
-Micro-batches are answered synchronously in the calling thread.  All
-public methods are safe under concurrent callers (one re-entrant lock).
+Micro-batches are answered synchronously in the calling thread.  A
+service has one caller thread and takes no lock: inside a fleet, the
+fleet's one lock serialises every call that reaches it.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.annotations import exactness_path, requires_lock
-from repro.analysis.runtime import guarded, new_rlock
+from repro.analysis.annotations import exactness_path
 from repro.core.snapshot import allocate_version_dir, promote_version
 from repro.kdtree.heap import merge_topk_rows
 from repro.obs.clock import MONOTONIC, Clock
@@ -87,7 +87,6 @@ class RebuildPolicy:
                 raise ValueError(f"{name} must be positive, got {value}")
 
 
-@guarded
 class KNNService:
     """Online KNN front end: micro-batching, result cache, streaming updates.
 
@@ -133,20 +132,6 @@ class KNNService:
         events; ``None`` (default) emits nothing.
     """
 
-    GUARDED_BY = {
-        "backend": "_lock",
-        "delta": "_lock",
-        "cache": "_lock",
-        "version": "_lock",
-        "rebuilds": "_lock",
-        "rebuild_seconds": "_lock",
-        "refetched_rows": "_lock",
-        "_queue": "_lock",
-        "_first_dirty_at": "_lock",
-        "_backend_ids": "_lock",
-        "_next_auto_id": "_lock",
-    }
-
     def __init__(
         self,
         backend,
@@ -178,12 +163,9 @@ class KNNService:
         self._service_time = service_time
         self._queue = MicroBatchQueue(self.batch_policy, retention, service_time)
         self._first_dirty_at: float | None = None
-        # Immutable after construction (read-only references, not state):
-        # deliberately outside GUARDED_BY.
         self.records: RecordRing = self._queue.records
         self._clock = clock if clock is not None else MONOTONIC
         self.events = events
-        self._lock = new_rlock("KNNService._lock")
         self._reindex_ids()
 
     def close(self) -> None:
@@ -202,61 +184,47 @@ class KNNService:
     @property
     def now(self) -> float:
         """Current logical time (max event time seen so far)."""
-        with self._lock:
-            return self._queue.now
+        return self._queue.now
 
     @property
     def n_pending(self) -> int:
         """Requests queued but not yet dispatched."""
-        with self._lock:
-            return len(self._queue.pending)
+        return len(self._queue.pending)
 
     @property
     def n_live(self) -> int:
         """Points currently visible to queries (tree - tombstones + delta)."""
-        with self._lock:
-            return self.backend.n_points - self.delta.n_tombstones + self.delta.n_inserted
+        return self.backend.n_points - self.delta.n_tombstones + self.delta.n_inserted
 
     @property
     def cache_stats(self) -> CacheStats:
         """Hit/miss statistics of the result cache."""
-        with self._lock:
-            return self.cache.stats
+        return self.cache.stats
 
     def obs_snapshot(self) -> Dict[str, float]:
-        """One consistent flat snapshot of every service-level stat.
-
-        Read under one lock acquisition so scrape-time collectors (see
-        :mod:`repro.obs.collectors`) never see a cache count from one
-        rebuild generation and a version from the next.
-        """
-        with self._lock:
-            stats = self.cache.stats
-            return {
-                "pending": float(len(self._queue.pending)),
-                "version": float(self.version),
-                "rebuilds": float(self.rebuilds),
-                "rebuild_seconds": float(self.rebuild_seconds),
-                "n_live": float(
-                    self.backend.n_points
-                    - self.delta.n_tombstones
-                    + self.delta.n_inserted
-                ),
-                "delta_inserts": float(self.delta.n_inserted),
-                "tombstones": float(self.delta.n_tombstones),
-                "refetched_rows": float(self.refetched_rows),
-                "cache_hits": float(stats.hits),
-                "cache_misses": float(stats.misses),
-                "cache_evictions": float(stats.evictions),
-                "cache_full_clears": float(stats.full_clears),
-                "cache_keys_dropped": float(stats.keys_dropped),
-                "cache_size": float(len(self.cache)),
-            }
+        """One flat snapshot of every service-level stat, for the
+        scrape-time collectors of :mod:`repro.obs.collectors`."""
+        stats = self.cache.stats
+        return {
+            "pending": float(len(self._queue.pending)),
+            "version": float(self.version),
+            "rebuilds": float(self.rebuilds),
+            "rebuild_seconds": float(self.rebuild_seconds),
+            "n_live": float(self.n_live),
+            "delta_inserts": float(self.delta.n_inserted),
+            "tombstones": float(self.delta.n_tombstones),
+            "refetched_rows": float(self.refetched_rows),
+            "cache_hits": float(stats.hits),
+            "cache_misses": float(stats.misses),
+            "cache_evictions": float(stats.evictions),
+            "cache_full_clears": float(stats.full_clears),
+            "cache_keys_dropped": float(stats.keys_dropped),
+            "cache_size": float(len(self.cache)),
+        }
 
     def target_batch_size(self) -> int:
         """Current micro-batch target under the adaptive policy."""
-        with self._lock:
-            return self._queue.target_batch_size()
+        return self._queue.target_batch_size()
 
     def latency_summary(self) -> Dict[str, float]:
         """Summary statistics over every completed request.
@@ -265,8 +233,7 @@ class KNNService:
         exact over the full history even after the retention ring evicted
         old records; p50/p99 are over the retained window.
         """
-        with self._lock:
-            return self.records.summary()
+        return self.records.summary()
 
     # ------------------------------------------------------------------
     # Query path
@@ -290,19 +257,18 @@ class KNNService:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         query = np.asarray(query, dtype=np.float64).ravel()
-        with self._lock:
-            if query.shape[0] != self.backend.dims:
-                raise ValueError(f"query has {query.shape[0]} dims, index has {self.backend.dims}")
-            queue = self._queue
-            request_id, arrival = queue.arrive(query, at, self._advance)
-            cached = self.cache.get(query_key(query, k))
-            if cached is not None:
-                d, i = cached
-                queue.complete_hit(request_id, arrival, (d.copy(), i.copy()))
-                return request_id
-            if queue.enqueue(request_id, arrival, k, query):
-                self._dispatch(arrival)
+        if query.shape[0] != self.backend.dims:
+            raise ValueError(f"query has {query.shape[0]} dims, index has {self.backend.dims}")
+        queue = self._queue
+        request_id, arrival = queue.arrive(query, at, self._advance)
+        cached = self.cache.get(query_key(query, k))
+        if cached is not None:
+            d, i = cached
+            queue.complete_hit(request_id, arrival, (d.copy(), i.copy()))
             return request_id
+        if queue.enqueue(request_id, arrival, k, query):
+            self._dispatch(arrival)
+        return request_id
 
     def query(
         self,
@@ -311,11 +277,10 @@ class KNNService:
         at: float | None = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Interactive single query: submit, flush, return ``(distances, ids)``."""
-        with self._lock:
-            request_id = self.submit(query, k=k, at=at)
-            if not self._queue.answered(request_id):
-                self._dispatch(self._queue.now)
-            return self._queue.result(request_id)
+        request_id = self.submit(query, k=k, at=at)
+        if not self._queue.answered(request_id):
+            self._dispatch(self._queue.now)
+        return self._queue.result(request_id)
 
     def answer_batch(
         self,
@@ -337,14 +302,13 @@ class KNNService:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if not np.isfinite(queries).all():
             raise ValueError("queries must have finite coordinates (found nan or inf)")
-        with self._lock:
-            if queries.shape[1] != self.backend.dims:
-                raise ValueError(
-                    f"queries have {queries.shape[1]} dims, index has {self.backend.dims}"
-                )
-            if at is not None:
-                self._advance(at)
-            return self._answer(queries, k)
+        if queries.shape[1] != self.backend.dims:
+            raise ValueError(
+                f"queries have {queries.shape[1]} dims, index has {self.backend.dims}"
+            )
+        if at is not None:
+            self._advance(at)
+        return self._answer(queries, k)
 
     def result(self, request_id: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(distances, ids)`` of a completed request.
@@ -352,14 +316,12 @@ class KNNService:
         Raises ``KeyError`` when the request is still pending or its answer
         was already evicted by the retention ring.
         """
-        with self._lock:
-            return self._queue.result(request_id)
+        return self._queue.result(request_id)
 
     def flush(self, at: float | None = None) -> int:
         """Dispatch everything queued; returns the number dispatched."""
-        with self._lock:
-            now = self._advance(at)
-            return self._dispatch(now)
+        now = self._advance(at)
+        return self._dispatch(now)
 
     def drain(self, at: float | None = None) -> int:
         """Alias of :meth:`flush` for end-of-trace use."""
@@ -384,26 +346,25 @@ class KNNService:
             raise ValueError("points must have finite coordinates (found nan or inf)")
         if ids is not None:
             ids = checked_ids(ids)
-        with self._lock:
-            now = self._advance(at)
-            self._dispatch(now)
-            if ids is None:
-                ids = np.arange(
-                    self._next_auto_id, self._next_auto_id + points.shape[0], dtype=np.int64
-                )
-            else:
-                live_backend = ids[
-                    sorted_member(self._backend_ids, ids) & ~self.delta.dead_mask(ids)
-                ]
-                if live_backend.size:
-                    raise ValueError(f"ids already indexed: {live_backend[:5].tolist()}")
-            self.delta.insert(points, ids)
-            if ids.size:
-                self._next_auto_id = max(self._next_auto_id, int(ids.max()) + 1)
-            self._invalidate_for_insert(points)
-            self._mark_dirty(now)
-            self._maybe_rebuild(now)
-            return ids
+        now = self._advance(at)
+        self._dispatch(now)
+        if ids is None:
+            ids = np.arange(
+                self._next_auto_id, self._next_auto_id + points.shape[0], dtype=np.int64
+            )
+        else:
+            live_backend = ids[
+                sorted_member(self._backend_ids, ids) & ~self.delta.dead_mask(ids)
+            ]
+            if live_backend.size:
+                raise ValueError(f"ids already indexed: {live_backend[:5].tolist()}")
+        self.delta.insert(points, ids)
+        if ids.size:
+            self._next_auto_id = max(self._next_auto_id, int(ids.max()) + 1)
+        self._invalidate_for_insert(points)
+        self._mark_dirty(now)
+        self._maybe_rebuild(now)
+        return ids
 
     def delete(self, ids: np.ndarray | Sequence[int], at: float | None = None) -> None:
         """Remove points by id (buffered inserts or tree-resident points).
@@ -413,25 +374,24 @@ class KNNService:
         ``KeyError``, malformed or repeated ones ``ValueError``.
         """
         dead_ids = checked_ids(ids)
-        with self._lock:
-            now = self._advance(at)
-            self._dispatch(now)
-            buffered = np.fromiter(
-                map(self.delta.contains, dead_ids.tolist()), dtype=bool, count=dead_ids.size
-            )
-            live = buffered | (
-                sorted_member(self._backend_ids, dead_ids) & ~self.delta.dead_mask(dead_ids)
-            )
-            # Validate the whole batch before mutating anything, so a bad id
-            # cannot leave the delete half-applied with a stale cache.
-            if not live.all():
-                raise KeyError(f"id {int(dead_ids[~live][0])} is not in the live set")
-            for point_id in dead_ids[buffered].tolist():
-                self.delta.delete_buffered(point_id)
-            self.delta.add_tombstones(dead_ids[~buffered])
-            self._invalidate_for_delete(dead_ids)
-            self._mark_dirty(now)
-            self._maybe_rebuild(now)
+        now = self._advance(at)
+        self._dispatch(now)
+        buffered = np.fromiter(
+            map(self.delta.contains, dead_ids.tolist()), dtype=bool, count=dead_ids.size
+        )
+        live = buffered | (
+            sorted_member(self._backend_ids, dead_ids) & ~self.delta.dead_mask(dead_ids)
+        )
+        # Validate the whole batch before mutating anything, so a bad id
+        # cannot leave the delete half-applied with a stale cache.
+        if not live.all():
+            raise KeyError(f"id {int(dead_ids[~live][0])} is not in the live set")
+        for point_id in dead_ids[buffered].tolist():
+            self.delta.delete_buffered(point_id)
+        self.delta.add_tombstones(dead_ids[~buffered])
+        self._invalidate_for_delete(dead_ids)
+        self._mark_dirty(now)
+        self._maybe_rebuild(now)
 
     def rebuild(self, at: float | None = None) -> None:
         """Fold tombstones and the delta buffer into a fresh index.
@@ -440,22 +400,15 @@ class KNNService:
         snapshot, with a ``snapshot_root``), so queries arriving meanwhile
         queue behind it.
         """
-        with self._lock:
-            now = self._advance(at)
-            self._dispatch(now)
-            self._rebuild_now(now)
+        now = self._advance(at)
+        self._dispatch(now)
+        self._rebuild_now(now)
 
     def _emit(self, kind: str, **fields) -> None:
-        """Emit a structured ops event; a no-op without an event sink.
-
-        The :class:`~repro.obs.events.EventLog` lock is a leaf (``emit``
-        never calls out), so emitting while holding ``_lock`` cannot form
-        a lock-order cycle.
-        """
+        """Emit a structured ops event; a no-op without an event sink."""
         if self.events is not None:
             self.events.emit(kind, **fields)
 
-    @requires_lock("_lock")
     def _clear_cache_fully(self) -> None:
         """Whole-cache invalidation (new index), with an ops event."""
         entries = len(self.cache)
@@ -463,7 +416,6 @@ class KNNService:
             self._emit("cache_full_clear", entries=entries)
         self.cache.clear()
 
-    @requires_lock("_lock")
     def _rebuild_now(self, now: float) -> None:
         """Fold, snapshot and go live with the new index, in the foreground."""
         n_live = self.n_live
@@ -507,7 +459,6 @@ class KNNService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    @requires_lock("_lock")
     def _advance(self, at: float | None) -> float:
         """:meth:`MicroBatchQueue.advance`, then the staleness rebuild due
         by the new time."""
@@ -522,7 +473,6 @@ class KNNService:
         return now
 
     @exactness_path
-    @requires_lock("_lock")
     def _dispatch(self, flush_time: float) -> int:
         """Dispatch every queued request that arrived by ``flush_time``."""
         queue = self._queue
@@ -541,7 +491,6 @@ class KNNService:
         return len(batch)
 
     @exactness_path
-    @requires_lock("_lock")
     def _answer(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Exact live-set KNN over the tree, the tombstones and the buffer.
 
@@ -559,7 +508,6 @@ class KNNService:
         return d, i
 
     @exactness_path
-    @requires_lock("_lock")
     def _refetch_dead_rows(
         self, queries: np.ndarray, k: int, d: np.ndarray, i: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -597,12 +545,10 @@ class KNNService:
             sub_d, sub_i = self.backend.kneighbors(queries[rows], width)
             dead = self.delta.dead_mask(sub_i)
 
-    @requires_lock("_lock")
     def _mark_dirty(self, now: float) -> None:
         if self._first_dirty_at is None:
             self._first_dirty_at = now
 
-    @requires_lock("_lock")
     def _invalidate_for_insert(self, points: np.ndarray) -> int:
         """Drop only cached entries an insert can change.
 
@@ -634,7 +580,6 @@ class KNNService:
             self.cache.drop([keys[j] for j in hit])
         return int(hit.size)
 
-    @requires_lock("_lock")
     def _invalidate_for_delete(self, dead_ids: np.ndarray) -> int:
         """Drop only cached entries a delete can change.
 
@@ -653,7 +598,6 @@ class KNNService:
             self.cache.drop(doomed)
         return len(doomed)
 
-    @requires_lock("_lock")
     def _maybe_rebuild(self, now: float) -> None:
         policy = self.rebuild_policy
         if self.n_live == 0:
@@ -666,7 +610,6 @@ class KNNService:
         ):
             self._rebuild_now(now)
 
-    @requires_lock("_lock")
     def _reindex_ids(self) -> None:
         """Index the backend's ids."""
         sorted_ids = np.sort(self.backend.all_points()[1])

@@ -1,9 +1,6 @@
-"""Guarded-by violations: unlocked access, unlocked cross-object store,
-and a @requires_lock call without the lock."""
+"""Guarded-by violations: unlocked access and unlocked cross-object store."""
 
 import threading
-
-from repro.analysis.annotations import requires_lock
 
 
 class Counter:
@@ -15,13 +12,6 @@ class Counter:
 
     def bump(self):
         self.count += 1  # BAD: guarded field touched without the lock
-
-    @requires_lock("_lock")
-    def _drop(self):
-        self.count = 0
-
-    def reset(self):
-        self._drop()  # BAD: @requires_lock callee, lock not held
 
 
 def poke(counter):

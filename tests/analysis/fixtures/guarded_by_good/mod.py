@@ -2,8 +2,6 @@
 
 import threading
 
-from repro.analysis.annotations import requires_lock
-
 
 class Counter:
     GUARDED_BY = {"count": "_lock"}
@@ -15,14 +13,6 @@ class Counter:
     def bump(self):
         with self._lock:
             self.count += 1
-
-    @requires_lock("_lock")
-    def _drop(self):
-        self.count = 0
-
-    def reset(self):
-        with self._lock:
-            self._drop()
 
 
 def poke(counter):

@@ -3,8 +3,8 @@
 import numpy as np
 
 
-def publish(dispatcher, queries, scratch):
-    fut = dispatcher.submit(ShardCall(0, compute, (queries, scratch)))  # noqa: F821
+def publish(executor, queries, scratch):
+    fut = executor.submit(RankTask(0, compute, (queries, scratch)))  # noqa: F821
     queries[0] = 0.0  # BAD: slice-assign after publish
     scratch += 1  # BAD: aug-assign after publish
     np.add(queries, 1.0, out=queries)  # BAD: out= into a published array

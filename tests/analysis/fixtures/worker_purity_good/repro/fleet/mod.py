@@ -15,5 +15,5 @@ class Worker:
         return total
 
 
-def submit(dispatcher, worker, batch):
-    return dispatcher.submit(ShardCall(0, worker.step, (batch,)))  # noqa: F821
+def submit(executor, worker, batch):
+    return executor.submit(RankTask(0, worker.step, (batch,)))  # noqa: F821

@@ -8,41 +8,16 @@ import threading
 import numpy as np
 import pytest
 
-from repro.analysis import runtime
 from repro.cluster.machine import MachineSpec
 from repro.datasets.cosmology import cosmology_particles
 from repro.datasets.dayabay import dayabay_records
 from repro.datasets.plasma import plasma_particles
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _analysis_monitor():
-    """Fail the run if the instrumented-lock monitor saw trouble.
-
-    Inert unless ``REPRO_ANALYSIS=1``: then every ``new_lock``/``new_rlock``
-    is an :class:`InstrumentedLock` and every ``@guarded`` class checks
-    cross-thread field writes, so by session end the monitor holds the
-    *real* lock-acquisition-order graph and any unguarded-access
-    violations observed while the suite ran.
-    """
-    yield
-    if not runtime.enabled():
-        return
-    report = runtime.monitor().report()
-    assert not report["cycles"], f"lock-order cycles observed at runtime: {report['cycles']}"
-    assert not report["violations"], (
-        "unguarded cross-thread field accesses observed: "
-        + "; ".join(f"{c}.{f}: {d}" for c, f, d in report["violations"])
-    )
-
-
 @pytest.fixture(autouse=True)
-def _no_leaked_workers(request):
-    """Fail a fleet/service test that returns with a thread or child process
-    it started still alive (an unclosed pool, ops server or profiler)."""
-    if request.node.path.parent.name not in ("fleet", "service"):
-        yield
-        return
+def _no_leaked_workers():
+    """Fail a test that returns with a thread or child process it started
+    still alive (an unclosed pool, ops server or profiler)."""
     threads = set(threading.enumerate())
     children = set(multiprocessing.active_children())
     yield

@@ -14,6 +14,9 @@ The acceptance bar of the observability plane:
 """
 
 import json
+import sys
+import threading
+import urllib.request
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from repro.kdtree.build import build_kdtree
 from repro.kdtree.tree import KDTreeConfig
 from repro.obs import EventLog, ManualClock, Tracer, parse_prometheus_text
 from repro.service.backends import LocalTreeBackend
+from repro.service.queue import MicroBatchPolicy
 from repro.service.service import KNNService, RebuildPolicy
 
 
@@ -90,6 +94,176 @@ def test_metrics_scrape_repeats_cleanly():
         first = fleet.metrics_text()
         second = fleet.metrics_text()
         assert parse_prometheus_text(first).keys() == parse_prometheus_text(second).keys()
+
+
+def _call_during_a_batch(fleet, call):
+    """Hold a batch of 8 shard-0 queries inside the shard backend on a
+    drain thread, run ``call()`` from a second thread, and release the
+    batch after 0.3 s.  Returns whether the call was still waiting when the
+    batch was released, and what the call returned."""
+    backend = fleet.groups[0].service.backend
+    entered, release = threading.Event(), threading.Event()
+    kneighbors = backend.kneighbors
+
+    def blocking_kneighbors(queries, k):
+        entered.set()
+        release.wait(10.0)
+        return kneighbors(queries, k)
+
+    backend.kneighbors = blocking_kneighbors
+    for query in backend.all_points()[0][:8]:  # all owned by shard 0
+        fleet.submit(query, at=0.0)
+    assert fleet.n_pending == 8
+    drainer = threading.Thread(target=fleet.drain)
+    drainer.start()
+    assert entered.wait(10.0), "the batch never reached the shard backend"
+    returned = []
+    caller = threading.Thread(target=lambda: returned.append(call()))
+    caller.start()
+    caller.join(0.3)
+    blocked = caller.is_alive()
+    release.set()
+    drainer.join(10.0)
+    caller.join(10.0)
+    assert not drainer.is_alive() and not caller.is_alive()
+    backend.kneighbors = kneighbors
+    assert len(returned) == 1, "the call raised"
+    return blocked, returned[0]
+
+
+def test_a_scrape_waits_for_the_batch_in_flight():
+    """A scrape from another thread reads the fleet before or after a
+    batch, never halfway through one: both go through the fleet's lock."""
+    policy = MicroBatchPolicy(max_batch=64, min_batch=64)
+    with KNNFleet.build(_points(), n_shards=2, batch_policy=policy) as fleet:
+        blocked, scraped = _call_during_a_batch(fleet, fleet.metrics_text)
+        assert blocked, "scrape read the fleet mid-batch"
+        samples = parse_prometheus_text(scraped)["repro_fleet_requests_total"].samples
+        assert samples[("repro_fleet_requests_total", ())] == 8.0
+
+
+def _http_get(url):
+    with urllib.request.urlopen(url, timeout=10) as resp:
+        return resp.status, json.loads(resp.read().decode())
+
+
+# Each entry point: a call made from a second thread while a batch is in
+# flight, and a check on what it returned (and on the fleet afterwards).
+_ENTRY_POINTS = {
+    "stats": (
+        lambda fleet, url: fleet.stats(),
+        lambda fleet, out: out["n_requests"] == 8.0,
+    ),
+    "closed": (
+        lambda fleet, url: fleet.closed,
+        lambda fleet, out: out is False,
+    ),
+    "submit": (
+        lambda fleet, url: fleet.submit(np.zeros(3), at=0.0),
+        lambda fleet, out: out == 8 and fleet.n_pending == 1,
+    ),
+    "insert": (
+        lambda fleet, url: fleet.insert(np.ones((2, 3))),
+        lambda fleet, out: out.tolist() == [400, 401] and fleet.n_live == 402,
+    ),
+    "delete": (
+        lambda fleet, url: fleet.delete([3]),
+        lambda fleet, out: fleet.n_live == 399,
+    ),
+    "rebuild": (
+        lambda fleet, url: fleet.rebuild(),
+        lambda fleet, out: all(group.rebuilds == 1 for group in fleet.groups),
+    ),
+    "kill_replica": (
+        lambda fleet, url: fleet.kill_replica(1, 0),
+        lambda fleet, out: fleet.groups[1].n_alive == 1,
+    ),
+    "heal": (
+        lambda fleet, url: (fleet.kill_replica(1, 0), fleet.heal())[1],
+        lambda fleet, out: out == 1 and fleet.groups[1].n_alive == 2,
+    ),
+    "close": (
+        lambda fleet, url: fleet.close(),
+        lambda fleet, out: fleet.closed and fleet.records.n_total == 8,
+    ),
+    "/readyz": (
+        lambda fleet, url: _http_get(url + "/readyz"),
+        lambda fleet, out: out == (200, {"status": "ready"}),
+    ),
+    "/slo": (
+        lambda fleet, url: _http_get(url + "/slo"),
+        lambda fleet, out: out[0] == 200 and "latency" in out[1],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_every_entry_point_waits_for_the_batch_in_flight(name):
+    """Every public entry point that reads or changes serving state, the
+    ops server's included, waits for a batch in flight on another thread:
+    the fleet's one lock is held from submit to drain's last merge."""
+    call, check = _ENTRY_POINTS[name]
+    policy = MicroBatchPolicy(max_batch=64, min_batch=64)
+    fleet = KNNFleet.build(_points(), n_shards=2, n_replicas=2, batch_policy=policy)
+    with fleet:
+        url = fleet.serve_ops().url
+        blocked, out = _call_during_a_batch(fleet, lambda: call(fleet, url))
+        assert blocked, f"{name} ran while a batch was in flight"
+        assert check(fleet, out), out
+
+
+def test_scrapes_racing_traffic_see_whole_batches():
+    """Scrapers racing a traffic thread, with the interpreter switching
+    threads every 10 us: no scrape raises, and every scrape counts the same
+    requests in the request counter and in the batch-size histogram, which
+    one batch completion moves together."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with KNNFleet.build(_points(), n_shards=2, n_replicas=2) as fleet:
+            stop = threading.Event()
+
+            def traffic():
+                rng = np.random.default_rng(1)
+                t = 0.0
+                while not stop.is_set():
+                    for _ in range(16):
+                        t += 1e-4
+                        fleet.submit(rng.normal(size=3), at=t)
+                    fleet.drain(at=t)
+
+            errors, torn = [], []
+
+            def scrape():
+                while not stop.is_set():
+                    try:
+                        families = parse_prometheus_text(fleet.metrics_text())
+                    except Exception as exc:  # the race shows up as any error
+                        errors.append(repr(exc))
+                        continue
+                    requests = families["repro_fleet_requests_total"].samples[
+                        ("repro_fleet_requests_total", ())
+                    ]
+                    batched = families["repro_fleet_batch_size"].samples[
+                        ("repro_fleet_batch_size_sum", ())
+                    ]
+                    if requests != batched:
+                        torn.append((requests, batched))
+
+            workers = [threading.Thread(target=traffic)]
+            workers += [threading.Thread(target=scrape) for _ in range(2)]
+            for worker in workers:
+                worker.start()
+            stop.wait(0.5)
+            stop.set()
+            for worker in workers:
+                worker.join(10.0)
+            assert not any(worker.is_alive() for worker in workers)
+            assert fleet.records.n_total > 0
+            assert not errors, errors[:3]
+            assert not torn, torn[:3]
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_latency_histogram_observes_every_request():

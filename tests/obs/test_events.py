@@ -53,9 +53,9 @@ def test_scoped_emitter_binds_static_fields():
     log = EventLog(clock=ManualClock())
     shard = log.scoped(shard=2)
     replica = shard.scoped(replica=0)
-    replica.emit("replica_death", died_now=True)
+    replica.emit("replica_death", retried=True)
     (event,) = log.snapshot()
-    assert dict(event.fields) == {"shard": 2, "replica": 0, "died_now": True}
+    assert dict(event.fields) == {"shard": 2, "replica": 0, "retried": True}
 
 
 def test_scoped_explicit_fields_win():

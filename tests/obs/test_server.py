@@ -159,9 +159,7 @@ class TestReadinessFlips:
             assert any("no live replica" in r for r in reasons)
             # resurrect directly: heal() needs a live peer, and this
             # group is fully dark — readiness only needs liveness back
-            revived = fleet.groups[0].replicas[0]
-            with revived._lock:
-                revived.alive = True
+            fleet.groups[0].replicas[0].alive = True
             status, _, _ = _get(server.url + "/readyz")
             assert status == 200
         finally:
