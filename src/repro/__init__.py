@@ -11,10 +11,9 @@ cluster with full communication accounting and an analytic cost model
 (:mod:`repro.kdtree`), the distributed construction and query protocol that
 is the paper's contribution (:mod:`repro.core`), the baselines it compares
 against (:mod:`repro.baselines`), synthetic analogues of its science
-datasets (:mod:`repro.datasets`), a chunked column store
-(:mod:`repro.io`), and the experiment drivers regenerating every table and
-figure of the evaluation (:mod:`repro.experiments`, driven by the
-``benchmarks/`` harness).
+datasets (:mod:`repro.datasets`), and the experiment drivers regenerating
+every table and figure of the evaluation (:mod:`repro.experiments`, driven
+by the ``benchmarks/`` harness).
 
 Quick start
 -----------

@@ -65,13 +65,32 @@ class Rank:
         self.ids = ids
 
 
+def integral_ids(ids) -> np.ndarray:
+    """``ids`` as int64, or ``ValueError`` when one is not an integer, so
+    ``1.9`` is never truncated into id 1."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        bad = ids[~(np.isfinite(ids) & (ids == np.round(ids)))] if ids.dtype.kind == "f" else ids
+        if bad.size:
+            raise ValueError(f"ids must be integers, got {bad[:5].tolist()}")
+    return ids.astype(np.int64)
+
+
+def reject_negative_ids(ids: np.ndarray) -> None:
+    """``ValueError`` when an id is negative: every merge treats an id
+    below 0 as padding (``-1``), so such a point would drop out of answers."""
+    if ids.size and int(ids.min()) < 0:
+        raise ValueError("ids must be non-negative (-1 is the padding sentinel)")
+
+
 def _global_ids(n_points: int, ids: np.ndarray | None) -> np.ndarray:
     """``ids`` checked against the whole point set (default: ``0..n-1``)."""
     if ids is None:
         return np.arange(n_points, dtype=np.int64)
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = integral_ids(ids)
     if ids.shape[0] != n_points:
         raise ValueError(f"ids length {ids.shape[0]} does not match number of points {n_points}")
+    reject_negative_ids(ids)
     return ids
 
 

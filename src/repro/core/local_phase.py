@@ -11,7 +11,7 @@ across threads or across worker processes without changing results.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import List
 
 from repro.cluster.executor import RankState, RankTask
 from repro.cluster.simulator import Cluster
@@ -29,24 +29,6 @@ LOCAL_TREE_KEY = "local_tree"
 
 #: Local construction phases in Fig. 5(b) order.
 LOCAL_PHASES = (PHASE_DATA_PARALLEL, PHASE_THREAD_PARALLEL, PHASE_SIMD_PACKING)
-
-
-class LazyLocalTree:
-    """Deferred local tree: loads on first touch (see ``PandaKNN.restore``).
-
-    Holds a zero-argument loader returning the :class:`KDTree`;
-    :func:`local_tree_of` swaps the handle for the materialised tree and
-    restores the owning rank's point set from the tree's packed points.
-    """
-
-    __slots__ = ("_loader",)
-
-    def __init__(self, loader: Callable[[], KDTree]) -> None:
-        self._loader = loader
-
-    def load(self) -> KDTree:
-        """Materialise the tree."""
-        return self._loader()
 
 
 def _build_tree_step(state: RankState, config: KDTreeConfig, threads: int) -> KDTree:
@@ -89,18 +71,8 @@ def build_local_trees(cluster: Cluster, config: PandaConfig | None = None) -> Li
 
 
 def local_tree_of(cluster: Cluster, rank: int) -> KDTree:
-    """Return the local tree previously built (or lazily restored) on ``rank``.
-
-    A :class:`LazyLocalTree` handle left by a lazy snapshot restore is
-    materialised here on first touch: the loaded tree replaces the handle
-    and the rank's point set is restored from the tree's packed points.
-    """
+    """Return the local tree previously built (or restored) on ``rank``."""
     store = cluster.ranks[rank].store
     if LOCAL_TREE_KEY not in store:
         raise KeyError(f"rank {rank} has no local kd-tree; call build_local_trees first")
-    tree = store[LOCAL_TREE_KEY]
-    if isinstance(tree, LazyLocalTree):
-        tree = tree.load()
-        store[LOCAL_TREE_KEY] = tree
-        cluster.ranks[rank].set_points(tree.points, tree.ids)
-    return tree
+    return store[LOCAL_TREE_KEY]

@@ -140,22 +140,18 @@ class PandaKNN:
     # ------------------------------------------------------------------
     # Snapshot persistence
     # ------------------------------------------------------------------
-    def snapshot(self, path, layout: str = "files") -> "PandaKNN":
+    def snapshot(self, path) -> "PandaKNN":
         """Write the fitted index to directory ``path`` (warm-start snapshot).
 
         Persists the config, cluster shape, global tree and every rank's
-        local tree so :meth:`restore` can rebuild the index without
-        re-running construction; restored indices answer queries
-        byte-identically.  ``layout="files"`` writes one ``.npz`` per rank;
-        ``layout="slabs"`` packs every rank's tree into two shared
-        :class:`~repro.io.column_store.ColumnStore` datasets read slab-wise
-        per rank (the layout lazy restores read from).  Returns ``self``
-        for chaining.
+        local tree, one ``.npz`` per tree, so :meth:`restore` can rebuild
+        the index without re-running construction; restored indices answer
+        queries byte-identically.  Returns ``self`` for chaining.
         """
         from repro.core.snapshot import write_snapshot
 
         self._require_fitted()
-        write_snapshot(self, path, layout=layout)
+        write_snapshot(self, path)
         return self
 
     @classmethod
@@ -163,23 +159,19 @@ class PandaKNN:
         cls,
         path,
         machine: MachineSpec | None = None,
-        lazy: bool = False,
         executor: "RankExecutor | str | None" = None,
     ) -> "PandaKNN":
         """Load an index previously written by :meth:`snapshot`.
 
         The restored index starts with fresh metrics: query counters
         accumulate normally but construction counters are zero (a warm
-        start performs no construction).  With ``lazy=True`` the per-rank
-        local trees are *not* materialised up front: each rank holds a
-        loader that reads its slab on first touch (first query routed to
-        it, explicit :meth:`local_trees`, or a follow-up :meth:`snapshot`),
-        so a warm start over many ranks costs only the global-tree read.
-        Until a rank is touched the cluster reports zero points for it.
+        start performs no construction).  ``machine`` overrides the
+        persisted machine model; ``executor`` picks how the restored
+        cluster runs its ranks, as for :class:`~repro.cluster.simulator.Cluster`.
         """
         from repro.core.snapshot import read_snapshot
 
-        return read_snapshot(path, machine=machine, lazy=lazy, executor=executor)
+        return read_snapshot(path, machine=machine, executor=executor)
 
     # ------------------------------------------------------------------
     # Querying
@@ -209,7 +201,7 @@ class PandaKNN:
         return self._fitted
 
     def local_trees(self) -> list[KDTree]:
-        """The per-rank local kd-trees (rank order; materialises lazy ranks)."""
+        """The per-rank local kd-trees (rank order)."""
         self._require_fitted()
         return [local_tree_of(self.cluster, rank.rank) for rank in self.cluster.ranks]
 

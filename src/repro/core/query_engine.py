@@ -42,7 +42,7 @@ from repro.core.config import PandaConfig
 from repro.core.global_tree import GlobalTree
 from repro.core.local_phase import local_tree_of
 from repro.kdtree.heap import merge_topk_rows
-from repro.kdtree.query import QueryStats, batch_knn
+from repro.kdtree.query import QueryStats, batch_knn, query_rows
 
 #: Phase names charged by the query engine (Fig. 5c categories).
 PHASE_FIND_OWNER = "query_find_owner"
@@ -187,7 +187,7 @@ class DistributedQueryEngine:
         k = self.config.k if k is None else k
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        queries = query_rows(queries)
         n_queries = queries.shape[0]
         n_ranks = self.cluster.n_ranks
         if origin_ranks is None:

@@ -45,6 +45,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster.simulator import reject_negative_ids
 from repro.fleet.admission import ADMIT, REJECT, SHED, AdmissionController, AdmissionPolicy
 from repro.fleet.dispatch import SerialDispatcher
 from repro.fleet.planner import ShardPlan, ShardPlanner
@@ -221,13 +222,8 @@ class KNNFleet:
         if not np.isfinite(points).all():
             raise ValueError("points must have finite coordinates (found nan or inf)")
         n = points.shape[0]
-        ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
-        if ids.size and int(ids.min()) < 0:
-            # -1 is the padding sentinel of every answer path; a negative id
-            # would be silently masked out of all merged results.
-            raise ValueError("ids must be non-negative (-1 is the padding sentinel)")
-        if np.unique(ids).size != ids.shape[0]:
-            raise ValueError("initial ids must be unique")
+        ids = np.arange(n, dtype=np.int64) if ids is None else checked_ids(ids)
+        reject_negative_ids(ids)
         plan = ShardPlanner(n_shards, strategy=strategy).plan(points, ids)
         if np.bincount(plan.assignment, minlength=n_shards).min() == 0:
             # Only the non-spatial strategies can get here (the tree planner
@@ -421,9 +417,10 @@ class KNNFleet:
         k = self.k if k is None else k
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        query = np.asarray(query, dtype=np.float64).ravel()
+        point = np.asarray(query, dtype=np.float64)
+        query = point.ravel()
         if query.shape[0] != self._dims:
-            raise ValueError(f"query has {query.shape[0]} dims, fleet has {self._dims}")
+            raise ValueError(f"query has shape {point.shape}, fleet has {self._dims} dims")
         with self._lock:
             queue = self._queue
             request_id, arrival = queue.arrive(query, at, self._advance)
@@ -533,8 +530,7 @@ class KNNFleet:
             else:
                 # The whole batch is validated before any shard is touched: a
                 # bad id must not leave some groups mutated and others not.
-                if ids.size and int(ids.min()) < 0:
-                    raise ValueError("ids must be non-negative (-1 is the padding sentinel)")
+                reject_negative_ids(ids)
                 live = [int(i) for i in ids if int(i) in self._id_to_shard]
                 if live:
                     raise ValueError(f"ids already indexed: {live[:5]}")

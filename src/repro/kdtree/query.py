@@ -100,6 +100,15 @@ class KNNResult:
         return int(self.ids.shape[0])
 
 
+def query_rows(queries) -> np.ndarray:
+    """``queries`` as a float64 ``(n, dims)`` array (one 1-D query becomes
+    one row); ``ValueError`` naming the shape for anything not 1-D or 2-D."""
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim not in (1, 2):
+        raise ValueError(f"queries must be 1-D or 2-D, got shape {queries.shape}")
+    return np.atleast_2d(queries)
+
+
 def _check_radii(radii) -> None:
     """Reject a negative or NaN search radius (its square would hide both)."""
     if not np.all(np.asarray(radii) >= 0.0):
@@ -393,7 +402,7 @@ def _answer(engine, tree, queries, k, radii, stats):
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     _check_radii(radii)
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    queries = query_rows(queries)
     if not np.isfinite(queries).all():
         raise ValueError("queries must have finite coordinates (found nan or inf)")
     n_queries = queries.shape[0]

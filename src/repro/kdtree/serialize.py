@@ -1,17 +1,10 @@
 """Snapshot persistence for built kd-trees.
 
 A built :class:`~repro.kdtree.tree.KDTree` is eight flat arrays plus its
-construction config and stats, so a snapshot is simply those arrays written
-to disk together with a JSON metadata blob.  Two interchangeable backends
-implement the same round-trip contract (loaded arrays are byte-identical to
-the saved ones, config and stats compare equal):
-
-* ``"npz"`` — a single ``.npz`` file, the compact default;
-* ``"columns"`` — a directory of two :class:`~repro.io.column_store.ColumnStore`
-  datasets (``points`` for the row-aligned point data, ``nodes`` for the
-  node-aligned structure arrays), matching the chunked one-array-per-property
-  layout the paper uses for its science datasets.  This backend lets very
-  large snapshots be read slab-wise by rank.
+construction config and stats, so a snapshot is one ``.npz`` file holding
+those arrays together with a JSON metadata blob.  The round trip is exact:
+loaded arrays are byte-identical to the saved ones, config and stats
+compare equal.
 
 Byte-identity matters: the vectorised query engine is deterministic over the
 tree arrays, so a restored tree answers every query batch byte-identically
@@ -34,8 +27,8 @@ from repro.kdtree.tree import KDTree, KDTreeConfig, TreeBuildStats
 #: Snapshot format version (bump on incompatible layout changes).
 #: Version 3 is the version-1 array set.  Version 2 additionally carried
 #: float32 copies of the point columns (``blocks_coords32*``) and a
-#: ``precision`` config key for a since-retired query tier; both loaders
-#: read arrays by name, so those extras are simply never opened.
+#: ``precision`` config key for a since-retired query tier; the loader
+#: reads arrays by name, so those extras are simply never opened.
 SNAPSHOT_VERSION = 3
 
 #: Versions this build can read.
@@ -45,8 +38,6 @@ _COMPATIBLE_VERSIONS = (1, 2, 3)
 _POINT_ARRAYS = ("ids",)
 #: Node-aligned arrays (one entry per tree node).
 _NODE_ARRAYS = ("split_dim", "split_val", "left", "right", "start", "count")
-
-_META_FILE = "tree_meta.json"
 
 
 # ----------------------------------------------------------------------
@@ -93,9 +84,6 @@ def stats_from_dict(data: dict) -> TreeBuildStats:
 def _tree_meta(tree: KDTree) -> dict:
     return {
         "version": SNAPSHOT_VERSION,
-        "dims": tree.dims if tree.n_points else int(tree.points.shape[1]),
-        "n_points": tree.n_points,
-        "n_nodes": tree.n_nodes,
         "config": config_to_dict(tree.config),
         "stats": stats_to_dict(tree.stats),
     }
@@ -111,9 +99,14 @@ def _check_version(meta: dict, source: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# npz backend
+# Public API
 # ----------------------------------------------------------------------
-def _save_npz(tree: KDTree, path: Path) -> None:
+def save_kdtree(tree: KDTree, path: str | Path) -> Path:
+    """Write ``tree`` to the ``.npz`` file ``path`` (the suffix is appended
+    when missing); returns the path actually written."""
+    path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_suffix(path.suffix + ".npz")
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savez(
         path,
@@ -127,9 +120,14 @@ def _save_npz(tree: KDTree, path: Path) -> None:
         start=tree.start,
         count=tree.count,
     )
+    return path
 
 
-def _load_npz(path: Path) -> KDTree:
+def load_kdtree(path: str | Path) -> KDTree:
+    """Load a kd-tree snapshot written by :func:`save_kdtree`."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"no kd-tree snapshot file at {path}")
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         _check_version(meta, str(path))
@@ -141,94 +139,9 @@ def _load_npz(path: Path) -> KDTree:
     )
 
 
-# ----------------------------------------------------------------------
-# ColumnStore backend
-# ----------------------------------------------------------------------
-def _save_columns(tree: KDTree, root: Path, chunk_size: int) -> None:
-    from repro.io.column_store import ColumnStore
-
-    root.mkdir(parents=True, exist_ok=True)
-    dims = int(tree.points.shape[1])
-    point_cols = {f"dim{d}": tree.points[:, d] for d in range(dims)}
-    point_cols["ids"] = tree.ids
-    ColumnStore(root / "points", chunk_size=chunk_size).write(point_cols)
-    ColumnStore(root / "nodes", chunk_size=chunk_size).write(
-        {name: getattr(tree, name) for name in _NODE_ARRAYS}
-    )
-    (root / _META_FILE).write_text(json.dumps(_tree_meta(tree), indent=2))
-
-
-def _load_columns(root: Path) -> KDTree:
-    from repro.io.column_store import ColumnStore
-
-    meta = json.loads((root / _META_FILE).read_text())
-    _check_version(meta, str(root))
-    dims = int(meta["dims"])
-    points_store = ColumnStore(root / "points")
-    if dims:
-        points = points_store.read_points([f"dim{d}" for d in range(dims)])
-    else:
-        points = np.empty((int(meta["n_points"]), 0))
-    ids = points_store.read_column("ids")
-    nodes_store = ColumnStore(root / "nodes")
-    node_arrays = {name: nodes_store.read_column(name) for name in _NODE_ARRAYS}
-    return KDTree(
-        points=points,
-        ids=ids,
-        config=config_from_dict(meta["config"]),
-        stats=stats_from_dict(meta["stats"]),
-        **node_arrays,
-    )
-
-
-# ----------------------------------------------------------------------
-# Public API
-# ----------------------------------------------------------------------
-def save_kdtree(tree: KDTree, path: str | Path, backend: str = "npz", chunk_size: int = 65536) -> Path:
-    """Write ``tree`` to ``path``; returns the path actually written.
-
-    Parameters
-    ----------
-    tree:
-        A built kd-tree.
-    path:
-        Target file (``npz`` backend; a ``.npz`` suffix is appended when
-        missing) or directory (``columns`` backend).
-    backend:
-        ``"npz"`` (single file) or ``"columns"`` (ColumnStore directory).
-    chunk_size:
-        Rows per chunk file for the ``columns`` backend.
-    """
-    path = Path(path)
-    if backend == "npz":
-        if path.suffix != ".npz":
-            path = path.with_suffix(path.suffix + ".npz")
-        _save_npz(tree, path)
-        return path
-    if backend == "columns":
-        _save_columns(tree, path, chunk_size)
-        return path
-    raise ValueError(f"unknown snapshot backend {backend!r}; expected 'npz' or 'columns'")
-
-
-def load_kdtree(path: str | Path) -> KDTree:
-    """Load a kd-tree snapshot written by :func:`save_kdtree` (either backend)."""
-    path = Path(path)
-    if path.is_dir():
-        if not (path / _META_FILE).exists():
-            raise FileNotFoundError(f"no kd-tree snapshot at {path} (missing {_META_FILE})")
-        return _load_columns(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no kd-tree snapshot at {path}")
-    return _load_npz(path)
-
-
 def snapshot_nbytes(path: str | Path) -> int:
-    """Total bytes of a snapshot on disk (file or directory tree)."""
-    path = Path(path)
-    if path.is_dir():
-        return sum(p.stat().st_size for p in path.rglob("*") if p.is_file())
-    return path.stat().st_size
+    """Bytes of a snapshot file on disk."""
+    return Path(path).stat().st_size
 
 
 def arrays_byte_identical(a: np.ndarray, b: np.ndarray) -> bool:

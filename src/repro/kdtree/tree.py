@@ -280,21 +280,21 @@ class KDTree:
     # ------------------------------------------------------------------
     # Snapshot persistence
     # ------------------------------------------------------------------
-    def save(self, path, backend: str = "npz", chunk_size: int = 65536):
+    def save(self, path):
         """Write this tree to ``path``; see :func:`repro.kdtree.serialize.save_kdtree`.
 
-        Returns the path actually written (the ``npz`` backend appends a
-        ``.npz`` suffix when missing).  The snapshot round-trips the node
-        arrays byte-identically, so a loaded tree answers every query batch
+        Returns the path actually written (a ``.npz`` suffix is appended
+        when missing).  The snapshot round-trips the node arrays
+        byte-identically, so a loaded tree answers every query batch
         exactly as this one does.
         """
         from repro.kdtree.serialize import save_kdtree
 
-        return save_kdtree(self, path, backend=backend, chunk_size=chunk_size)
+        return save_kdtree(self, path)
 
     @staticmethod
     def load(path) -> "KDTree":
-        """Load a tree snapshot written by :meth:`save` (either backend)."""
+        """Load a tree snapshot written by :meth:`save`."""
         from repro.kdtree.serialize import load_kdtree
 
         return load_kdtree(path)

@@ -36,15 +36,18 @@ RESULTS_DIR = _REPO_ROOT / "benchmarks" / "results"
 
 
 def _code_size() -> Dict[str, int]:
-    """Lines of ``repro`` source and public symbols (package ``__all__`` sum)."""
+    """Lines and modules (``.py`` files) of ``repro`` source, and public
+    symbols (package ``__all__`` sum)."""
     import repro
 
     package_dir = Path(repro.__file__).resolve().parent
+    modules = list(package_dir.rglob("*.py"))
     packages = ["repro"] + [
         info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
     ]
     return {
-        "src_lines": sum(p.read_bytes().count(b"\n") for p in package_dir.rglob("*.py")),
+        "src_lines": sum(p.read_bytes().count(b"\n") for p in modules),
+        "src_modules": len(modules),
         "public_symbols": sum(
             len(getattr(importlib.import_module(name), "__all__", ())) for name in packages
         ),

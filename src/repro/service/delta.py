@@ -28,6 +28,7 @@ from typing import List, Set, Tuple
 import numpy as np
 
 from repro.analysis.annotations import exactness_path
+from repro.cluster.simulator import integral_ids, reject_negative_ids
 
 
 def sorted_member(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -50,11 +51,7 @@ def checked_ids(ids) -> np.ndarray:
     ids = np.asarray(ids)
     if ids.ndim != 1:
         raise ValueError(f"ids must be 1-D, got shape {ids.shape}")
-    if ids.size and ids.dtype.kind not in "iu":
-        bad = ids[~(np.isfinite(ids) & (ids == np.round(ids)))] if ids.dtype.kind == "f" else ids
-        if bad.size:
-            raise ValueError(f"ids must be integers, got {bad[:5].tolist()}")
-    ids = ids.astype(np.int64)
+    ids = integral_ids(ids)
     if np.unique(ids).size != ids.size:
         raise ValueError("duplicate ids within one batch")
     return ids
@@ -116,8 +113,7 @@ class DeltaBuffer:
             raise ValueError(f"points have {points.shape[1]} dims, index has {self.dims}")
         if ids.shape[0] != points.shape[0]:
             raise ValueError("ids length must match number of points")
-        if ids.size and int(ids.min()) < 0:
-            raise ValueError("ids must be non-negative (-1 is the padding sentinel)")
+        reject_negative_ids(ids)
         fresh = set(int(i) for i in ids)
         if len(fresh) != ids.shape[0]:
             raise ValueError("duplicate ids within one insert batch")

@@ -41,8 +41,10 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.annotations import exactness_path
+from repro.cluster.simulator import reject_negative_ids
 from repro.core.snapshot import allocate_version_dir, promote_version
 from repro.kdtree.heap import merge_topk_rows
+from repro.kdtree.query import query_rows
 from repro.obs.clock import MONOTONIC, Clock
 from repro.obs.profiler import phase
 from repro.service.cache import CacheStats, LRUCache, query_key
@@ -256,9 +258,10 @@ class KNNService:
         k = self.k if k is None else k
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        query = np.asarray(query, dtype=np.float64).ravel()
+        point = np.asarray(query, dtype=np.float64)
+        query = point.ravel()
         if query.shape[0] != self.backend.dims:
-            raise ValueError(f"query has {query.shape[0]} dims, index has {self.backend.dims}")
+            raise ValueError(f"query has shape {point.shape}, index has {self.backend.dims} dims")
         queue = self._queue
         request_id, arrival = queue.arrive(query, at, self._advance)
         cached = self.cache.get(query_key(query, k))
@@ -299,7 +302,7 @@ class KNNService:
         k = self.k if k is None else k
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        queries = query_rows(queries)
         if not np.isfinite(queries).all():
             raise ValueError("queries must have finite coordinates (found nan or inf)")
         if queries.shape[1] != self.backend.dims:
@@ -613,6 +616,7 @@ class KNNService:
     def _reindex_ids(self) -> None:
         """Index the backend's ids."""
         sorted_ids = np.sort(self.backend.all_points()[1])
+        reject_negative_ids(sorted_ids[:1])
         # One ascending array: whole-batch searchsorted membership for
         # insert/delete, no Python object per indexed id.
         self._backend_ids = sorted_ids

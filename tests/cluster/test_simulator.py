@@ -105,3 +105,76 @@ class TestCluster:
         cluster = Cluster(5)
         cluster.distribute_block(small_points)
         assert cluster.total_points() == small_points.shape[0]
+
+
+METHODS = ["distribute_block", "distribute_round_robin"]
+
+
+class TestDistributionEdgeCases:
+    """Both placements cover every point exactly once, keep each point with
+    its id, and balance rank sizes to within one point, whatever the size
+    of the point set relative to the rank count."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_empty_point_set_leaves_every_rank_empty(self, method):
+        cluster = Cluster(4)
+        getattr(cluster, method)(np.empty((0, 3)))
+        assert cluster.points_per_rank() == [0, 0, 0, 0]
+        assert [rank.points.shape for rank in cluster.ranks] == [(0, 3)] * 4
+        assert all(rank.ids.dtype == np.int64 for rank in cluster.ranks)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fewer_points_than_ranks(self, method):
+        cluster = Cluster(8)
+        points = np.arange(9.0).reshape(3, 3)
+        getattr(cluster, method)(points)
+        assert sorted(cluster.points_per_rank()) == [0] * 5 + [1] * 3
+        assert np.array_equal(np.sort(cluster.gather_ids()), [0, 1, 2])
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_single_rank_gets_everything_in_order(self, method, small_points):
+        cluster = Cluster(1)
+        getattr(cluster, method)(small_points)
+        assert np.array_equal(cluster.ranks[0].points, small_points)
+        assert np.array_equal(cluster.ranks[0].ids, np.arange(small_points.shape[0]))
+
+    @pytest.mark.parametrize("n_points", [7, 1001])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_rank_sizes_differ_by_at_most_one(self, method, n_points):
+        cluster = Cluster(6)
+        getattr(cluster, method)(np.zeros((n_points, 2)))
+        counts = cluster.points_per_rank()
+        assert sum(counts) == n_points
+        assert max(counts) - min(counts) <= 1
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_ids_travel_with_their_points(self, method):
+        rng = np.random.default_rng(6)
+        points = rng.normal(size=(101, 3))
+        ids = rng.permutation(10_000)[:101]
+        cluster = Cluster(5)
+        getattr(cluster, method)(points, ids)
+        row_of = {int(i): row for row, i in enumerate(ids)}
+        for rank in cluster.ranks:
+            rows = [row_of[int(i)] for i in rank.ids]
+            assert np.array_equal(rank.points, points[rows])
+        assert np.array_equal(np.sort(cluster.gather_ids()), np.sort(ids))
+
+    def test_block_ranks_hold_contiguous_file_order_runs(self):
+        cluster = Cluster(3)
+        cluster.distribute_block(np.zeros((10, 2)))
+        assert np.array_equal(np.concatenate([r.ids for r in cluster.ranks]), np.arange(10))
+
+    @pytest.mark.parametrize(
+        "ids, match",
+        [([0, 1, -2, 3], "non-negative"), ([0, 1, 2.5, 3], "integers"), ([0, np.nan, 2, 3], "integers")],
+        ids=["negative", "fractional", "nan"],
+    )
+    @pytest.mark.parametrize("method", METHODS)
+    def test_malformed_ids_rejected_before_any_rank_moves(self, method, ids, match):
+        cluster = Cluster(2)
+        cluster.distribute_block(np.ones((2, 3)))
+        with pytest.raises(ValueError, match=match):
+            getattr(cluster, method)(np.zeros((4, 3)), np.array(ids))
+        assert cluster.points_per_rank() == [1, 1]
+        assert np.array_equal(cluster.gather_points(), np.ones((2, 3)))

@@ -1,5 +1,7 @@
 """Tests for the PandaKNN façade and the replicated-tree mode."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,14 @@ class TestPandaKNN:
         points = np.random.default_rng(0).normal(size=(10, 3))
         with pytest.raises(ValueError, match="ids length 5 does not match number of points 10"):
             PandaKNN(n_ranks=2).fit(points, ids=np.arange(5))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (1, 1, 1, 3)])
+    def test_queries_neither_1d_nor_2d_name_their_shape(self, small_points, shape):
+        index = PandaKNN(n_ranks=2).fit(small_points)
+        with pytest.raises(ValueError, match=re.escape(f"1-D or 2-D, got shape {shape}")):
+            index.kneighbors(np.zeros(shape), k=3)
+        d, _ = index.kneighbors(np.zeros(3), k=3)
+        assert d.shape == (1, 3)
 
     def test_default_k_from_config(self, small_points, small_queries):
         index = PandaKNN(n_ranks=2, config=PandaConfig(k=7)).fit(small_points)

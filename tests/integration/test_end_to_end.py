@@ -9,7 +9,6 @@ from repro.baselines.local_only import LocalTreesKNN
 from repro.datasets.cosmology import cosmology_particles
 from repro.datasets.dayabay import dayabay_records
 from repro.datasets.plasma import plasma_particles
-from repro.io.column_store import ColumnStore
 
 
 class TestFullPipeline:
@@ -54,28 +53,6 @@ class TestFullPipeline:
         # The empty rank streamed nothing but the phases exist with zeros.
         empty_total = cluster.metrics.rank(1).total()
         assert empty_total.elements_moved == 0
-
-    def test_column_store_to_distributed_index(self, tmp_path):
-        """Write points to the column store, read per-rank slabs, build, query."""
-        points = cosmology_particles(3_000, seed=23)
-        store = ColumnStore(tmp_path / "cosmo", chunk_size=500)
-        store.write_points(points, column_names=["x", "y", "z"])
-
-        from repro.cluster.simulator import Cluster
-        from repro.core.panda import PandaKNN as Panda
-
-        cluster = Cluster(n_ranks=4)
-        offset = 0
-        for rank in cluster.ranks:
-            slab = store.read_rank_slab(["x", "y", "z"], rank.rank, 4)
-            rank.set_points(slab, ids=np.arange(offset, offset + slab.shape[0]))
-            offset += slab.shape[0]
-        index = Panda.from_cluster(cluster)
-        rng = np.random.default_rng(24)
-        queries = points[rng.choice(points.shape[0], 50, replace=False)]
-        d, _ = index.kneighbors(queries, k=3)
-        bd, _ = brute_force_knn(points, np.arange(points.shape[0]), queries, 3)
-        assert np.allclose(d, bd, atol=1e-9)
 
     def test_dayabay_classification_pipeline(self):
         points, labels = dayabay_records(5_000, seed=25)

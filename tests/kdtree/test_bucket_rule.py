@@ -72,10 +72,9 @@ class TestRule:
 
 
 class TestSnapshots:
-    @pytest.mark.parametrize("backend", ["npz", "columns"])
-    def test_round_trip_keeps_the_resolved_size(self, tree_10d, tmp_path, backend):
+    def test_round_trip_keeps_the_resolved_size(self, tree_10d, tmp_path):
         points, tree = tree_10d
-        restored = load_kdtree(save_kdtree(tree, tmp_path / "snap", backend=backend))
+        restored = load_kdtree(save_kdtree(tree, tmp_path / "snap"))
         assert restored.config.bucket_size == 128
         assert restored.config == tree.config
         d0, i0, s0 = batch_knn_scalar(tree, points[:50], 8)

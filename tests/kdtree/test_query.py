@@ -1,6 +1,7 @@
 """Tests for Algorithm 1: local k-nearest-neighbour search."""
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,13 @@ class TestBatchKnn:
         tree, _ = tree_and_points
         d, i, _ = batch_knn(tree, np.zeros(3), 4)
         assert d.shape == (1, 4)
+
+    @pytest.mark.parametrize("engine", [batch_knn, batch_knn_scalar, _batch_knn_lockstep])
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (1, 1, 1, 3), ()])
+    def test_queries_neither_1d_nor_2d_name_their_shape(self, tree_and_points, engine, shape):
+        tree, _ = tree_and_points
+        with pytest.raises(ValueError, match=f"1-D or 2-D, got shape {re.escape(str(shape))}"):
+            engine(tree, np.zeros(shape), 3)
 
 
 class TestBruteForce:

@@ -48,5 +48,5 @@ class TestFormatBreakdown:
 class TestRunMetadata:
     def test_code_size_is_stamped(self):
         meta = run_metadata()
-        for key in ("src_lines", "public_symbols"):
+        for key in ("src_lines", "src_modules", "public_symbols"):
             assert isinstance(meta[key], int) and meta[key] > 0

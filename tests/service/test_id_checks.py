@@ -3,11 +3,16 @@
 ``KNNService`` and ``KNNFleet`` reject ids that are not 1-D, not integral
 or repeated within one call with a ``ValueError``, before the clock or any
 state moves: a float id is never truncated into another point's id.
+
+The construction doors (``PandaKNN.fit``, ``KNNService`` over a built
+backend, ``KNNFleet.build``) also reject negative ids: every merge treats
+an id below 0 as padding, so such a point would drop out of answers.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.panda import PandaKNN
 from repro.fleet import KNNFleet
 from repro.obs import ManualClock
 from repro.service import KNNService, LocalTreeBackend
@@ -58,3 +63,61 @@ def test_integral_float_ids_are_taken_as_integers(door):
     ]
     d, i = door.query(np.full(3, 9.0), k=2, at=3.0)
     assert sorted(i.tolist()) == [1000, 1001] and d.tolist() == [0.0, 0.0]
+
+
+class TestConstructionDoors:
+    def test_fit_rejects_negative_ids(self):
+        index = PandaKNN(n_ranks=2)
+        with pytest.raises(ValueError, match="non-negative"):
+            index.fit(POINTS, ids=-np.arange(1, POINTS.shape[0] + 1))
+        assert not index.is_fitted and index.cluster.total_points() == 0
+
+    def test_fit_rejects_non_integral_ids(self):
+        ids = np.arange(POINTS.shape[0], dtype=np.float64)
+        ids[5] = 0.7
+        index = PandaKNN(n_ranks=2)
+        with pytest.raises(ValueError, match="integers"):
+            index.fit(POINTS, ids=ids)
+        assert index.cluster.total_points() == 0
+        # Integral floats are taken as the integers they are.
+        index.fit(POINTS, ids=np.arange(POINTS.shape[0], dtype=np.float64) + 10)
+        assert index.kneighbors(POINTS[3], k=1)[1].tolist() == [[13]]
+
+    def test_service_rejects_a_backend_holding_a_negative_id(self):
+        ids = np.arange(POINTS.shape[0])
+        ids[0] = -5
+        with pytest.raises(ValueError, match="non-negative"):
+            KNNService(LocalTreeBackend.fit(POINTS, ids=ids), k=3)
+
+    def test_fleet_build_rejects_non_integral_ids(self):
+        with pytest.raises(ValueError, match="integers"):
+            KNNFleet.build(POINTS, ids=np.arange(POINTS.shape[0]) + 0.5, n_shards=2)
+
+    @pytest.mark.parametrize(
+        "ids, match",
+        [
+            (np.r_[np.arange(59.0), np.nan], "integers"),
+            (np.r_[np.arange(59.0), np.inf], "integers"),
+            (np.r_[np.arange(59), -1], "non-negative"),
+            (np.arange(59), "length"),
+        ],
+        ids=["nan", "inf", "one_negative", "short"],
+    )
+    def test_fit_rejects_malformed_ids(self, ids, match):
+        index = PandaKNN(n_ranks=3)
+        with pytest.raises(ValueError, match=match):
+            index.fit(POINTS, ids=ids)
+        assert not index.is_fitted and index.cluster.total_points() == 0
+
+    @pytest.mark.parametrize(
+        "ids, match",
+        [
+            (np.r_[np.arange(59.0), np.nan], "integers"),
+            (np.r_[np.arange(59), -(2**40)], "non-negative"),
+            (np.arange(60).reshape(30, 2), "1-D"),
+        ],
+        ids=["nan", "large_negative", "2d"],
+    )
+    def test_fleet_build_rejects_malformed_ids(self, ids, match):
+        with pytest.raises(ValueError, match=match):
+            KNNFleet.build(POINTS, ids=ids, n_shards=2)

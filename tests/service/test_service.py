@@ -1,5 +1,7 @@
 """Unit tests for the online service: cache, batching, latency, updates."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -552,3 +554,38 @@ class TestRetentionRing:
     def test_retention_validated(self, backend):
         with pytest.raises(ValueError):
             make_service(backend, retention=0)
+
+
+class TestQueryShapes:
+    """A query array of the wrong shape is refused with its shape named,
+    never reinterpreted as a point of another dimensionality."""
+
+    @staticmethod
+    def _door(kind, points):
+        from repro.fleet import KNNFleet
+
+        if kind == "service":
+            return KNNService(LocalTreeBackend.fit(points), k=3)
+        return KNNFleet.build(points, n_shards=2, k=3)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3), (4,)])
+    @pytest.mark.parametrize("kind", ["service", "fleet"])
+    def test_single_query_door_names_the_shape(self, small_points, kind, shape):
+        door = self._door(kind, small_points[:200])
+        with pytest.raises(ValueError, match=f"shape {re.escape(str(shape))}"):
+            door.query(np.zeros(shape))
+        assert door.n_live == 200
+        door.close()
+
+    @pytest.mark.parametrize("kind", ["service", "fleet"])
+    def test_one_point_in_a_row_is_one_query(self, small_points, kind):
+        door = self._door(kind, small_points[:200])
+        d, i = door.query(small_points[7][None, :])
+        assert i[0] == 7 and d[0] == 0.0
+        door.close()
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (1, 1, 1, 3)])
+    def test_batch_door_names_the_shape(self, backend, shape):
+        service = make_service(backend, k=3)
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            service.answer_batch(np.zeros(shape))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster.machine import MachineSpec
 from repro.core.config import PandaConfig
 from repro.core.panda import PandaKNN
 from repro.core.snapshot import (
@@ -66,16 +67,174 @@ class TestPandaSnapshot:
         with pytest.raises(FileNotFoundError):
             PandaKNN.restore(tmp_path / "absent")
 
-    def test_version_mismatch_rejected(self, fitted, tmp_path):
+    @pytest.mark.parametrize("version", [2, 999])
+    def test_version_mismatch_rejected(self, fitted, tmp_path, version):
         import json
 
         fitted.snapshot(tmp_path / "panda")
         meta_file = tmp_path / "panda" / "panda_meta.json"
         meta = json.loads(meta_file.read_text())
-        meta["version"] = 999
+        meta["version"] = version
+        if version == 2:
+            # The retired slab layout: trees packed into shared column
+            # stores, no per-rank files.
+            meta["layout"] = "slabs"
+            for tree_file in (tmp_path / "panda").glob("local_tree_*.npz"):
+                tree_file.unlink()
         meta_file.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError, match=f"version {version}"):
             PandaKNN.restore(tmp_path / "panda")
+
+    def test_retired_precision_key_is_dropped(self, fitted, small_points, tmp_path):
+        # Snapshots written while KDTreeConfig still had a ``precision``
+        # field carry it in the serialised local-tree config.
+        import json
+
+        fitted.snapshot(tmp_path / "panda")
+        meta_file = tmp_path / "panda" / "panda_meta.json"
+        meta = json.loads(meta_file.read_text())
+        meta["config"]["local"]["precision"] = "float32"
+        meta_file.write_text(json.dumps(meta))
+        restored = PandaKNN.restore(tmp_path / "panda")
+        assert restored.config == fitted.config
+        d0, i0 = fitted.kneighbors(small_points[:50], k=5)
+        d1, i1 = restored.kneighbors(small_points[:50], k=5)
+        assert d0.tobytes() == d1.tobytes()
+        assert i0.tobytes() == i1.tobytes()
+
+    def test_interrupted_overwrite_is_refused(self, fitted, tmp_path, monkeypatch):
+        # Index B written over index A's snapshot dies before its global
+        # tree: B's local trees now sit beside A's global tree, a mix that
+        # must not restore.
+        import repro.core.snapshot as snapshot
+
+        fitted.snapshot(tmp_path / "panda")
+        other = PandaKNN(n_ranks=4, config=PandaConfig(k=5)).fit(
+            np.random.default_rng(5).uniform(-3.0, 3.0, size=(1_000, 3))
+        )
+
+        def dies(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(snapshot, "save_global_tree", dies)
+        with pytest.raises(OSError, match="disk full"):
+            other.snapshot(tmp_path / "panda")
+        with pytest.raises(FileNotFoundError):
+            PandaKNN.restore(tmp_path / "panda")
+
+
+class TestInterruptedWrites:
+    """A snapshot write cut short at any file never restores: the meta file
+    goes first and comes back last, so a reader finds either a complete
+    snapshot or none."""
+
+    @staticmethod
+    def _dies_on_call(n, original):
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == n:
+                raise OSError("disk full")
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    @pytest.mark.parametrize("stage", ["first_local_tree", "last_local_tree", "global_tree", "meta"])
+    @pytest.mark.parametrize("target", ["fresh", "overwrite"])
+    def test_write_cut_short_is_refused(self, fitted, tmp_path, monkeypatch, target, stage):
+        import repro.core.snapshot as snapshot
+
+        path = tmp_path / "panda"
+        if target == "overwrite":
+            fitted.snapshot(path)
+        if stage == "first_local_tree":
+            monkeypatch.setattr(snapshot, "save_kdtree", self._dies_on_call(1, snapshot.save_kdtree))
+        elif stage == "last_local_tree":
+            monkeypatch.setattr(
+                snapshot, "save_kdtree", self._dies_on_call(fitted.n_ranks, snapshot.save_kdtree)
+            )
+        elif stage == "global_tree":
+            monkeypatch.setattr(snapshot, "save_global_tree", self._dies_on_call(1, None))
+        else:
+            monkeypatch.setattr(snapshot, "panda_config_to_dict", self._dies_on_call(1, None))
+        with pytest.raises(OSError, match="disk full"):
+            fitted.snapshot(path)
+        with pytest.raises(FileNotFoundError, match="panda_meta.json"):
+            PandaKNN.restore(path)
+        monkeypatch.undo()
+        # Writing again over the debris gives a snapshot that restores.
+        fitted.snapshot(path)
+        restored = PandaKNN.restore(path)
+        d0, i0 = fitted.kneighbors(np.zeros((4, 3)), k=5)
+        d1, i1 = restored.kneighbors(np.zeros((4, 3)), k=5)
+        assert d0.tobytes() == d1.tobytes() and i0.tobytes() == i1.tobytes()
+
+    def test_overwrite_with_fewer_ranks_answers_as_the_new_index(self, fitted, tmp_path):
+        # Index A's extra per-rank files stay on disk; the restore reads only
+        # the ranks the new meta names.
+        fitted.snapshot(tmp_path / "panda")
+        points = np.random.default_rng(9).uniform(-3.0, 3.0, size=(800, 3))
+        other = PandaKNN(n_ranks=2, config=PandaConfig(k=5)).fit(points)
+        other.snapshot(tmp_path / "panda")
+        restored = PandaKNN.restore(tmp_path / "panda")
+        assert restored.n_ranks == 2 and restored.cluster.total_points() == 800
+        queries = points[:60] + 0.01
+        a, b = other.query(queries, k=5), restored.query(queries, k=5)
+        assert a.distances.tobytes() == b.distances.tobytes()
+        assert a.ids.tobytes() == b.ids.tobytes()
+        assert np.array_equal(a.owners, b.owners)
+
+    def test_restored_index_snapshots_again_byte_identically(self, fitted, small_points, tmp_path):
+        fitted.snapshot(tmp_path / "first")
+        PandaKNN.restore(tmp_path / "first").snapshot(tmp_path / "second")
+        again = PandaKNN.restore(tmp_path / "second")
+        for tree, warm_tree in zip(fitted.local_trees(), again.local_trees()):
+            check_snapshot_roundtrip(tree, warm_tree)
+        d0, i0 = fitted.kneighbors(small_points[:80], k=5)
+        d1, i1 = again.kneighbors(small_points[:80], k=5)
+        assert d0.tobytes() == d1.tobytes() and i0.tobytes() == i1.tobytes()
+
+
+class TestRestoreOptions:
+    """``restore(executor=, machine=)`` change how and where the index is
+    modeled, never what it answers."""
+
+    @pytest.fixture(scope="class")
+    def index_10d(self, tmp_path_factory):
+        rng = np.random.default_rng(12)
+        points = rng.normal(size=(3_000, 10))
+        ids = rng.permutation(50_000)[:3_000] * 3 + 7
+        index = PandaKNN(n_ranks=3, config=PandaConfig(k=6)).fit(points, ids=ids)
+        path = tmp_path_factory.mktemp("panda10d") / "snap"
+        index.snapshot(path)
+        queries = points[rng.choice(points.shape[0], 120, replace=False)] + rng.normal(
+            scale=0.05, size=(120, 10)
+        )
+        yield index, path, queries
+        index.close()
+
+    @staticmethod
+    def _assert_same_answers(a, b):
+        assert a.distances.tobytes() == b.distances.tobytes()
+        assert a.ids.tobytes() == b.ids.tobytes()
+        assert np.array_equal(a.owners, b.owners)
+        assert np.array_equal(a.remote_fanout, b.remote_fanout)
+
+    @pytest.mark.parametrize("executor", ["inline", "thread", "process"])
+    def test_every_executor_answers_byte_identically(self, index_10d, executor):
+        index, path, queries = index_10d
+        with PandaKNN.restore(path, executor=executor) as restored:
+            self._assert_same_answers(index.query(queries), restored.query(queries))
+            assert restored.config.local.bucket_size is None
+            assert [t.config.bucket_size for t in restored.local_trees()] == [128] * 3
+
+    def test_machine_override(self, index_10d):
+        index, path, queries = index_10d
+        with PandaKNN.restore(path, machine=MachineSpec.knl()) as restored:
+            assert restored.cluster.machine == MachineSpec.knl()
+            assert index.cluster.machine != MachineSpec.knl()
+            self._assert_same_answers(index.query(queries), restored.query(queries))
 
 
 class TestServiceWarmStart:
@@ -144,77 +303,3 @@ class TestVersionedSnapshots:
             promote_version(root, root / "v0099")
         with pytest.raises(ValueError):
             promote_version(root, tmp_path / "elsewhere")
-
-
-class TestLazyAndSlabRestore:
-    @pytest.mark.parametrize("layout", ["files", "slabs"])
-    def test_lazy_restore_materialises_on_first_touch(self, fitted, small_points, layout, tmp_path):
-        from repro.core.local_phase import LOCAL_TREE_KEY, LazyLocalTree
-
-        fitted.snapshot(tmp_path / "panda", layout=layout)
-        lazy = PandaKNN.restore(tmp_path / "panda", lazy=True)
-        assert all(
-            isinstance(r.store[LOCAL_TREE_KEY], LazyLocalTree) for r in lazy.cluster.ranks
-        )
-        assert lazy.cluster.total_points() == 0  # nothing materialised yet
-        rng = np.random.default_rng(4)
-        queries = small_points[rng.choice(small_points.shape[0], 20, replace=False)]
-        cold = fitted.query(queries, k=5)
-        warm = lazy.query(queries, k=5)
-        assert np.array_equal(cold.distances, warm.distances)
-        assert np.array_equal(cold.ids, warm.ids)
-        # The query touched every owner rank it needed; the rest load via
-        # local_trees(), after which the full point set is back.
-        lazy.local_trees()
-        assert lazy.cluster.total_points() == fitted.cluster.total_points()
-
-    @pytest.mark.parametrize("layout", ["files", "slabs"])
-    def test_restored_trees_byte_identical(self, fitted, layout, tmp_path):
-        fitted.snapshot(tmp_path / "panda", layout=layout)
-        restored = PandaKNN.restore(tmp_path / "panda", lazy=True)
-        for cold, warm in zip(fitted.local_trees(), restored.local_trees()):
-            check_snapshot_roundtrip(cold, warm)
-
-    @pytest.mark.parametrize("layout", ["files", "slabs"])
-    def test_retired_precision_key_is_dropped(self, fitted, small_points, layout, tmp_path):
-        # Snapshots written while KDTreeConfig still had a ``precision``
-        # field carry it in every serialised local-tree config.
-        import json
-
-        fitted.snapshot(tmp_path / "panda", layout=layout)
-        meta_file = tmp_path / "panda" / "panda_meta.json"
-        meta = json.loads(meta_file.read_text())
-        meta["config"]["local"]["precision"] = "float32"
-        for entry in meta.get("ranks", []):
-            entry["config"]["precision"] = "float32"
-        meta_file.write_text(json.dumps(meta))
-        restored = PandaKNN.restore(tmp_path / "panda")
-        assert restored.config == fitted.config
-        d0, i0 = fitted.kneighbors(small_points[:50], k=5)
-        d1, i1 = restored.kneighbors(small_points[:50], k=5)
-        assert d0.tobytes() == d1.tobytes()
-        assert i0.tobytes() == i1.tobytes()
-
-    def test_lazy_restored_index_can_resnapshot(self, fitted, tmp_path):
-        fitted.snapshot(tmp_path / "a", layout="slabs")
-        lazy = PandaKNN.restore(tmp_path / "a", lazy=True)
-        lazy.snapshot(tmp_path / "b", layout="files")  # materialises via local_tree_of
-        again = PandaKNN.restore(tmp_path / "b")
-        for cold, warm in zip(fitted.local_trees(), again.local_trees()):
-            check_snapshot_roundtrip(cold, warm)
-
-    def test_unknown_layout_rejected(self, fitted, tmp_path):
-        with pytest.raises(ValueError, match="layout"):
-            fitted.snapshot(tmp_path / "panda", layout="parquet")
-
-    def test_slab_snapshot_writes_distinct_version(self, fitted, tmp_path):
-        import json
-
-        from repro.core.snapshot import SLAB_SNAPSHOT_VERSION
-
-        fitted.snapshot(tmp_path / "slabs", layout="slabs")
-        fitted.snapshot(tmp_path / "files", layout="files")
-        slabs_meta = json.loads((tmp_path / "slabs" / "panda_meta.json").read_text())
-        files_meta = json.loads((tmp_path / "files" / "panda_meta.json").read_text())
-        assert slabs_meta["version"] == SLAB_SNAPSHOT_VERSION
-        assert files_meta["version"] != SLAB_SNAPSHOT_VERSION
