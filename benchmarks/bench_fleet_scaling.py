@@ -35,7 +35,6 @@ Run directly (like the other benchmark drivers)::
 from __future__ import annotations
 
 import argparse
-import os
 import time
 
 import numpy as np
@@ -43,7 +42,7 @@ import numpy as np
 from repro.datasets.cosmology import cosmology_particles
 from repro.fleet import KNNFleet
 from repro.kdtree.query import brute_force_knn
-from repro.obs import PROFILE_ENV, Tracer, parse_prometheus_text
+from repro.obs import Tracer, parse_prometheus_text
 from repro.perf import BENCH_SCHEMA_VERSION, run_metadata, write_bench_artifact
 from repro.service import MicroBatchPolicy, RebuildPolicy, uniform_trace
 
@@ -213,69 +212,6 @@ def run_observability_check(points: np.ndarray, size: dict, seed: int = 17) -> d
     }
 
 
-def run_profiler_check(points: np.ndarray, size: dict, seed: int = 19) -> dict:
-    """Profiler A/B: plain vs ``REPRO_PROFILE``-armed run of one trace.
-
-    Three assertions CI depends on: answers stay byte-identical with the
-    sampling profiler running, the profiler produces non-empty folded
-    stacks with at least one real (non-"untagged") serving phase, and the
-    profiled run costs < 10% wall clock over the plain run (plus the same
-    0.25 s absolute slack floor as the observability A/B).
-    """
-    times, queries = uniform_trace(size["n_requests"], size["rate"], pool=points, seed=seed)
-    n_shards = size["shard_counts"][-1]
-
-    def one(hz: str | None) -> tuple:
-        # arm via the environment on purpose: the bench exercises the same
-        # opt-in path a production operator uses
-        if hz is None:
-            os.environ.pop(PROFILE_ENV, None)
-        else:
-            os.environ[PROFILE_ENV] = hz
-        try:
-            fleet = KNNFleet.build(
-                points,
-                n_shards=n_shards,
-                n_replicas=2,
-                k=size["k"],
-                batch_policy=MicroBatchPolicy(max_batch=512, max_delay_s=2e-3),
-            )
-        finally:
-            os.environ.pop(PROFILE_ENV, None)
-        profiler = fleet.profiler
-        started = time.perf_counter()
-        request_ids = [fleet.submit(q, at=t) for t, q in zip(times, queries)]
-        fleet.drain(at=float(times[-1]))
-        elapsed = time.perf_counter() - started
-        answers = [fleet.result(r) for r in request_ids]
-        folded = profiler.folded() if profiler is not None else ""
-        phases = profiler.phase_totals() if profiler is not None else {}
-        fleet.close()
-        return answers, elapsed, folded, phases
-
-    plain_answers, plain_s, _, _ = one(None)
-    prof_answers, prof_s, folded, phases = one("997")
-
-    for (d_p, i_p), (d_o, i_o) in zip(plain_answers, prof_answers):
-        assert np.array_equal(d_p, d_o) and np.array_equal(i_p, i_o), (
-            "profiler changed an answer"
-        )
-    assert folded.strip(), "profiler produced no folded stacks"
-    tagged = {name for name in phases if name != "untagged"}
-    assert tagged, f"no phase-attributed samples, only: {sorted(phases)}"
-    assert prof_s <= plain_s * 1.10 + 0.25, (
-        f"profiler overhead too high: {prof_s:.3f}s vs {plain_s:.3f}s plain"
-    )
-    return {
-        "plain_s": plain_s,
-        "profiled_s": prof_s,
-        "overhead_pct": (prof_s / plain_s - 1.0) * 100.0 if plain_s > 0 else 0.0,
-        "folded_stacks": len(folded.splitlines()),
-        "tagged_phases": sorted(tagged),
-        "samples": float(sum(phases.values())),
-    }
-
-
 def format_row(row: dict) -> str:
     return (
         f"  {row['strategy']:>5s} x{row['n_shards']:<2d} "
@@ -316,13 +252,6 @@ def main() -> None:
         "[byte-identical, strict-parsed]"
     )
 
-    prof = run_profiler_check(points, size)
-    print(
-        f"  profiler: {prof['folded_stacks']} folded stacks over "
-        f"{len(prof['tagged_phases'])} phases {prof['tagged_phases']}, "
-        f"overhead {prof['overhead_pct']:+.1f}% [byte-identical]"
-    )
-
     artifact = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "benchmark": "fleet_scaling",
@@ -333,7 +262,6 @@ def main() -> None:
         "rows": rows,
         "streaming": stream,
         "observability": obs,
-        "profiler": prof,
     }
     path = write_bench_artifact("BENCH_fleet.json", artifact)
     print(f"[saved to {path}]")

@@ -14,15 +14,14 @@ control shedding load when the queue fills — all with answers verified
 against brute force along the way. It finishes on the observability
 plane: a strict-parsed Prometheus metrics scrape, the structured ops
 event log, a Perfetto-loadable trace of sampled queries, and the live
-ops surface — health and metrics probed over real HTTP, an on-demand
-sampling profile captured under load, and the SLO burn-rate summary.
+ops surface — health and metrics probed over real HTTP — and the SLO
+burn-rate summary.
 """
 
 from __future__ import annotations
 
 import json
 import tempfile
-import threading
 import urllib.request
 from pathlib import Path
 
@@ -139,9 +138,8 @@ def main() -> None:
               "(load in ui.perfetto.dev)")
 
         # 6. Live ops surface: serve the fleet's HTTP endpoint on an
-        #    ephemeral loopback port, probe health and metrics the way a
-        #    Prometheus scraper or load balancer would, and capture an
-        #    on-demand sampling profile while traffic flows.
+        #    ephemeral loopback port and probe health and metrics the way a
+        #    Prometheus scraper or load balancer would.
         server = fleet.serve_ops()
         with urllib.request.urlopen(server.url + "/healthz", timeout=10) as resp:
             health = json.load(resp)
@@ -149,39 +147,6 @@ def main() -> None:
             scraped = parse_prometheus_text(resp.read().decode())
         print(f"ops surface: {server.url} — healthz {health['status']}, "
               f"{len(scraped)} families over HTTP")
-
-        stop = threading.Event()
-
-        def traffic() -> None:
-            at, i = t + 100.0, 0
-            while not stop.is_set():
-                at += 2e-5
-                fleet.submit(live_pts[i % live_pts.shape[0]], at=at)
-                i += 1
-                if i % 64 == 0:
-                    fleet.drain(at=at)
-
-        pump = threading.Thread(target=traffic)
-        pump.start()
-        try:
-            with urllib.request.urlopen(
-                server.url + "/profile?seconds=2&hz=197", timeout=30
-            ) as resp:
-                profile = resp.read().decode()
-        finally:
-            stop.set()
-            pump.join()
-            fleet.drain(at=t + 200.0)
-        header, *stacks = profile.splitlines()
-        meta = json.loads(header.lstrip("# "))
-        self_time: dict[str, int] = {}
-        for line in stacks:
-            stack, count = line.rsplit(" ", 1)
-            leaf_phase = stack.split(";", 1)[0]
-            self_time[leaf_phase] = self_time.get(leaf_phase, 0) + int(count)
-        top = sorted(self_time.items(), key=lambda kv: -kv[1])[:5]
-        print(f"profile: {meta['samples']:.0f} samples over 2 s — top phases: "
-              + ", ".join(f"{name}={count}" for name, count in top))
 
         slo = fleet.slo.status()
         breached = [name for name, row in slo.items() if row["breached"]]

@@ -8,17 +8,15 @@ propagates at the submit site: the bulk-synchronous call sequence of the
 paper's five-step query, with nothing racing and nothing to harvest.
 
 The dispatcher is what the call sites share: the per-call accounting
-(:class:`DispatchStats`, which the fleet's stats and metrics read), the
-profiler phase, and — on a traced batch — the timed span each call wraps
-around whatever its callee recorded.
+(:class:`DispatchStats`, which the fleet's stats and metrics read) and,
+on a traced batch, the timed span each call wraps around whatever its
+callee recorded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
-
-from repro.obs.profiler import phase
 
 
 @dataclass
@@ -88,14 +86,12 @@ def _run_call(call: ShardCall) -> Any:
     """
     sink = call.sink
     if sink is None:
-        with phase("dispatch." + call.cat):
-            return call.fn(*call.args)
+        return call.fn(*call.args)
     clock = sink.clock
     mark = sink.mark()
     started = clock.monotonic()
     try:
-        with phase("dispatch." + call.cat):
-            result = call.fn(*call.args)
+        result = call.fn(*call.args)
     except BaseException as exc:
         sink.fold(
             mark,

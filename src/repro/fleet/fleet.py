@@ -56,7 +56,6 @@ from repro.obs.clock import MONOTONIC, Clock
 from repro.obs.collectors import fleet_families
 from repro.obs.events import EventLog
 from repro.obs.metrics import Histogram, ObsRegistry, log_buckets
-from repro.obs.profiler import SamplingProfiler, phase, profile_hz
 from repro.obs.server import OpsServer
 from repro.obs.slo import SLO, SLOEngine, fleet_slos
 from repro.obs.tracing import Tracer
@@ -163,8 +162,7 @@ class KNNFleet:
         self._closed = False
         # Active ops surface: a declarative SLO engine re-evaluated on
         # every dispatch and scrape (custom ``slos`` override the standard
-        # latency/availability/survival set), the always-on sampling
-        # profiler armed only via REPRO_PROFILE, and the HTTP ops server
+        # latency/availability/survival set), and the HTTP ops server
         # started lazily by serve_ops().
         self.slo = SLOEngine(
             slos if slos is not None else fleet_slos(self, windows=slo_windows),
@@ -172,10 +170,6 @@ class KNNFleet:
             events=self.events,
         )
         self.metrics.register_callback(self.slo.families)
-        hz = profile_hz()
-        self.profiler: SamplingProfiler | None = (
-            SamplingProfiler(hz=hz).start() if hz > 0 else None
-        )
         self._ops_server: OpsServer | None = None
 
     # ------------------------------------------------------------------
@@ -264,7 +258,7 @@ class KNNFleet:
         )
 
     def close(self) -> None:
-        """Stop the ops server and the profiler.
+        """Stop the ops server.
 
         Idempotent and safe under concurrent callers: the first caller
         sets ``_closed`` and performs the teardown under the fleet lock.
@@ -273,12 +267,9 @@ class KNNFleet:
             if self._closed:
                 return
             self._closed = True
-            # Ops surface first: no HTTP handler should observe a half-closed
-            # fleet, and the profiler must stop before its target threads die.
+            # No HTTP handler should observe a half-closed fleet.
             if self._ops_server is not None:
                 self._ops_server.close()
-            if self.profiler is not None:
-                self.profiler.stop()
 
     def __enter__(self) -> "KNNFleet":
         return self
@@ -670,8 +661,7 @@ class KNNFleet:
             return d, i
 
         try:
-            with phase("fleet.batch"):
-                answers = answer_by_k(batch, route)
+            answers = answer_by_k(batch, route)
         except ShardUnavailableError:
             # A shard went fully dark mid-dispatch: the batch stays queued
             # (in arrival order) so a heal() + flush() can still answer it,

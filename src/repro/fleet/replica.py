@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.analysis.annotations import exactness_path
 from repro.obs.clock import MONOTONIC, Clock
-from repro.obs.profiler import phase
 from repro.obs.tracing import Span, SpanSink
 from repro.service.service import KNNService
 
@@ -78,8 +77,7 @@ class Replica:
             raise ReplicaDeadError(
                 f"shard {self.shard_id} replica {self.replica_id} died mid-query"
             )
-        with phase("replica.serve"):
-            out = self.service.answer_batch(queries, k=k, at=at)
+        out = self.service.answer_batch(queries, k=k, at=at)
         self.queries_served += int(np.atleast_2d(queries).shape[0])
         return out
 

@@ -47,7 +47,6 @@ from repro.fleet.planner import ShardPlan
 from repro.fleet.replica import ReplicaGroup
 from repro.kdtree.heap import merge_topk_rows
 from repro.obs.clock import MONOTONIC, Clock
-from repro.obs.profiler import phase
 from repro.obs.tracing import Span, SpanSink
 
 
@@ -197,12 +196,11 @@ class Router:
         acc_i = np.full((n, k), -1, dtype=np.int64)
         mark = trace.mark() if trace is not None else 0
         started = self._clock.monotonic()
-        with phase("router.broadcast"):
-            # Ascending shard order: the fold order fixes which exactly-tied
-            # id survives.
-            for shard in range(len(self.groups)):
-                d, i = self._call(shard, queries, k, at, trace, f"shard_call shard{shard}")
-                acc_d, acc_i = self._merge(shard, k, acc_d, acc_i, d, i, trace)
+        # Ascending shard order: the fold order fixes which exactly-tied
+        # id survives.
+        for shard in range(len(self.groups)):
+            d, i = self._call(shard, queries, k, at, trace, f"shard_call shard{shard}")
+            acc_d, acc_i = self._merge(shard, k, acc_d, acc_i, d, i, trace)
         ended = self._clock.monotonic()
         self.stats.scatter_seconds += ended - started
         if trace is not None:
@@ -236,15 +234,14 @@ class Router:
         # Phase 1: one batched call per shard that owns queries.
         mark = trace.mark() if trace is not None else 0
         started = self._clock.monotonic()
-        with phase("router.owner"):
-            for shard in np.unique(owners):
-                rows = np.flatnonzero(owners == shard)
-                d, i = self._call(
-                    int(shard), queries[rows], k, at, trace, f"owner_call shard{int(shard)}"
-                )
-                acc_d[rows] = d
-                acc_i[rows] = i
-            self.stats.shard_visits += n
+        for shard in np.unique(owners):
+            rows = np.flatnonzero(owners == shard)
+            d, i = self._call(
+                int(shard), queries[rows], k, at, trace, f"owner_call shard{int(shard)}"
+            )
+            acc_d[rows] = d
+            acc_i[rows] = i
+        self.stats.shard_visits += n
         owner_ended = self._clock.monotonic()
         self.stats.owner_seconds += owner_ended - started
         if trace is not None:
@@ -257,22 +254,21 @@ class Router:
         # calls run in ascending shard order, so each row's scatter set
         # folds in ascending shard order too.
         mark = trace.mark() if trace is not None else 0
-        with phase("router.scatter"):
-            sub_rows, sub_shards = self.plan.scatter_targets(queries, acc_d[:, k - 1], owners)
-            self.stats.shard_visits += int(sub_rows.size)
-            self.stats.owner_only += int(n - np.unique(sub_rows).size)
-            order = np.argsort(sub_shards, kind="stable")
-            sorted_rows = sub_rows[order]
-            shards, starts = np.unique(sub_shards[order], return_index=True)
-            bounds = np.append(starts, sorted_rows.size)
-            for j, shard in enumerate(shards):
-                rows = sorted_rows[bounds[j]:bounds[j + 1]]
-                d, i = self._call(
-                    int(shard), queries[rows], k, at, trace, f"scatter_call shard{int(shard)}"
-                )
-                acc_d[rows], acc_i[rows] = self._merge(
-                    int(shard), k, acc_d[rows], acc_i[rows], d, i, trace
-                )
+        sub_rows, sub_shards = self.plan.scatter_targets(queries, acc_d[:, k - 1], owners)
+        self.stats.shard_visits += int(sub_rows.size)
+        self.stats.owner_only += int(n - np.unique(sub_rows).size)
+        order = np.argsort(sub_shards, kind="stable")
+        sorted_rows = sub_rows[order]
+        shards, starts = np.unique(sub_shards[order], return_index=True)
+        bounds = np.append(starts, sorted_rows.size)
+        for j, shard in enumerate(shards):
+            rows = sorted_rows[bounds[j]:bounds[j + 1]]
+            d, i = self._call(
+                int(shard), queries[rows], k, at, trace, f"scatter_call shard{int(shard)}"
+            )
+            acc_d[rows], acc_i[rows] = self._merge(
+                int(shard), k, acc_d[rows], acc_i[rows], d, i, trace
+            )
         scatter_ended = self._clock.monotonic()
         self.stats.scatter_seconds += scatter_ended - owner_ended
         if trace is not None:

@@ -19,10 +19,8 @@ On top of the passive layers sits the **active ops surface**:
 
 * :mod:`repro.obs.server` — ``KNNFleet.serve_ops()``'s threaded HTTP
   endpoint (``/metrics``, ``/healthz``, ``/readyz``, ``/events``,
-  ``/traces``, ``/slo``, ``/profile``) and the ``python -m
-  repro.obs.server`` standalone demo.
-* :mod:`repro.obs.profiler` — the ``REPRO_PROFILE=<hz>`` wall-clock
-  sampling profiler with serving-phase attribution via ``phase`` tags.
+  ``/traces``, ``/slo``) and the ``python -m repro.obs.server``
+  standalone demo.
 * :mod:`repro.obs.slo` — declarative SLOs evaluated as multi-window
   error-budget burn rates, exported as ``repro_slo_*`` metrics and
   ``slo_breach``/``slo_recovered`` events.
@@ -42,14 +40,6 @@ from repro.obs.metrics import (
     counter_family,
     gauge_family,
     log_buckets,
-)
-from repro.obs.profiler import (
-    DEFAULT_PROFILE_HZ,
-    PROFILE_ENV,
-    SamplingProfiler,
-    current_phase,
-    phase,
-    profile_hz,
 )
 from repro.obs.prometheus import parse_prometheus_text, render_text
 from repro.obs.server import METRICS_CONTENT_TYPE, OpsServer, readiness_reasons
@@ -82,12 +72,6 @@ __all__ = [
     "counter_family",
     "gauge_family",
     "log_buckets",
-    "DEFAULT_PROFILE_HZ",
-    "PROFILE_ENV",
-    "SamplingProfiler",
-    "current_phase",
-    "phase",
-    "profile_hz",
     "parse_prometheus_text",
     "render_text",
     "METRICS_CONTENT_TYPE",

@@ -22,8 +22,6 @@ from typing import Dict, List
 
 from repro.obs.metrics import MetricFamily, counter_family, gauge_family
 
-_QUANTILES = (("p50_latency_s", "0.5"), ("p99_latency_s", "0.99"))
-
 
 def fleet_families(fleet) -> List[MetricFamily]:
     """Every scrape-time family for one :class:`~repro.fleet.fleet.KNNFleet`."""
@@ -39,7 +37,6 @@ def fleet_families(fleet) -> List[MetricFamily]:
 
 
 def _request_families(fleet) -> List[MetricFamily]:
-    summary = fleet.records.summary()
     return [
         counter_family(
             "repro_fleet_requests_total",
@@ -55,24 +52,6 @@ def _request_families(fleet) -> List[MetricFamily]:
             "repro_fleet_live_points",
             "Live (non-tombstoned) points across every shard.",
             [({}, float(fleet.n_live))],
-        ),
-        gauge_family(
-            "repro_fleet_latency_quantile_seconds",
-            "Interpolated request latency quantiles from the latency histogram.",
-            [
-                ({"quantile": quantile}, float(fleet.latency_quantile(float(quantile))))
-                for _, quantile in _QUANTILES
-            ],
-        ),
-        gauge_family(
-            "repro_fleet_mean_latency_seconds",
-            "Exact mean request latency over the full history.",
-            [({}, float(summary.get("mean_latency_s", 0.0)))],
-        ),
-        gauge_family(
-            "repro_fleet_qps",
-            "Completed requests per second of trace span.",
-            [({}, _finite(summary.get("qps", 0.0)))],
         ),
     ]
 
@@ -278,11 +257,3 @@ def _ops_families(fleet) -> List[MetricFamily]:
         )
     )
     return families
-
-
-def _finite(value: float) -> float:
-    """Clamp inf (a zero-span QPS artefact) to 0 so counters stay sane."""
-    value = float(value)
-    if value != value or value in (float("inf"), float("-inf")):
-        return 0.0
-    return value

@@ -16,18 +16,14 @@ usual ops loop works with nothing but ``curl``:
 ``/traces``           sampled query traces as JSON-lines
                       (``?format=chrome`` → Perfetto/chrome JSON)
 ``/slo``              burn-rate engine state (ticks on read)
-``/profile``          run the sampling profiler for ``?seconds=N``
-                      (``&hz=H``) and return collapsed stacks
 ====================  =================================================
 
 The server holds one reference to the fleet, and every read of serving
-state (``/metrics``, ``/healthz``, ``/readyz``, ``/slo``) runs under the
-fleet's one lock, so a scrape waits for the batch in flight instead of
-reading it half done.  ``/events`` and ``/traces`` read logs that lock
-themselves, and ``/profile`` samples without the fleet lock, so traffic
-keeps flowing while it runs.  Handler threads are daemonic and the
-listener accepts an ephemeral port (``port=0``) so tests and examples
-never collide.
+state (``/metrics``, ``/healthz``, ``/readyz``, ``/events``, ``/traces``,
+``/slo``) runs under the fleet's one lock, so a read waits for the batch
+in flight instead of reading it half done.  Handler threads are daemonic
+and the listener accepts an ephemeral port (``port=0``) so tests and
+examples never collide.
 
 ``python -m repro.obs.server`` runs a self-contained demo fleet under
 synthetic traffic with the ops surface attached — the quickest way to
@@ -42,14 +38,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional
 from urllib.parse import parse_qs, urlsplit
 
-from repro.obs.profiler import DEFAULT_PROFILE_HZ, SamplingProfiler
-
 #: Prometheus text exposition 0.0.4 content type — scrapers check it.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-#: Hard cap on ``/profile?seconds=`` so a stray request cannot pin a
-#: sampler thread for minutes.
-MAX_PROFILE_SECONDS = 30.0
 
 _ENDPOINTS = (
     "/",
@@ -59,7 +49,6 @@ _ENDPOINTS = (
     "/events",
     "/traces",
     "/slo",
-    "/profile",
 )
 
 
@@ -80,9 +69,10 @@ class _OpsHandler(BaseHTTPRequestHandler):
     """Routes one GET to the fleet's introspection API.
 
     Handlers run on per-request daemon threads.  ``metrics_text()`` and
-    ``closed`` take the fleet lock themselves; ``/readyz`` and ``/slo``
-    take it around their reads.  A response is written after the lock is
-    released, so a slow scraper never holds up the fleet.
+    ``closed`` take the fleet lock themselves; ``/readyz``, ``/events``,
+    ``/traces`` and ``/slo`` take it around their reads.  A response is
+    written after the lock is released, so a slow scraper never holds up
+    the fleet.
     """
 
     server: _FleetHTTPServer
@@ -123,7 +113,6 @@ class _OpsHandler(BaseHTTPRequestHandler):
             "/events": self._events,
             "/traces": self._traces,
             "/slo": self._slo,
-            "/profile": self._profile,
         }.get(split.path)
         if route is None:
             self._send_json(404, {"error": f"unknown path {split.path!r}", "endpoints": _ENDPOINTS})
@@ -160,16 +149,24 @@ class _OpsHandler(BaseHTTPRequestHandler):
             self._send_json(200, {"status": "ready"})
 
     def _events(self, query) -> None:
-        self._send_text(200, self.server.fleet.events.to_jsonl())
+        fleet = self.server.fleet
+        with fleet._lock:
+            body = fleet.events.to_jsonl()
+        self._send_text(200, body)
 
     def _traces(self, query) -> None:
         fmt = query.get("format", ["jsonl"])[0]
-        if fmt == "chrome":
-            self._send_json(200, self.server.fleet.tracer.export_chrome())
-        elif fmt == "jsonl":
-            self._send_text(200, self.server.fleet.tracer.export_jsonl())
-        else:
+        fleet = self.server.fleet
+        export = {"jsonl": fleet.tracer.export_jsonl, "chrome": fleet.tracer.export_chrome}
+        if fmt not in export:
             self._send_json(400, {"error": f"unknown format {fmt!r} (jsonl|chrome)"})
+            return
+        with fleet._lock:
+            body = export[fmt]()
+        if fmt == "chrome":
+            self._send_json(200, body)
+        else:
+            self._send_text(200, body)
 
     def _slo(self, query) -> None:
         fleet = self.server.fleet
@@ -180,23 +177,6 @@ class _OpsHandler(BaseHTTPRequestHandler):
         with fleet._lock:
             status = engine.tick()
         self._send_json(200, status)
-
-    def _profile(self, query) -> None:
-        try:
-            seconds = float(query.get("seconds", ["2.0"])[0])
-            hz = float(query.get("hz", [str(DEFAULT_PROFILE_HZ)])[0])
-        except ValueError:
-            self._send_json(400, {"error": "seconds and hz must be numbers"})
-            return
-        if seconds <= 0 or hz <= 0:
-            self._send_json(400, {"error": "seconds and hz must be positive"})
-            return
-        seconds = min(seconds, MAX_PROFILE_SECONDS)
-        profiler = SamplingProfiler(hz=hz)
-        with profiler:
-            threading.Event().wait(seconds)
-        header = "# " + json.dumps(profiler.stats()) + "\n"
-        self._send_text(200, header + profiler.folded())
 
 
 def readiness_reasons(fleet) -> List[str]:

@@ -46,7 +46,6 @@ from repro.core.snapshot import allocate_version_dir, promote_version
 from repro.kdtree.heap import merge_topk_rows
 from repro.kdtree.query import query_rows
 from repro.obs.clock import MONOTONIC, Clock
-from repro.obs.profiler import phase
 from repro.service.cache import CacheStats, LRUCache, query_key
 from repro.service.delta import DeltaBuffer, checked_ids, sorted_member
 from repro.service.queue import MicroBatchPolicy, MicroBatchQueue, RecordRing, answer_by_k
@@ -483,8 +482,7 @@ class KNNService:
         if not batch:
             return 0
         started = self._clock.monotonic()
-        with phase("service.answer"):
-            answers = answer_by_k(batch, self._answer)
+        answers = answer_by_k(batch, self._answer)
         queue.complete(batch, answers, flush_time, self._clock.monotonic() - started)
         for r in batch:
             d_row, i_row = answers[r.request_id]

@@ -17,7 +17,7 @@ from repro.datasets.plasma import plasma_particles
 @pytest.fixture(autouse=True)
 def _no_leaked_workers():
     """Fail a test that returns with a thread or child process it started
-    still alive (an unclosed pool, ops server or profiler)."""
+    still alive (an unclosed pool or ops server)."""
     threads = set(threading.enumerate())
     children = set(multiprocessing.active_children())
     yield

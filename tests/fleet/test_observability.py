@@ -96,6 +96,206 @@ def test_metrics_scrape_repeats_cleanly():
         assert parse_prometheus_text(first).keys() == parse_prometheus_text(second).keys()
 
 
+@pytest.fixture(scope="module")
+def mixed_scrape():
+    """A 2 x 2 fleet after submits, drains, inserts, deletes, a rebuild, a
+    kill and a heal: its scrape, its ``stats()`` and the fleet itself."""
+    rng = np.random.default_rng(5)
+    tracer = Tracer(enabled=True, sample_every=3)
+    with KNNFleet.build(_points(), n_shards=2, n_replicas=2, tracer=tracer) as fleet:
+
+        def traffic(n, t0):
+            for i in range(n):
+                fleet.submit(rng.normal(size=3), at=t0 + i * 1e-3)
+            fleet.drain()
+
+        traffic(30, 0.0)
+        fleet.insert(rng.normal(size=(6, 3)))
+        fleet.delete([1, 2, 3, 250])
+        traffic(20, 0.1)
+        fleet.rebuild()
+        fleet.delete([4])
+        fleet.kill_replica(1, 0)
+        traffic(20, 0.2)
+        fleet.heal()
+        traffic(10, 0.3)
+        families = parse_prometheus_text(fleet.metrics_text())
+        yield families, fleet.stats(), fleet
+
+
+def _samples(families, family, *labels, suffix=""):
+    """One family's samples named ``family + suffix``, keyed by the values
+    of ``labels`` (a bare value when no label is named)."""
+    out = {
+        tuple(dict(sample_labels)[label] for label in labels): value
+        for (sample, sample_labels), value in families[family].samples.items()
+        if sample == family + suffix
+    }
+    return out if labels else out[()]
+
+
+def _per_shard(stats, key):
+    return {(str(row["shard"]),): float(row[key]) for row in stats["shards"]}
+
+
+def _by_key(mapping, keys=None):
+    return {(key,): float(mapping[key]) for key in (keys or mapping)}
+
+
+_LATENCY = "repro_fleet_request_latency_seconds"
+
+# Fleet families against the ledgers they are read from: a case returns
+# the scraped value and its source in ``stats()``, ``records`` or the
+# fleet.  No quantile, mean-latency or QPS family is exported; the latency
+# histogram's sum and count give the mean.
+_RECONCILED = {
+    "requests_total=records": lambda f, stats, fleet: (
+        _samples(f, "repro_fleet_requests_total"),
+        float(fleet.records.n_total),
+    ),
+    "requests_total=latency_count": lambda f, stats, fleet: (
+        _samples(f, "repro_fleet_requests_total"),
+        _samples(f, _LATENCY, suffix="_count"),
+    ),
+    "latency_sum/count=mean_latency_s": lambda f, stats, fleet: (
+        _samples(f, _LATENCY, suffix="_sum") / _samples(f, _LATENCY, suffix="_count"),
+        pytest.approx(stats["mean_latency_s"], rel=1e-9),
+    ),
+    "batch_size_sum=n_requests": lambda f, stats, fleet: (
+        _samples(f, "repro_fleet_batch_size", suffix="_sum"),
+        stats["n_requests"],
+    ),
+    "pending_requests": lambda f, stats, fleet: (
+        _samples(f, "repro_fleet_pending_requests"),
+        float(fleet.n_pending),
+    ),
+    "live_points": lambda f, stats, fleet: (
+        _samples(f, "repro_fleet_live_points"),
+        stats["n_live"],
+    ),
+    "admission_requests_total": lambda f, stats, fleet: (
+        _samples(f, "repro_admission_requests_total", "verdict"),
+        _by_key(stats["admission"], ("admitted", "rejected", "shed")),
+    ),
+    "admission_max_queue_depth": lambda f, stats, fleet: (
+        _samples(f, "repro_admission_max_queue_depth"),
+        stats["admission"]["max_queue_depth"],
+    ),
+    "router_queries_total": lambda f, stats, fleet: (
+        _samples(f, "repro_router_queries_total"),
+        stats["router"]["queries"],
+    ),
+    "router_shard_visits_total": lambda f, stats, fleet: (
+        _samples(f, "repro_router_shard_visits_total"),
+        stats["router"]["shard_visits"],
+    ),
+    "router_owner_only_total": lambda f, stats, fleet: (
+        _samples(f, "repro_router_owner_only_total"),
+        stats["router"]["owner_only"],
+    ),
+    "router_broadcast_queries_total": lambda f, stats, fleet: (
+        _samples(f, "repro_router_broadcast_queries_total"),
+        stats["router"]["broadcasts"],
+    ),
+    "router_mean_fanout": lambda f, stats, fleet: (
+        _samples(f, "repro_router_mean_fanout"),
+        stats["router"]["mean_fanout"],
+    ),
+    "router_phase_seconds_total": lambda f, stats, fleet: (
+        _samples(f, "repro_router_phase_seconds_total", "phase"),
+        {
+            ("owner",): stats["router"]["owner_seconds"],
+            ("scatter",): stats["router"]["scatter_seconds"],
+        },
+    ),
+    "dispatch_submitted_total": lambda f, stats, fleet: (
+        _samples(f, "repro_dispatch_submitted_total"),
+        stats["dispatch"]["submitted"],
+    ),
+    "dispatch_calls_total": lambda f, stats, fleet: (
+        _samples(f, "repro_dispatch_calls_total", "outcome"),
+        _by_key(stats["dispatch"], ("completed", "failed")),
+    ),
+    "shard_live_points": lambda f, stats, fleet: (
+        _samples(f, "repro_shard_live_points", "shard"),
+        _per_shard(stats, "n_live"),
+    ),
+    "shard_replicas_alive": lambda f, stats, fleet: (
+        _samples(f, "repro_shard_replicas_alive", "shard"),
+        _per_shard(stats, "replicas_alive"),
+    ),
+    "replica_deaths_total": lambda f, stats, fleet: (
+        _samples(f, "repro_replica_deaths_total", "shard"),
+        _per_shard(stats, "deaths"),
+    ),
+    "replica_retries_total": lambda f, stats, fleet: (
+        _samples(f, "repro_replica_retries_total", "shard"),
+        _per_shard(stats, "retries"),
+    ),
+    "service_rebuilds_total": lambda f, stats, fleet: (
+        _samples(f, "repro_service_rebuilds_total", "shard"),
+        _per_shard(stats, "rebuilds"),
+    ),
+    "service_version=rebuilds": lambda f, stats, fleet: (
+        _samples(f, "repro_service_version", "shard"),
+        _per_shard(stats, "rebuilds"),
+    ),
+    "replica_alive": lambda f, stats, fleet: (
+        _samples(f, "repro_replica_alive", "shard", "replica"),
+        {
+            (str(group.shard_id), str(replica.replica_id)): float(replica.alive)
+            for group in fleet.groups
+            for replica in group.replicas
+        },
+    ),
+    "replica_queries_served_total": lambda f, stats, fleet: (
+        _samples(f, "repro_replica_queries_served_total", "shard", "replica"),
+        {
+            (str(group.shard_id), str(replica.replica_id)): float(replica.queries_served)
+            for group in fleet.groups
+            for replica in group.replicas
+        },
+    ),
+    "ops_events_total": lambda f, stats, fleet: (
+        _samples(f, "repro_ops_events_total", "kind"),
+        _by_key(fleet.events.counts()),
+    ),
+    "slo_breaches_total": lambda f, stats, fleet: (
+        _samples(f, "repro_slo_breaches_total", "slo"),
+        {(name,): float(row["breaches"]) for name, row in stats["slo"].items()},
+    ),
+    "slo_breached": lambda f, stats, fleet: (
+        _samples(f, "repro_slo_breached", "slo"),
+        {(name,): float(row["breached"]) for name, row in stats["slo"].items()},
+    ),
+    "slo_burn_rate": lambda f, stats, fleet: (
+        _samples(f, "repro_slo_burn_rate", "slo", "window_s"),
+        {
+            (name, f"{window['window_s']:g}"): float(window["burn_rate"] or 0.0)
+            for name, row in stats["slo"].items()
+            for window in row["windows"]
+        },
+    ),
+    "trace_batches_total": lambda f, stats, fleet: (
+        _samples(f, "repro_trace_batches_total", "outcome"),
+        {
+            ("seen",): float(fleet.tracer.stats()["batches_seen"]),
+            ("sampled",): float(fleet.tracer.stats()["batches_sampled"]),
+        },
+    ),
+    "slo_objective": lambda f, stats, fleet: (
+        _samples(f, "repro_slo_objective", "slo"),
+        {(name,): row["objective"] for name, row in stats["slo"].items()},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RECONCILED))
+def test_fleet_families_reconcile_with_their_sources(mixed_scrape, case):
+    scraped, source = _RECONCILED[case](*mixed_scrape)
+    assert scraped == source
+
+
 def _call_during_a_batch(fleet, call):
     """Hold a batch of 8 shard-0 queries inside the shard backend on a
     drain thread, run ``call()`` from a second thread, and release the
@@ -142,9 +342,14 @@ def test_a_scrape_waits_for_the_batch_in_flight():
         assert samples[("repro_fleet_requests_total", ())] == 8.0
 
 
-def _http_get(url):
+def _http_text(url):
     with urllib.request.urlopen(url, timeout=10) as resp:
-        return resp.status, json.loads(resp.read().decode())
+        return resp.status, resp.read().decode()
+
+
+def _http_get(url):
+    status, body = _http_text(url)
+    return status, json.loads(body)
 
 
 # Each entry point: a call made from a second thread while a batch is in
@@ -193,6 +398,14 @@ _ENTRY_POINTS = {
     "/slo": (
         lambda fleet, url: _http_get(url + "/slo"),
         lambda fleet, out: out[0] == 200 and "latency" in out[1],
+    ),
+    "/events": (
+        lambda fleet, url: _http_text(url + "/events"),
+        lambda fleet, out: out == (200, fleet.events.to_jsonl()),
+    ),
+    "/traces": (
+        lambda fleet, url: _http_get(url + "/traces?format=chrome"),
+        lambda fleet, out: out == (200, fleet.tracer.export_chrome()),
     ),
 }
 

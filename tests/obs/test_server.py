@@ -1,10 +1,9 @@
-"""HTTP ops surface: endpoints, readiness flips, profiles, subprocess scrape."""
+"""HTTP ops surface: endpoints, readiness flips, subprocess scrape."""
 
 import json
 import os
 import subprocess
 import sys
-import threading
 import urllib.error
 import urllib.request
 
@@ -192,46 +191,6 @@ class TestReadinessFlips:
         fleet = KNNFleet.build(rng.normal(size=(200, 3)), n_shards=2)
         fleet.close()
         assert readiness_reasons(fleet) == ["fleet is closed"]
-
-
-class TestProfileEndpoint:
-    def test_profile_under_load_returns_tagged_stacks(self, fleet, server):
-        stop = threading.Event()
-        rng = np.random.default_rng(9)
-
-        def traffic():
-            i = 0
-            while not stop.is_set():
-                fleet.submit(rng.normal(size=3), at=1.0 + i * 1e-4)
-                i += 1
-                if i % 16 == 0:
-                    fleet.drain(at=1.0 + i * 1e-4)
-
-        t = threading.Thread(target=traffic)
-        t.start()
-        try:
-            status, ctype, body = _get(server.url + "/profile?seconds=0.5&hz=300")
-            assert status == 200
-            assert ctype.startswith("text/plain")
-            header, *stacks = body.splitlines()
-            assert json.loads(header.lstrip("# "))["samples"] >= 1
-            assert stacks  # non-empty folded stacks under load
-            for line in stacks:
-                stack, count = line.rsplit(" ", 1)
-                assert int(count) >= 1
-        finally:
-            stop.set()
-            t.join()
-
-    def test_profile_seconds_clamped(self, server):
-        # a huge request must come back promptly (clamped), not pin a thread
-        status, _, _ = _get(server.url + "/profile?seconds=0.2&hz=100")
-        assert status == 200
-
-    @pytest.mark.parametrize("query", ["seconds=abc", "seconds=-1", "hz=0", "hz=x"])
-    def test_profile_bad_params_400(self, server, query):
-        status, _, _ = _get_status(server.url + f"/profile?{query}")
-        assert status == 400
 
 
 class TestOutOfProcess:
